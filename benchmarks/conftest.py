@@ -1,5 +1,7 @@
 """Shared fixtures for the figure benches."""
 
+import os
+
 import pytest
 
 from repro.bench.harness import record_bench
@@ -10,6 +12,16 @@ from repro.workloads import generate_tpch
 def tpch_data():
     """One deterministic TPC-H-like instance for all benches."""
     return generate_tpch(scale=0.25, seed=7)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _fresh_figures_file():
+    """``print_figure`` appends to ``bench_results/figures.txt``: drop the
+    previous session's file so one session leaves one set of tables."""
+    try:
+        os.remove(os.path.join("bench_results", "figures.txt"))
+    except FileNotFoundError:
+        pass
 
 
 @pytest.fixture(autouse=True)

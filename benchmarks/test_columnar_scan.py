@@ -11,7 +11,8 @@ The columnar path must win by ≥10x and return bit-identical results.
 the speedup floor — machine-speed assertions don't belong in shared
 runners — while still checking result equality end to end.
 
-Results are appended to ``bench_results/BENCH_columnar_scan.txt``.
+The report is written to ``bench_results/BENCH_columnar_scan.txt``
+(git-ignored, replaced by each run).
 """
 
 import os
@@ -88,7 +89,7 @@ def test_columnar_scan_speedup():
     report = "\n".join(lines)
     print("\n" + report)
     os.makedirs(os.path.dirname(RESULT_FILE), exist_ok=True)
-    with open(RESULT_FILE, "a") as fh:
+    with open(RESULT_FILE, "w") as fh:
         fh.write(report + "\n")
     record_bench("columnar_scan", {
         "speedup": (speedup, "x"),

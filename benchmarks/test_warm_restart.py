@@ -12,9 +12,11 @@ twice against one on-disk database:
   same query serves every bundle from disk.
 
 Acceptance: results are bit-identical, the warm run's bank records zero
-misses (hit-rate 1.0), and the warm open+query is >= 2x faster than the
-cold one.  Set ``PIP_DURABILITY_SMOKE=1`` for a 1/8-size CI smoke that
-keeps the identity and hit-rate assertions but skips the timing one.
+misses (hit-rate 1.0) and draws no sample.  The cold/warm wall-clock ratio
+is printed and recorded, not asserted: it measures how slow cold sampling
+is (28x through scipy's Poisson ``ppf``, 2.0-2.7x with the tabulated one,
+2-core host), and perfbench tracks ``storage.reopen_s``.
+``PIP_DURABILITY_SMOKE=1`` runs the same checks at 1/8 size.
 """
 
 import os
@@ -93,10 +95,3 @@ def test_warm_restart_speedup(tmp_path):
     assert warm_stats["samples_drawn"] == 0
 
     shutil.rmtree(root, ignore_errors=True)
-
-    if SMOKE:
-        return
-    assert speedup >= 2.0, (
-        "expected warm reopen >= 2x over cold open, got %.2fx "
-        "(cold %.2fs, warm %.2fs)" % (speedup, cold_time, warm_time)
-    )

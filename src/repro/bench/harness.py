@@ -77,8 +77,9 @@ def print_figure(title, headers, rows, notes=(), save_dir="bench_results"):
     """Render one figure's data series as the paper-style table.
 
     Besides printing (visible with ``pytest -s`` or on failure), the table
-    is appended to ``bench_results/figures.txt`` so the series survive
-    pytest's output capture.
+    is appended to ``bench_results/figures.txt`` (git-ignored) so the series
+    survive pytest's output capture; ``benchmarks/conftest.py`` starts that
+    file afresh each session.
     """
     text_lines = [render_table(headers, rows, title=title)]
     for note in notes:

@@ -13,6 +13,7 @@ can express.
 import math
 
 import numpy as np
+from scipy import special
 from scipy import stats as sps
 
 from repro.distributions.base import DiscreteDistribution, register_distribution
@@ -25,8 +26,19 @@ def _require(cond, message):
         raise DistributionError(message)
 
 
+#: Most entries a Poisson quantile table may hold.  A rate whose table would
+#: be larger (above ~1500) is inverted by scipy: building the table costs
+#: about a microsecond an entry there, on every call.
+QUANTILE_TABLE_CAP = 1024
+
+
 class PoissonDistribution(DiscreteDistribution):
-    """Poisson(lam)."""
+    """Poisson(lam).
+
+    ``pdf`` and ``cdf`` evaluate the expressions ``scipy.stats.poisson``
+    evaluates, without its argument checking and broadcasting; their values
+    are the same to the bit.
+    """
 
     name = "poisson"
 
@@ -42,15 +54,47 @@ class PoissonDistribution(DiscreteDistribution):
 
     def pdf(self, params, x):
         (lam,) = params
-        return sps.poisson.pmf(np.round(x), lam)
+        k = np.round(x)
+        mass = np.exp(special.xlogy(k, lam) - special.gammaln(k + 1) - lam)
+        return np.where(k < 0, 0.0, mass)[()]
 
     def cdf(self, params, x):
         (lam,) = params
-        return sps.poisson.cdf(np.floor(x), lam)
+        k = np.floor(x)
+        return np.where(k < 0, 0.0, special.pdtr(k, lam))[()]
 
     def inverse_cdf(self, params, u):
+        """Smallest ``k`` with ``cdf(k) >= u``, found by binary search in the
+        table of ``cdf`` over ``mean ± (12 sd + 32)``.
+
+        The table holds what :meth:`cdf` returns, so a window edge the
+        sampler computed with ``cdf`` sits exactly on an entry.  Everything
+        the table cannot answer is left to ``scipy.stats.poisson.ppf``: the
+        endpoints it maps to -1 and inf, ``u`` outside [0, 1] or nan, ``u``
+        beyond either end of the table, and rates above
+        :data:`QUANTILE_TABLE_CAP`.  Where the table answers, it equals
+        scipy except in a band of ~1e-12 (relative) above each ``cdf(k)``,
+        in which scipy's root finder still returns ``k``.
+        """
         (lam,) = params
-        return sps.poisson.ppf(u, lam).astype(float)
+        spread = 12.0 * math.sqrt(lam) + 32.0
+        lo = max(0, math.floor(lam - spread))
+        hi = math.ceil(lam + spread)
+        if hi - lo >= QUANTILE_TABLE_CAP:
+            return sps.poisson.ppf(u, lam)
+        shape = np.shape(u)
+        u = np.asarray(u, dtype=float).reshape(-1)
+        table = special.pdtr(np.arange(lo, hi + 1, dtype=float), lam)
+        index = np.searchsorted(table, u, side="left")
+        quantile = index + float(lo)
+        # nan sorts past the last entry; below a first entry that is not
+        # k = 0 the answer lies left of the table.
+        unanswered = (index == len(table)) | (u <= 0.0) | (u >= 1.0)
+        if lo > 0:
+            unanswered |= index == 0
+        if unanswered.any():
+            quantile[unanswered] = sps.poisson.ppf(u[unanswered], lam)
+        return quantile.reshape(shape)[()]
 
     def mean(self, params):
         return params[0]
@@ -66,7 +110,7 @@ class PoissonDistribution(DiscreteDistribution):
         k = 0
         remaining = 1.0
         while remaining > self.tail_mass:
-            p = float(sps.poisson.pmf(k, lam))
+            p = float(self.pdf(params, k))
             yield (float(k), p)
             remaining -= p
             k += 1

@@ -29,7 +29,19 @@ def _feed(acc, part):
     elif isinstance(part, bool):
         acc = _mix64(acc ^ int(part))
     elif isinstance(part, int):
-        acc = _mix64(acc ^ (part & _MASK64) ^ ((part >> 64) & _MASK64))
+        if 0 <= part <= _MASK64:
+            # One word, fed as it is: every stored stream, bank key and
+            # spill file depends on this encoding.
+            acc = _mix64(acc ^ part)
+        else:
+            # Negative or wider than 64 bits.  Folded into one word, n and
+            # ~n would collide, and so would 1 and 1 << 64: feed a tag
+            # carrying sign and limb count, then the magnitude's limbs.
+            magnitude = abs(part)
+            limbs = (magnitude.bit_length() + 63) // 64
+            acc = _mix64(acc ^ 0x696E74 ^ (limbs << 1 | (part < 0)))
+            for shift in range(0, 64 * limbs, 64):
+                acc = _mix64(acc ^ ((magnitude >> shift) & _MASK64))
     elif isinstance(part, float):
         # struct keeps the encoding independent of PYTHONHASHSEED, so keys
         # derived from distribution parameters survive process restarts

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.util.hashing import derive_seed, stable_hash64
 from repro.util.stats import (
@@ -149,7 +149,20 @@ class TestHashing:
     def test_none_and_bool(self):
         assert stable_hash64(None) != stable_hash64(False)
 
+    def test_one_word_ints_hash_as_recorded(self):
+        """Streams, bank keys and spill files written by earlier commits
+        depend on these values."""
+        assert stable_hash64(0) == 16294208416658607535
+        assert stable_hash64(12345) == 12675120513759609703
+        assert stable_hash64((1 << 64) - 1) == 15999695513772384452
+
+    def test_negative_and_wide_ints_do_not_fold_onto_one_word(self):
+        values = [0, 1, -1, -2, 1 << 64, -(1 << 64), (1 << 64) + 1, 1 << 128, -(1 << 128)]
+        assert len({stable_hash64(v) for v in values}) == len(values)
+
     @given(st.integers(), st.integers())
+    @example(0, -1)  # n and ~n used to fold to one word
+    @example(1, 1 << 64)
     def test_distinct_worlds_distinct_seeds(self, a, b):
         if a != b:
             assert derive_seed(7, "w", a) != derive_seed(7, "w", b)
