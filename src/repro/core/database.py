@@ -103,6 +103,7 @@ class PIPDatabase:
             bank=self.sample_bank,
             scheduler=self.scheduler,
         )
+        self.engine.telemetry = self.telemetry
         self.seed = seed
         # Durable storage (attached by :meth:`open`); ``None`` keeps every
         # mutation in-memory-only, exactly the pre-durability behaviour.
@@ -587,23 +588,22 @@ class PIPDatabase:
     # -- sample-bank plumbing ---------------------------------------------------
 
     def _watch(self, table):
-        """Attach the mutation hook that keeps the sample bank honest."""
-        if self._on_table_mutation not in table.watchers:
-            table.watchers.append(self._on_table_mutation)
+        """Attach the mutation hook that keeps the sample bank honest.
+
+        The hook is the bank's, not a method of this database: a table
+        that pointed back at its database would form a reference cycle,
+        and a closed database (tables, bank and all) would stay resident
+        until the cyclic collector happened to run.
+        """
+        watcher = self.sample_bank.on_row_change
+        if watcher not in table.watchers:
+            table.watchers.append(watcher)
 
     def _unwatch(self, table):
         try:
-            table.watchers.remove(self._on_table_mutation)
+            table.watchers.remove(self.sample_bank.on_row_change)
         except ValueError:
             pass
-
-    def _on_table_mutation(self, table, row):
-        """A stored table gained a row: drop exactly the bank entries that
-        depend on the row's random variables (deterministic inserts leave
-        the cache untouched)."""
-        variables = row.variables()
-        if variables:
-            self.sample_bank.invalidate_variables(variables)
 
     def _release_table(self, table):
         """A table left the store (drop, or replacement by register).

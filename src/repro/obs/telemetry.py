@@ -66,18 +66,23 @@ class Telemetry:
         self.log = get_logger()
         self._define_instruments()
         self.exporter = self._build_exporter(export)
-        if self.exporter is not None:
-            self.tracer.on_root = self.exporter.export_root
+        exporter = self.exporter
+        if exporter is not None:
+            self.tracer.on_root = exporter.export_root
             registry = self.registry
+            # Gauge callbacks close over what they read, never over
+            # ``self``: the registry belongs to this object, and a cycle
+            # would keep a closed database's telemetry resident until a
+            # full collection happens to run.
             registry.gauge(
                 "pip_export_queue",
                 "Telemetry records waiting in the export queue.",
-                fn=lambda: self.exporter.pending,
+                fn=lambda: exporter.pending,
             )
             registry.gauge(
                 "pip_export_dropped",
                 "Telemetry records dropped by export backpressure.",
-                fn=lambda: self.exporter.dropped,
+                fn=lambda: exporter.dropped,
             )
 
     def _build_exporter(self, export):
@@ -199,16 +204,18 @@ class Telemetry:
             "pip_columnar_chunks_pruned_bloom_total",
             "Column chunks skipped by Bloom-filter equality pruning.",
         )
+        conflicted, committed = self.txn_conflicts_total, self.txn_committed_total
+
+        def conflict_rate():
+            conflicts = conflicted.value
+            attempts = conflicts + committed.value
+            return (conflicts / attempts) if attempts else 0.0
+
         registry.gauge(
             "pip_txn_conflict_rate",
             "Conflicted commits / attempted commits (0 with no commits).",
-            fn=self._conflict_rate,
+            fn=conflict_rate,
         )
-
-    def _conflict_rate(self):
-        conflicts = self.txn_conflicts_total.value
-        attempts = conflicts + self.txn_committed_total.value
-        return (conflicts / attempts) if attempts else 0.0
 
     def bind(self, db):
         """Register the live gauges that read database state at scrape

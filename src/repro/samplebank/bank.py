@@ -23,6 +23,7 @@ import glob
 import json
 import os
 import threading
+import weakref
 
 from repro.distributions import rng_from_seed
 from repro.samplebank.bundle import SampleBundle
@@ -122,6 +123,23 @@ class BankedGroupSource:
         )
 
 
+def _weak_callback(method):
+    """``method`` without a strong reference to the object it is bound to.
+
+    The store calls back into the bank that owns it; held strongly, the
+    two would keep each other (and every bundle) alive after the database
+    is closed and dropped, until the cyclic collector happens to run.
+    """
+    ref = weakref.WeakMethod(method)
+
+    def call(*args):
+        bound = ref()
+        if bound is not None:
+            bound(*args)
+
+    return call
+
+
 class SampleBank:
     """Per-database store of per-group conditional sample bundles."""
 
@@ -149,8 +167,8 @@ class SampleBank:
             capacity,
             spill_dir=spill_dir,
             stats=self.stats_counters,
-            on_drop=self._forget_key,
-            on_load=self._register_bundle,
+            on_drop=_weak_callback(self._forget_key),
+            on_load=_weak_callback(self._register_bundle),
         )
 
     @classmethod
@@ -410,6 +428,19 @@ class SampleBank:
         )
 
     # -- invalidation -------------------------------------------------------------
+
+    def on_row_change(self, table, row):
+        """Table watcher: a stored table gained, lost or replaced ``row``.
+
+        Drops exactly the entries that depend on the row's random
+        variables (deterministic rows leave the cache untouched).  The
+        database hangs this on its stored tables — a method of the bank,
+        not of the database, so that tables do not point back at the
+        database that holds them.
+        """
+        variables = row.variables()
+        if variables:
+            self.invalidate_variables(variables)
 
     def invalidate_variables(self, variables):
         """Drop exactly the entries depending on any of ``variables``.

@@ -23,7 +23,7 @@ handles.
 """
 
 from repro.symbolic.conditions import Disjunction
-from repro.util.hashing import stable_hash64
+from repro.util.hashing import exact_key, stable_hash64
 
 #: Options that alter the drawn candidates or the impossibility verdict.
 STRATEGY_FIELDS = (
@@ -67,14 +67,30 @@ def bundle_key(group, condition, options, base_seed):
     predicate, so only they enter the key; for DNF conditions the whole
     disjunction is the predicate (there is a single joint group) and its
     structural key is used instead.
+
+    The key is kept on the group (``group.bundle_keys``) under everything
+    it is computed from besides the group itself — base seed, strategy
+    fingerprint and, for DNF, the disjunction's key — so a group the
+    engine plans once is hashed once, however many statements look its
+    bundle up.  The entry is typed (:func:`~repro.util.hashing.exact_key`):
+    ``metropolis_threshold=1`` and ``1.0`` compare equal and hash apart.
     """
-    parts = ["samplebank", base_seed, strategy_fingerprint(options)]
+    fingerprint = strategy_fingerprint(options)
+    dnf = condition.key() if isinstance(condition, Disjunction) else None
+    entry = exact_key((base_seed, fingerprint, dnf))
+    key = group.bundle_keys.get(entry)
+    if key is not None:
+        return key
+    parts = ["samplebank", base_seed, fingerprint]
     for variable in group.variables:
         parts.append(variable_signature(variable))
-    if isinstance(condition, Disjunction):
-        parts.append(("dnf", condition.key()))
+    if dnf is not None:
+        parts.append(("dnf", dnf))
     else:
         parts.append(("atoms", tuple(sorted(atom.key() for atom in group.atoms))))
     # One structural tuple, so element-separator mixing applies to every
     # boundary of the key (flat top-level strings would concatenate).
-    return stable_hash64(tuple(parts))
+    key = stable_hash64(tuple(parts))
+    if entry is not None:
+        group.bundle_keys[entry] = key
+    return key

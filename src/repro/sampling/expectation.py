@@ -31,6 +31,7 @@ from repro.constraints.consistency import check_consistency
 from repro.constraints.independence import groups_for_condition
 from repro.distributions import rng_from_seed
 from repro.sampling.options import DEFAULT_OPTIONS
+from repro.sampling.plans import PlanMemo, plan_key
 from repro.sampling.samplers import GroupSampler
 from repro.symbolic.conditions import Conjunction, Disjunction
 from repro.symbolic.expression import as_expression
@@ -101,13 +102,29 @@ def _nan_result(probability, methods=None):
 
 
 class ExpectationEngine:
-    """Stateless façade around the Algorithm 4.3 machinery.
+    """The Algorithm 4.3 machinery behind one set of defaults.
 
-    A single engine carries default options and a base seed.  Without a
-    bank attached, every public call derives a fresh deterministic RNG from
-    its arguments so repeated runs reproduce and "there is no bias from
-    samples shared between multiple query runs" (Section III-A) — each
-    invocation samples anew, with independent Monte Carlo error.
+    A single engine carries default options, a base seed and one piece of
+    state: a bounded memo of *group plans* (:mod:`repro.sampling.plans`).
+    Planning a condition — Algorithm 3.2's bounds and verdict, and the
+    Section IV-A(c) split into independent groups — is a pure function of
+    the condition, the measured expression's variables and the registered
+    distributions, and on a warm bank it used to be most of a statement;
+    :meth:`_plan` therefore does it once per distinct condition and hands
+    the same :class:`ConsistencyResult` and :class:`VariableGroup` objects
+    to every later call.  Results cannot depend on the memo: its key covers
+    every input the planning functions read, a hit returns exactly what a
+    miss computes, nothing downstream mutates a plan, and so neither the
+    memo's contents, its eviction nor the order of calls can change an
+    answer, a bundle key or a draw.  The memo belongs to the engine (one
+    per :class:`~repro.core.database.PIPDatabase`) and dies with it.
+
+    Without a bank attached, every public call derives a fresh
+    deterministic RNG from its arguments so repeated runs reproduce and
+    "there is no bias from samples shared between multiple query runs"
+    (Section III-A) — each invocation samples anew, with independent Monte
+    Carlo error.  The generator is only built when a group is actually
+    sampled by the call itself.
 
     With a :class:`~repro.samplebank.SampleBank` attached (as
     :class:`~repro.core.database.PIPDatabase` does by default), per-group
@@ -128,6 +145,10 @@ class ExpectationEngine:
         # Optional ParallelSampleScheduler; when present (and the options
         # ask for workers) prefetch() fans group sampling out over it.
         self.scheduler = scheduler
+        # Attached by the owning database.  Only ever *read*, to count
+        # plan.hit / plan.miss on the active span; never steers planning.
+        self.telemetry = None
+        self._plans = PlanMemo()
 
     # -- public API ------------------------------------------------------------
 
@@ -139,19 +160,17 @@ class ExpectationEngine:
         """
         options = self._per_call_options(options, seed)
         expr = as_expression(expr)
-        rng = self._rng(seed, "expectation", expr, condition)
+        rng = self._lazy_rng(seed, "expectation", expr, condition)
 
         if condition.is_false:
             return _nan_result(0.0 if want_probability else None)
 
-        consistency = check_consistency(condition)
+        expr_vars = expr.variables()
+        consistency, groups = self._plan(condition, expr_vars)
         if consistency.is_inconsistent:
             # Strong proofs and measure-zero conditions alike: the row
             # exists with probability zero, so the expectation is NAN.
             return _nan_result(0.0 if want_probability else None)
-
-        expr_vars = expr.variables()
-        groups = groups_for_condition(condition, extra_variables=expr_vars)
         if not options.use_independence and groups:
             groups = self._merge_groups(groups)
 
@@ -254,15 +273,15 @@ class ExpectationEngine:
     def probability(self, condition, seed=None, options=None):
         """P[condition] — the paper's ``conf()``.  Returns (value, exact)."""
         options = self._per_call_options(options, seed)
-        rng = self._rng(seed, "conf", None, condition)
+        rng = self._lazy_rng(seed, "conf", None, condition)
         if condition.is_false:
             return 0.0, True
         if condition.is_true:
             return 1.0, True
-        consistency = check_consistency(condition)
+        consistency, groups = self._plan(condition, ())
         if consistency.is_inconsistent:
             return 0.0, True
-        groups = [g for g in groups_for_condition(condition) if g.atoms]
+        groups = [g for g in groups if g.atoms]
         if not options.use_independence and groups:
             groups = self._merge_groups(groups)
         probability = 1.0
@@ -286,14 +305,13 @@ class ExpectationEngine:
         """
         options = self._per_call_options(options, seed).replace(n_samples=n)
         expr = as_expression(expr)
-        rng = self._rng(seed, "hist", expr, condition)
+        rng = self._lazy_rng(seed, "hist", expr, condition)
         if condition.is_false:
             return None
-        consistency = check_consistency(condition)
+        expr_vars = expr.variables()
+        consistency, groups = self._plan(condition, expr_vars)
         if consistency.is_inconsistent:
             return None
-        expr_vars = expr.variables()
-        groups = groups_for_condition(condition, extra_variables=expr_vars)
         expr_keys = frozenset(v.key for v in expr_vars)
         sampled_groups = [g for g in groups if g.variable_keys & expr_keys]
         if not sampled_groups:
@@ -371,22 +389,23 @@ class ExpectationEngine:
         """Append the jobs one serial call would materialise first."""
         if condition.is_false or (expr is None and condition.is_true):
             return
-        consistency = check_consistency(condition)
+        expr_vars = ()
+        if expr is not None:
+            expr = as_expression(expr)
+            expr_vars = expr.variables()
+        consistency, groups = self._plan(condition, expr_vars)
         if consistency.is_inconsistent:
             return
 
         if expr is None:
             # conf(): probability-only over every constrained group.
-            groups = [g for g in groups_for_condition(condition) if g.atoms]
+            groups = [g for g in groups if g.atoms]
             if not options.use_independence and groups:
                 groups = self._merge_groups(groups)
             for group in groups:
                 self._plan_prob_job(group, condition, consistency, options, jobs, seen)
             return
 
-        expr = as_expression(expr)
-        expr_vars = expr.variables()
-        groups = groups_for_condition(condition, extra_variables=expr_vars)
         if not options.use_independence and groups:
             groups = self._merge_groups(groups)
         expr_keys = frozenset(v.key for v in expr_vars)
@@ -450,14 +469,61 @@ class ExpectationEngine:
             options = options.replace(use_sample_bank=False)
         return options
 
-    def _rng(self, seed, tag, expr, condition):
-        if seed is None:
-            parts = [self.base_seed, tag]
-            if expr is not None:
-                parts.append(repr(expr))
-            parts.append(repr(condition))
-            seed = stable_hash64(*[str(p) for p in parts])
-        return rng_from_seed(seed)
+    def _plan(self, condition, expr_variables):
+        """``(ConsistencyResult, groups)`` for one non-FALSE condition.
+
+        The single place the engine runs Algorithm 3.2 and the
+        independence split; everything else asks here.  ``groups`` is a
+        tuple (empty when the condition is inconsistent: no caller reads
+        it then).  Both halves may come out of the memo and are shared
+        with other calls and threads — read, never modify.
+        """
+        key = plan_key(condition, expr_variables)
+        plan = self._plans.get(key)
+        if plan is None:
+            self._count("plan.miss")
+            consistency = check_consistency(condition)
+            groups = ()
+            if not consistency.is_inconsistent:
+                groups = tuple(
+                    groups_for_condition(condition, extra_variables=expr_variables)
+                )
+            plan = (consistency, groups)
+            if key is not None:
+                self._plans.put(key, plan)
+        else:
+            self._count("plan.hit")
+        return plan
+
+    def _count(self, name):
+        """Bump a tracing counter on the active span, if anyone listens."""
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.tracer.count(name)
+
+    def _lazy_rng(self, seed, tag, expr, condition):
+        """The call's generator as a thunk, built on first use.
+
+        One generator per engine call, shared by its groups in the order
+        they are sampled; a call the bank (or an exact shortcut) answers
+        never pays for hashing ``repr(condition)`` or for numpy's
+        ``Generator`` construction.
+        """
+        cell = []
+
+        def rng():
+            if not cell:
+                call_seed = seed
+                if call_seed is None:
+                    parts = [self.base_seed, tag]
+                    if expr is not None:
+                        parts.append(repr(expr))
+                    parts.append(repr(condition))
+                    call_seed = stable_hash64(*[str(p) for p in parts])
+                cell.append(rng_from_seed(call_seed))
+            return cell[0]
+
+        return rng
 
     @staticmethod
     def _merge_groups(groups):
@@ -500,7 +566,7 @@ class ExpectationEngine:
             group,
             consistency.bounds,
             predicate,
-            rng,
+            rng(),
             options,
         )
 

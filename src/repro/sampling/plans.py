@@ -1,0 +1,133 @@
+"""The memo behind ``ExpectationEngine._plan``: plan a condition once.
+
+A *group plan* is what the paper computes "prior to sampling": the
+Algorithm 3.2 bounds map and verdict (``check_consistency``) and the
+minimal independent subsets of Section IV-A(c) (``groups_for_condition``).
+Both are pure functions of the condition, the measured expression's
+variables and the registered distribution classes, so a monitoring loop
+that re-derives the same row conditions statement after statement can
+keep the answer — provided the memo is keyed on *everything* those two
+functions read, and as finely as anything derived from the plan is hashed
+(:func:`~repro.util.hashing.exact_key`).
+"""
+
+import threading
+
+from repro.distributions.base import registry_version
+from repro.symbolic.conditions import Disjunction
+from repro.symbolic.expression import BinOp, Constant, FuncTerm, UnaryOp, VarTerm
+from repro.util.hashing import exact_key
+
+#: Entries one engine keeps, about 2 kB each for a four-atom condition.
+#: Of perfbench's working sets ``warm_monitoring`` re-plans 384 conditions
+#: for ever and ``cold_sampling`` cycles through ~1.5 k, which fit;
+#: ``exact_iceberg`` plans ~550 new conditions a cycle that never repeat,
+#: so there the memo is pure memory: +2.7 % peak RSS at 2048 entries,
+#: +6.2 % at 4096 (docs/performance.md, "Group-plan memo").
+PLAN_MEMO_CAP = 2048
+
+#: Leaf types :func:`exact_key` tells apart by value *and* type.  It would
+#: write anything with a buffer (a numpy scalar) as bare bytes, so a
+#: condition holding other leaves is planned every time instead.
+_PLAIN = frozenset((int, float, str, bool, type(None)))
+
+
+class _NotPlain(Exception):
+    """A constant or parameter outside :data:`_PLAIN`."""
+
+
+def _variable_signature(variable):
+    # Not RandomVariable.key alone: a rolled-back vid can be minted again
+    # with other parameters, and hand-built variables may share one.
+    params = variable.params
+    for value in params:
+        if type(value) not in _PLAIN:
+            raise _NotPlain
+    return (variable.vid, variable.subscript, variable.dist_name, params)
+
+
+def _expression_signature(node):
+    """``node.key()``, with each variable's distribution beside its id."""
+    cls = type(node)
+    if cls is VarTerm:
+        return _variable_signature(node.var)
+    if cls is Constant:
+        if type(node.value) not in _PLAIN:
+            raise _NotPlain
+        return ("const", node.value)
+    if cls is BinOp:
+        return (
+            node.op,
+            _expression_signature(node.left),
+            _expression_signature(node.right),
+        )
+    if cls is UnaryOp:
+        return ("neg", _expression_signature(node.operand))
+    if cls is FuncTerm:
+        return (node.func,) + tuple([_expression_signature(a) for a in node.args])
+    return node.key()
+
+
+def _atoms_signature(atoms):
+    # In the condition's own order, not sorted as ``Conjunction.key()`` is:
+    # groups keep their atoms in that order and the tightening loop visits
+    # them in it.
+    return tuple(
+        [
+            (atom.op, _expression_signature(atom.lhs), _expression_signature(atom.rhs))
+            for atom in atoms
+        ]
+    )
+
+
+def plan_key(condition, expr_variables):
+    """Memo key of one plan, or ``None`` when it cannot be memoised.
+
+    Covers the condition's structure with its constants typed, every
+    variable's ``(vid, subscript, dist_name, params)``, the expression's
+    variables (they become unconstrained groups) and the registry version
+    (``support``, ``is_discrete`` and ``components_independent`` come from
+    the registered class, which ``register_distribution(replace=True)``
+    can swap).
+    """
+    dnf = isinstance(condition, Disjunction)
+    try:
+        if dnf:
+            structure = [_atoms_signature(d.atoms) for d in condition.disjuncts]
+        else:
+            structure = _atoms_signature(condition.atoms)
+        extra = [
+            _variable_signature(v)
+            for v in sorted(expr_variables, key=lambda v: v.key)
+        ]
+    except _NotPlain:
+        return None
+    return exact_key((dnf, structure, extra, registry_version()))
+
+
+class PlanMemo:
+    """At most :data:`PLAN_MEMO_CAP` plans, dropped all at once when full.
+
+    Values are pure functions of their keys, so nothing ever invalidates
+    an entry and two threads that miss on the same key store equal plans;
+    the lock only keeps the size check and the insert together.  Reads
+    take no lock: a single ``dict.get`` is atomic.
+    """
+
+    def __init__(self):
+        self._plans = {}
+        self._lock = threading.Lock()
+
+    def __len__(self):
+        return len(self._plans)
+
+    def get(self, key):
+        """The plan stored under ``key``; ``None`` for a key never stored,
+        which includes the ``None`` of a condition that cannot be keyed."""
+        return self._plans.get(key)
+
+    def put(self, key, plan):
+        with self._lock:
+            if len(self._plans) >= PLAN_MEMO_CAP:
+                self._plans.clear()
+            self._plans[key] = plan

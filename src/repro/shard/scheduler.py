@@ -30,6 +30,7 @@ the one distributed trace.  Gathered payloads are grafted back as
 """
 
 import threading
+import weakref
 
 from repro.obs import trace as obs_trace
 from repro.obs.logs import get_logger
@@ -43,11 +44,17 @@ class ShardScheduler:
     """Fans group sampling jobs out across shard worker processes."""
 
     def __init__(self, db):
-        self.db = db
+        # Weak: the database owns its scheduler; a strong reference back
+        # would keep a closed database resident until a full collection.
+        self._db = weakref.ref(db)
         self.telemetry = None   # attached by the owning database
         # Worker indices touched since the last take_statement_shards()
         # — the shard-attribution feed for history and the slow log.
         self._statement_shards = set()
+
+    @property
+    def db(self):
+        return self._db()
 
     # -- capability probes (the engine's prefetch gate) ---------------------------
 

@@ -20,6 +20,7 @@ so recovery never re-journals the operations it is applying.
 
 import json
 import os
+import weakref
 from contextlib import contextmanager
 
 from repro.storage import recovery, snapshot as snap
@@ -71,7 +72,10 @@ class DurabilityManager:
     """Journals mutations and drives checkpoint/recovery for one database."""
 
     def __init__(self, db, path, durable=True, sync=True):
-        self.db = db
+        # Weak: the database owns its manager, and a strong reference back
+        # would be a cycle keeping a closed database (tables, bank and
+        # all) resident until the cyclic collector happens to run.
+        self._db = weakref.ref(db)
         self.path = path
         self.durable = durable
         self.snapshot_dir = os.path.join(path, _SNAPSHOT_DIR)
@@ -89,6 +93,10 @@ class DurabilityManager:
             self._release_lock()
             raise
         self.wal.telemetry = getattr(db, "telemetry", None)
+
+    @property
+    def db(self):
+        return self._db()
 
     @staticmethod
     def _acquire_lock(path):

@@ -9,6 +9,7 @@ so we implement a small splitmix64-style mixer over a stable encoding
 instead.
 """
 
+import marshal as _marshal
 import struct as _struct
 
 _MASK64 = (1 << 64) - 1
@@ -84,3 +85,26 @@ def derive_seed(base_seed, *parts):
     independent-looking but fully deterministic stream.
     """
     return stable_hash64(base_seed, *parts)
+
+
+def exact_key(structure):
+    """``structure`` as bytes that only structures hashing alike share.
+
+    A dict keyed on the nested tuples themselves would conflate what
+    Python equality conflates — ``1``, ``1.0`` and ``True``; ``0.0`` and
+    ``-0.0`` — although :func:`stable_hash64` feeds each differently, so a
+    memo of anything derived from such a hash has to be keyed more finely
+    than ``==``.  ``marshal`` format 2 writes every value with its type
+    and floats by their bytes, and has neither back-references nor
+    interning flags, so the bytes depend on the values alone, never on
+    object identity.
+
+    Meant for what :func:`stable_hash64` accepts: str/bool/int/float/None
+    and tuples or lists of them.  Returns ``None`` for an object marshal
+    refuses, so that the caller computes instead of memoising (and the
+    hash raises its own ``TypeError``).
+    """
+    try:
+        return _marshal.dumps(structure, 2)
+    except ValueError:
+        return None

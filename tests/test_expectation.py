@@ -253,3 +253,445 @@ class TestSampleExpression:
             50,
         )
         assert np.all(samples == 2.0)
+
+
+# ---------------------------------------------------------------------------
+# The group-plan memo: a hit returns exactly what a miss computes
+# ---------------------------------------------------------------------------
+
+import pickle
+import sys
+import threading
+
+from hypothesis import given, settings, strategies as st
+
+from repro.constraints.consistency import check_consistency
+from repro.constraints.independence import groups_for_condition
+from repro.distributions import get_distribution, register_distribution
+from repro.samplebank import SampleBank, bundle_key
+from repro.samplebank.keys import strategy_fingerprint
+from repro.sampling import plans
+from repro.symbolic.variables import RandomVariable
+from repro.util.hashing import exact_key
+
+PLAN_SEED = 7
+
+#: Hand-built, so that every example sees the same vids.
+POOL = (
+    RandomVariable(1, "normal", (0.0, 1.0)),
+    RandomVariable(2, "normal", (2.0, 0.5)),
+    RandomVariable(3, "exponential", (0.5,)),
+    RandomVariable(4, "poisson", (3.0,)),
+)
+
+#: Values Python equality conflates and ``util.hashing._feed`` does not.
+constants = st.sampled_from([0, 0.0, -0.0, 1, 1.0, True, 2, 2.5, -1.5, 3])
+pool_index = st.integers(0, len(POOL) - 1)
+atom_specs = st.one_of(
+    st.tuples(st.just("var-const"), pool_index, st.sampled_from("<>"), constants),
+    st.tuples(st.just("var-var"), pool_index, st.sampled_from("<>"), pool_index),
+    st.tuples(st.just("sum-const"), pool_index, pool_index, constants),
+    st.tuples(st.just("product-const"), pool_index, pool_index, constants),
+    st.tuples(st.just("equals"), pool_index, constants),
+)
+conjunction_specs = st.lists(atom_specs, min_size=1, max_size=4)
+condition_specs = st.one_of(
+    conjunction_specs.map(lambda atoms: [atoms]),
+    st.lists(conjunction_specs, min_size=2, max_size=3),
+)
+
+
+def build_atom(spec):
+    kind = spec[0]
+    if kind == "var-const":
+        _, i, op, c = spec
+        return var(POOL[i]) > c if op == ">" else var(POOL[i]) < c
+    if kind == "var-var":
+        _, i, op, j = spec
+        return var(POOL[i]) > var(POOL[j]) if op == ">" else var(POOL[i]) < var(POOL[j])
+    if kind == "sum-const":
+        _, i, j, c = spec
+        return var(POOL[i]) + var(POOL[j]) > c
+    if kind == "product-const":
+        _, i, j, c = spec
+        return var(POOL[i]) * var(POOL[j]) < c
+    _, i, c = spec
+    return var(POOL[i]).eq_(c)
+
+
+def build_condition(spec):
+    """A fresh condition object per call: one disjunct is a conjunction."""
+    return disjoin([conjunction_of(*map(build_atom, atoms)) for atoms in spec])
+
+
+def variable_signatures(variables):
+    return [(v.vid, v.subscript, v.dist_name, v.params) for v in variables]
+
+
+def assert_plan_is_direct(plan, condition, extra=(), options=None):
+    """``plan`` equals what the planning functions return when called
+    directly — down to the types of constants and the bank keys."""
+    options = options or SamplingOptions()
+    consistency, groups = plan
+    direct = check_consistency(condition)
+    assert (consistency.verdict, consistency.strong, consistency.zero_probability) == (
+        direct.verdict, direct.strong, direct.zero_probability)
+    assert consistency.bounds == direct.bounds
+    assert exact_key(sorted(
+        (key, interval.lo, interval.hi) for key, interval in consistency.bounds.items()
+        if not interval.is_empty
+    )) == exact_key(sorted(
+        (key, interval.lo, interval.hi) for key, interval in direct.bounds.items()
+        if not interval.is_empty
+    ))
+    if direct.is_inconsistent:
+        return
+    direct_groups = groups_for_condition(condition, extra_variables=extra)
+    assert len(groups) == len(direct_groups)
+    for group, reference in zip(groups, direct_groups):
+        assert variable_signatures(group.variables) == variable_signatures(
+            reference.variables)
+        assert exact_key([a.key() for a in group.atoms]) == exact_key(
+            [a.key() for a in reference.atoms])
+        # ``reference`` is new, so its key is hashed here and now.
+        assert bundle_key(group, condition, options, PLAN_SEED) == bundle_key(
+            reference, condition, options, PLAN_SEED)
+
+
+class TestPlanMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(condition_specs, st.sets(pool_index, max_size=2))
+    def test_hit_equals_miss(self, spec, extra_indices):
+        condition = build_condition(spec)
+        if condition.is_false:
+            return
+        extra = frozenset(POOL[i] for i in extra_indices)
+        engine = ExpectationEngine(base_seed=PLAN_SEED)
+        miss = engine._plan(condition, extra)
+        hit = engine._plan(build_condition(spec), extra)
+        assert hit is miss
+        assert_plan_is_direct(hit, build_condition(spec), extra)
+        # The keys kept on the planned groups are served, not re-hashed,
+        # and are still the ones a new group computes.
+        assert_plan_is_direct(hit, build_condition(spec), extra)
+
+    def test_constants_equal_in_python_plan_apart(self):
+        """``x > 1``, ``x > 1.0`` and ``x > True`` compare (and hash) equal
+        as keys; the bank hashes 1.0 apart and the checker skips the bool."""
+        x = POOL[0]
+        engine = ExpectationEngine(base_seed=PLAN_SEED)
+        conditions = [conjunction_of(var(x) > c) for c in (1, 1.0, True)]
+        assert len({c.key() for c in conditions}) == 1
+        plans_seen = [engine._plan(c, ()) for c in conditions]
+        assert len({id(p) for p in plans_seen}) == 3
+        for plan, condition in zip(plans_seen, conditions):
+            assert_plan_is_direct(plan, condition)
+        options = SamplingOptions()
+        keys = [bundle_key(p[1][0], c, options, PLAN_SEED)
+                for p, c in zip(plans_seen, conditions)]
+        # Recorded at the commit before the memo existed.
+        assert keys == [0xA3534B608FE753F0, 0xBACC657299D4C240, 0xA3534B608FE753F0]
+        assert plans_seen[0][0].strong and not plans_seen[2][0].strong
+
+    def test_signed_zeros_plan_apart(self):
+        x, y = POOL[0], POOL[1]
+        engine = ExpectationEngine(base_seed=PLAN_SEED)
+        conditions = [conjunction_of(var(x) * var(y) > c) for c in (0.0, -0.0)]
+        assert conditions[0].key() == conditions[1].key()
+        first, second = (engine._plan(c, ()) for c in conditions)
+        assert first is not second
+        options = SamplingOptions()
+        assert [bundle_key(p[1][0], c, options, PLAN_SEED)
+                for p, c in zip((first, second), conditions)] == [
+            0x9890F8A2179723DC, 0x53511FDFB0432EFE]  # recorded before the memo
+
+    def test_dnf_key_is_the_parent_commits(self):
+        x, y = POOL[0], POOL[1]
+        engine = ExpectationEngine(base_seed=PLAN_SEED)
+
+        def build():
+            return disjoin([conjunction_of(var(x) > var(y)),
+                            conjunction_of(var(x) * var(y) > 1)])
+
+        engine._plan(build(), ())
+        _, (group,) = engine._plan(build(), ())
+        options = SamplingOptions()
+        assert bundle_key(group, build(), options, PLAN_SEED) == 0xB38A82596C87BF36
+        # One group object under two disjunctions: the kept key is per
+        # disjunction, not per group.
+        other = disjoin([conjunction_of(var(x) > var(y)),
+                         conjunction_of(var(x) * var(y) > 2)])
+        (reference,) = groups_for_condition(other)
+        assert bundle_key(group, other, options, PLAN_SEED) == bundle_key(
+            reference, other, options, PLAN_SEED)
+        assert bundle_key(group, build(), options, PLAN_SEED) == 0xB38A82596C87BF36
+
+    def test_same_vid_other_parameters(self):
+        """``VariableFactory.rollback_to`` can mint a vid twice."""
+        engine = ExpectationEngine(base_seed=PLAN_SEED)
+        narrow = RandomVariable(9, "uniform", (0.0, 1.0))
+        wide = RandomVariable(9, "uniform", (0.0, 10.0))
+        assert narrow == wide
+        for variable in (narrow, wide, narrow):
+            condition = conjunction_of(var(variable) > 0.5)
+            plan = engine._plan(condition, ())
+            assert_plan_is_direct(plan, condition)
+            assert plan[1][0].variables[0].params == variable.params
+        assert engine._plan(conjunction_of(var(wide) > 0.5), ())[0].bound_for(
+            wide.key).hi == 10.0
+
+    def test_expression_variables_are_part_of_the_key(self):
+        x, y, z = POOL[:3]
+        engine = ExpectationEngine(base_seed=PLAN_SEED)
+        condition = conjunction_of(var(x) > 0.5)
+        sizes = []
+        for extra in ((), (y,), (y, z), (z, y), ()):
+            plan = engine._plan(conjunction_of(var(x) > 0.5), frozenset(extra))
+            assert_plan_is_direct(plan, condition, frozenset(extra))
+            sizes.append(len(plan[1]))
+        assert sizes == [1, 2, 3, 3, 1]
+        assert len(engine._plans) == 3
+
+    def test_replaced_distribution_is_planned_again(self):
+        original = get_distribution("uniform")
+
+        class HalfUniform(type(original)):
+            def support(self, params):
+                full = super().support(params)
+                return type(full)(full.lo, (full.lo + full.hi) / 2.0)
+
+        u = RandomVariable(9, "uniform", (0.0, 8.0))
+        engine = ExpectationEngine(base_seed=PLAN_SEED)
+        condition = conjunction_of(var(u) > 1.0)
+        assert engine._plan(condition, ())[0].bound_for(u.key).hi == 8.0
+        try:
+            register_distribution(HalfUniform, replace=True)
+            plan = engine._plan(conjunction_of(var(u) > 1.0), ())
+            assert plan[0].bound_for(u.key).hi == 4.0
+            assert_plan_is_direct(plan, condition)
+        finally:
+            register_distribution(original, replace=True)
+        assert engine._plan(conjunction_of(var(u) > 1.0), ())[0].bound_for(u.key).hi == 8.0
+
+    def test_merged_groups_after_a_hit(self):
+        """``use_independence=False`` merges what the memo returned, per
+        call, and leaves the memoised groups as they were."""
+        x, y = POOL[0], POOL[1]
+        options = SamplingOptions(n_samples=300, use_independence=False)
+        bank = SampleBank.from_options(options, base_seed=PLAN_SEED)
+        engine = ExpectationEngine(options=options, base_seed=PLAN_SEED, bank=bank)
+
+        def condition():
+            return conjunction_of(var(x) > 0.0, var(y) > 2.0)
+
+        first = engine.expectation(var(x) * var(y), condition(), want_probability=True)
+        second = engine.expectation(var(x) * var(y), condition(), want_probability=True)
+        assert len(first.methods) == 2  # one joint group: its mean and its P
+        assert (second.mean, second.probability) == (first.mean, first.probability)
+        assert bank.stats()["misses"] == 1 and bank.stats()["hits"] == 1
+        _, groups = engine._plan(condition(), frozenset((x, y)))
+        assert [len(g.variables) for g in groups] == [1, 1]
+        split = ExpectationEngine(
+            options=options.replace(use_independence=True), base_seed=PLAN_SEED,
+            bank=SampleBank.from_options(options, base_seed=PLAN_SEED))
+        assert len(split.expectation(var(x) * var(y), condition()).methods) == 2
+
+    def test_fingerprints_equal_in_python_key_apart(self):
+        """``metropolis_threshold=1`` and ``1.0``: equal fingerprints,
+        different bank keys — also out of one group's kept keys."""
+        x = POOL[0]
+        engine = ExpectationEngine(base_seed=PLAN_SEED)
+        condition = conjunction_of(var(x) > 1)
+        _, (group,) = engine._plan(condition, ())
+        as_int = SamplingOptions(metropolis_threshold=1)
+        as_float = SamplingOptions(metropolis_threshold=1.0)
+        for _ in range(2):
+            assert bundle_key(group, condition, as_int, PLAN_SEED) == 0x7DD1725FADB509D2
+            assert bundle_key(group, condition, as_float, PLAN_SEED) == 0xD63A603BE0A36CF1
+        assert len(group.bundle_keys) == 2
+
+    def test_size_never_exceeds_the_cap(self, monkeypatch):
+        monkeypatch.setattr(plans, "PLAN_MEMO_CAP", 16)
+        x = POOL[0]
+        engine = ExpectationEngine(base_seed=PLAN_SEED)
+        largest = 0
+        for i in range(3 * 16):
+            condition = conjunction_of(var(x) > float(i))
+            assert_plan_is_direct(engine._plan(condition, ()), condition)
+            largest = max(largest, len(engine._plans))
+        assert largest == 16
+
+    def test_unencodable_constants_are_planned_not_memoised(self):
+        x = POOL[0]
+        engine = ExpectationEngine(base_seed=PLAN_SEED)
+        condition = conjunction_of(var(x) > const(np.float64(1.0)))
+        assert plans.plan_key(condition, ()) is None
+        assert_plan_is_direct(engine._plan(condition, ()), condition)
+        assert len(engine._plans) == 0
+
+    def test_threads_agree_with_serial_planning(self, monkeypatch):
+        """Eight threads, one engine, a memo small enough to be dropped
+        while they run: every plan equals the serial one."""
+        specs = [
+            [[("var-const", i % 4, ">", c), ("sum-const", i % 4, (i + 1) % 4, 1.0)]]
+            for i in range(4) for c in (0, 0.0, 1, 1.0, 2.5)
+        ]
+        serial = ExpectationEngine(base_seed=PLAN_SEED)
+        expected = [serial._plan(build_condition(spec), ()) for spec in specs]
+        engine = ExpectationEngine(base_seed=PLAN_SEED)
+        failures = []
+        start = threading.Barrier(8)
+
+        def work(offset):
+            try:
+                start.wait(timeout=30)
+                for round_ in range(30):
+                    for k in range(len(specs)):
+                        # Half the threads walk the same way, half another.
+                        index = (k + offset * round_) % len(specs)
+                        condition = build_condition(specs[index])
+                        plan = engine._plan(condition, ())
+                        reference = expected[index]
+                        assert plan[0].bounds == reference[0].bounds
+                        assert plan[0].verdict == reference[0].verdict
+                        assert [variable_signatures(g.variables) for g in plan[1]] == [
+                            variable_signatures(g.variables) for g in reference[1]]
+                        assert [
+                            bundle_key(g, condition, SamplingOptions(), PLAN_SEED)
+                            for g in plan[1]
+                        ] == [
+                            bundle_key(g, condition, SamplingOptions(), PLAN_SEED)
+                            for g in reference[1]
+                        ]
+            except BaseException as error:  # noqa: BLE001 - reported below
+                failures.append(error)
+
+        monkeypatch.setattr(plans, "PLAN_MEMO_CAP", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i % 2 + 1,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert len(engine._plans) <= 8
+
+    def test_planned_group_survives_pickle_with_its_keys(self):
+        x, y = POOL[0], POOL[1]
+        engine = ExpectationEngine(base_seed=PLAN_SEED)
+        condition = conjunction_of(var(x) > var(y), var(x) < 3)
+        _, (group,) = engine._plan(condition, ())
+        options = SamplingOptions()
+        key = bundle_key(group, condition, options, PLAN_SEED)
+        blob = pickle.dumps(group, protocol=pickle.HIGHEST_PROTOCOL)
+        clone = pickle.loads(blob)
+        assert variable_signatures(clone.variables) == variable_signatures(group.variables)
+        assert clone.atoms == group.atoms
+        assert clone.bundle_keys == group.bundle_keys == {
+            exact_key((PLAN_SEED, strategy_fingerprint(options), None)): key}
+        assert bundle_key(clone, condition, options, PLAN_SEED) == key
+        # The kept key costs a job a few dozen bytes, not a second plan.
+        bare = pickle.dumps(groups_for_condition(condition)[0],
+                            protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(blob) - len(bare) < 128
+
+
+# ---------------------------------------------------------------------------
+# The per-call RNG is derived only when the call itself samples
+# ---------------------------------------------------------------------------
+
+#: ``float.hex()`` of what the commit before the lazy RNG returned for
+#: ``rng_cases`` — same derivation, one generator a call, groups in order.
+RNG_LITERALS = {
+    "bankless_engine": [
+        ("expectation", "0x1.67e2b93fb3f71p+3", "0x1.c65aee631f8a0p-2", 400),
+        ("probability", "0x1.b97f700000000p-2", False),
+        ("probability_dnf", "0x1.e900000000000p-2", False),
+        ("sample_expression", ["0x1.e806d2ab259e5p+1", "-0x1.cbf9429e00960p+0",
+                               "-0x1.60410fd55e0a2p+1", "-0x1.11cc82f0bab88p-3"]),
+    ],
+    "explicit_seed": [
+        ("expectation", "0x1.85727241d09e9p+3", "0x1.bd9096bb98c7fp-2", 400),
+        ("probability", "0x1.beb9800000000p-2", False),
+        ("probability_dnf", "0x1.0180000000000p-1", False),
+        ("sample_expression", ["0x1.768349538a9f5p-1", "-0x1.3cc5658e8adc9p+1",
+                               "0x1.a20317f28e6fbp+0", "-0x1.2f8a676ec4019p+3"]),
+    ],
+    "bank_bypassed": [
+        ("expectation", "0x1.67a0851e1b40ap+3", "0x1.a31c432ca57a8p-2", 400),
+        ("probability", "0x1.b5aff80000000p-2", False),
+        ("probability_dnf", "0x1.fa80000000000p-2", False),
+        ("sample_expression", ["-0x1.0a36abb5e690bp-1", "-0x1.74eaf03ecd8ddp+1",
+                               "-0x1.155b12d3015d0p+2", "-0x1.830f6121dac1ep+0"]),
+    ],
+}
+
+
+def rng_cases(engine, factory, **call):
+    x = factory.create("normal", (1.0, 2.0))
+    y = factory.create("exponential", (0.5,))
+    z = factory.create("normal", (0.0, 1.0))
+    w = factory.create("poisson", (3.0,))
+    two_groups = conjunction_of(var(x) + var(y) > 1.5, var(z) * var(z) > 0.25)
+    result = engine.expectation(
+        var(x) * var(z) + var(w) * var(w), two_groups, want_probability=True, **call)
+    yield ("expectation", result.mean.hex(), result.probability.hex(), result.n_samples)
+    probability, exact = engine.probability(two_groups, **call)
+    yield ("probability", probability.hex(), exact)
+    dnf = disjoin([conjunction_of(var(x) > var(y)), conjunction_of(var(z) * var(x) > 1.0)])
+    probability, exact = engine.probability(dnf, **call)
+    yield ("probability_dnf", probability.hex(), exact)
+    samples = engine.sample_expression(var(x) * var(z), two_groups, 4, **call)
+    yield ("sample_expression", [float(value).hex() for value in samples])
+
+
+class TestLazyRng:
+    OPTIONS = SamplingOptions(n_samples=400)
+
+    def test_bankless_engine_draws_what_it_drew(self):
+        engine = ExpectationEngine(options=self.OPTIONS, base_seed=21)
+        assert list(rng_cases(engine, VariableFactory())) == RNG_LITERALS["bankless_engine"]
+
+    @pytest.mark.parametrize("label, call", [
+        ("explicit_seed", {"seed": 99}),
+        ("bank_bypassed", {"options": OPTIONS.replace(use_sample_bank=False)}),
+    ])
+    def test_bank_bypass_draws_what_it_drew(self, label, call):
+        from repro import PIPDatabase
+
+        db = PIPDatabase(seed=5, options=self.OPTIONS)
+        try:
+            assert list(rng_cases(db.engine, db.factory, **call)) == RNG_LITERALS[label]
+            assert db.sample_bank.stats()["misses"] == 0
+        finally:
+            db.close()
+
+    def test_no_generator_when_the_bank_answers(self, monkeypatch):
+        from repro import PIPDatabase
+        from repro.samplebank import bank as bank_module
+        from repro.sampling import expectation as expectation_module
+
+        built = []
+
+        def counting(seed):
+            built.append(seed)
+            return real(seed)
+
+        real = expectation_module.rng_from_seed
+        db = PIPDatabase(seed=5, options=self.OPTIONS)
+        try:
+            cold = list(rng_cases(db.engine, VariableFactory()))
+            monkeypatch.setattr(expectation_module, "rng_from_seed", counting)
+            assert built == []  # the bank seeds its own bundles, the call none
+            monkeypatch.setattr(bank_module, "rng_from_seed", counting)
+            warm = list(rng_cases(db.engine, VariableFactory()))
+            assert built == []
+            # conf() keeps driving its trial floor; means and draws repeat.
+            assert warm[0][1] == cold[0][1] and warm[3] == cold[3]
+        finally:
+            db.close()

@@ -344,6 +344,39 @@ def test_explain_analyze_does_not_change_later_results():
     db.close()
 
 
+def test_plan_memo_counts_sit_beside_the_bank_counts():
+    """A repeated prepared statement plans nothing the second time, and the
+    span tree says so where it says the bank was warm."""
+    db = _build_db(Telemetry(tracing=True))
+    statement = db.prepare(QUERY)
+    tracer = db.telemetry.tracer
+    statement.run().rows()
+    cold = tracer.last_root()
+    assert cold.total("plan.miss") == cold.total("bank.miss") == 12
+    assert cold.total("plan.hit") == 0
+    statement.run().rows()
+    warm = tracer.last_root()
+    assert warm.total("plan.miss") == 0
+    assert warm.total("plan.hit") == warm.total("bank.hit") == 12
+    db.sql("EXPLAIN ANALYZE " + QUERY)
+    aggregate = next(line for line in tracer.last_root().render().splitlines()
+                     if "execute.Aggregate" in line)
+    assert "bank.hit=12 plan.hit=12" in aggregate
+    db.close()
+
+
+def test_plan_memo_counting_never_steers():
+    """Untraced, the same two runs return the same rows and bank counters."""
+    rows, stats = [], []
+    for telemetry in (Telemetry.disabled(), Telemetry(tracing=True)):
+        db = _build_db(telemetry)
+        statement = db.prepare(QUERY)
+        rows.append([statement.run().rows(), statement.run().rows()])
+        stats.append(db.sample_bank.stats())
+        db.close()
+    assert rows[0] == rows[1] and stats[0] == stats[1]
+
+
 # ---------------------------------------------------------------------------
 # ResultSet.stats and the bank hit rate
 # ---------------------------------------------------------------------------

@@ -321,3 +321,98 @@ class TestStatisticalIdentity:
             out = db.sql("SELECT expected_sum(val) FROM r")
             estimates[enabled] = out.scalar()
         assert estimates[True] == pytest.approx(estimates[False], rel=0.05)
+
+
+# ---------------------------------------------------------------------------
+# Statement goldens for the monitoring loop: rows (``float.hex()``) and bank
+# counters of the first and of the second, warm, execution — recorded at the
+# commit before group plans were memoised, the RNG made lazy and bundle keys
+# kept with the planned group.
+# ---------------------------------------------------------------------------
+
+WARM_SEED = 20100301
+
+#: The three statement shapes of perfbench's ``warm_monitoring`` workload.
+WARM_SHAPES = {
+    "grouped_sum": "SELECT site, expected_sum(a * w) AS v FROM model"
+                   " WHERE a > b AND region >= :lo AND region < :hi GROUP BY site",
+    "row_conf": "SELECT site, conf() AS v FROM model WHERE a > b AND band = :band",
+    "avg_ratio": "SELECT expected_avg(a) AS v FROM model"
+                 " WHERE a > b AND region >= :lo AND region < :hi",
+}
+
+#: (site, region, band, w, mu_a, sd_a, mu_b, sd_b)
+WARM_SITES = [
+    (0, 0, 0, 1.25, 5.1, 0.6, 5.9, 1.4),
+    (1, 1, 0, 4.5, 5.5, 1.0, 5.5, 1.0),
+    (2, 2, 0, 2.75, 5.9, 1.4, 5.2, 0.7),
+    (3, 0, 1, 3.0, 5.3, 0.9, 5.6, 1.2),
+    (4, 1, 1, 1.5, 5.7, 1.2, 5.4, 0.5),
+    (5, 2, 1, 2.25, 5.2, 0.8, 5.8, 1.1),
+]
+
+BANK_COUNTERS = ("hits", "misses", "samples_served", "samples_drawn")
+
+#: name: (shape, parameters, cold rows, cold counters, warm rows, warm counters)
+WARM_GOLDENS = {
+    "grouped_sum": (
+        "grouped_sum", {"lo": 0, "hi": 2},
+        [(0, "0x1.0ae64fed2df9fp+1"), (1, "0x1.9cf113ae90543p+3"),
+         (3, "0x1.f23c3ce7bdaf5p+2"), (4, "0x1.63091e60c5b5ap+2")],
+        (0, 4, 800, 1024),
+        [(0, "0x1.0ae64fed2df9fp+1"), (1, "0x1.9cf113ae90543p+3"),
+         (3, "0x1.f23c3ce7bdaf5p+2"), (4, "0x1.63091e60c5b5ap+2")],
+        (4, 0, 800, 0)),
+    "row_conf": (
+        "row_conf", {"band": 1},
+        [(3, "0x1.ab00000000000p-2"), (4, "0x1.31e0000000000p-1"),
+         (5, "0x1.4c80000000000p-2")],
+        (0, 3, 0, 12288),
+        [(3, "0x1.ab00000000000p-2"), (4, "0x1.31e0000000000p-1"),
+         (5, "0x1.4c80000000000p-2")],
+        (3, 0, 0, 0)),
+    # Cold, the average's denominators come free with the mean's rejection
+    # bookkeeping; warm, conf() drives each bundle to its trial floor.
+    "avg_ratio": (
+        "avg_ratio", {"lo": 1, "hi": 3},
+        [("0x1.8e9dc1c463fe2p+2",)],
+        (4, 4, 800, 14336),
+        [("0x1.9004bb0624adcp+2",)],
+        (8, 0, 800, 0)),
+    "full_sweep": (
+        "grouped_sum", {"lo": 0, "hi": 3},
+        [(0, "0x1.0ae64fed2df9fp+1"), (1, "0x1.9cf113ae90543p+3"),
+         (2, "0x1.8e48514f2a592p+3"), (3, "0x1.f23c3ce7bdaf5p+2"),
+         (4, "0x1.63091e60c5b5ap+2"), (5, "0x1.07c401676b6a8p+2")],
+        (0, 6, 1200, 1536),
+        [(0, "0x1.0ae64fed2df9fp+1"), (1, "0x1.9cf113ae90543p+3"),
+         (2, "0x1.8e48514f2a592p+3"), (3, "0x1.f23c3ce7bdaf5p+2"),
+         (4, "0x1.63091e60c5b5ap+2"), (5, "0x1.07c401676b6a8p+2")],
+        (6, 0, 1200, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WARM_GOLDENS))
+def test_warm_monitoring_shape_golden(name):
+    shape, params, *expected = WARM_GOLDENS[name]
+    db = PIPDatabase(seed=WARM_SEED, options=SamplingOptions(n_samples=200))
+    try:
+        db.sql("CREATE TABLE sites (site int, region int, band int, w float,"
+               " mu_a float, sd_a float, mu_b float, sd_b float)")
+        db.insert_many("sites", WARM_SITES)
+        db.register("model", db.sql(
+            "SELECT site, region, band, w,"
+            " create_variable('normal', mu_a, sd_a) AS a,"
+            " create_variable('normal', mu_b, sd_b) AS b FROM sites"))
+        statement = db.prepare(WARM_SHAPES[shape])
+        seen = []
+        for _ in ("cold", "warm"):
+            before = db.sample_bank.stats()
+            rows = statement.run(params).rows()
+            after = db.sample_bank.stats()
+            seen.append([tuple(v.hex() if isinstance(v, float) else v for v in row)
+                         for row in rows])
+            seen.append(tuple(after[c] - before[c] for c in BANK_COUNTERS))
+        assert seen == expected
+    finally:
+        db.close()
