@@ -1,8 +1,10 @@
-"""Legacy setup shim.
+"""Package metadata and install script.
 
 The offline test environment lacks the ``wheel`` package, which PEP 517
-editable installs require; this shim lets ``pip install -e .`` fall back to
-``setup.py develop``.  All metadata lives in pyproject.toml.
+editable installs require; with this file and no ``pyproject.toml``,
+``pip install -e .`` falls back to ``setup.py develop``.  All metadata
+lives here — adding a ``pyproject.toml`` would switch pip to build
+isolation, which an offline host cannot satisfy.
 """
 
 from setuptools import find_packages, setup

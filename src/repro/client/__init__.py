@@ -15,12 +15,11 @@ Example (against a server started elsewhere)::
 
 from urllib.parse import urlsplit
 
-from repro.client.pool import SessionPool
 from repro.client.reconnect import ReconnectPolicy
 from repro.client.session import RemoteCursor, RemoteSession, RemoteTransaction
 
 __all__ = ["connect", "RemoteSession", "RemoteCursor", "RemoteTransaction",
-           "ReconnectPolicy", "SessionPool"]
+           "ReconnectPolicy"]
 
 
 def connect(url, token=None, db=None, timeout=30.0, reconnect=True,

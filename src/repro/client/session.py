@@ -480,19 +480,6 @@ class RemoteSession:
         done, _rows, _conditions, _chunks = self._call("ping")
         return bool(done.get("ok"))
 
-    def call(self, op, **fields):
-        """Run one non-cursor protocol op and return its ``done`` frame.
-
-        The generic-op channel: extension operations that carry their
-        whole answer in the ``done`` frame's ``result`` field — the
-        shard RPCs of :mod:`repro.shard` being the resident example —
-        go through here instead of growing a dedicated method each.
-        ``fields`` are embedded verbatim in the request frame; tracing
-        and reconnect behave exactly as for :meth:`execute`.
-        """
-        done, _rows, _conditions, _chunks = self._call(op, **fields)
-        return done
-
     def __repr__(self):
         state = "closed" if self._closed else (
             "in transaction" if self._in_transaction else "autocommit")

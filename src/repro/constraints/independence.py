@@ -20,7 +20,7 @@ class VariableGroup:
 
     Treat a group as immutable once built: the expectation engine hands
     one planned group to every call (and thread) that plans an equal
-    condition, and ships it to pool and shard workers by pickle.
+    condition, and ships it to pool workers by pickle.
     ``bundle_keys`` is the one part that grows — the sample-bank keys
     :func:`repro.samplebank.keys.bundle_key` has computed for this group,
     each a pure function of the group and of the entry it is stored under,

@@ -133,8 +133,7 @@ class PIPDatabase:
 
     @classmethod
     def open(
-        cls, path, durable=True, seed=None, options=None, telemetry=None,
-        columnar=None, **extra
+        cls, path, durable=True, seed=None, options=None, telemetry=None, columnar=None
     ):
         """Open (or create) a durable database rooted at directory ``path``.
 
@@ -197,10 +196,7 @@ class PIPDatabase:
                 "seed %r would break sample reproducibility" % (path, meta["seed"], seed)
             )
         options = (options or SamplingOptions()).replace(bank_spill_dir=bank_dir(path))
-        # ``extra`` forwards subclass constructor arguments (e.g. the
-        # shard topology of repro.shard.ShardedDatabase.open) untouched.
-        db = cls(seed=seed, options=options, telemetry=telemetry,
-                 columnar=columnar, **extra)
+        db = cls(seed=seed, options=options, telemetry=telemetry, columnar=columnar)
         db._durability = DurabilityManager(db, path, durable=durable)
         try:
             db._durability.recover()

@@ -47,7 +47,7 @@ def _bound(table, row, expr):
 # ---------------------------------------------------------------------------
 #
 # Every operator below is a per-row loop over independent sampling work —
-# exactly the shape the parallel executor shards.  Before looping, each
+# exactly the shape the parallel executor fans out.  Before looping, each
 # operator (and the plan executor, for whole statements) hands the batch
 # of (expression, condition) pairs to ExpectationEngine.prefetch, which
 # materialises the missing sample-bank bundles across the worker pool.

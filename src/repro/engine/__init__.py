@@ -5,7 +5,7 @@ from repro.engine.lexer import tokenize
 from repro.engine.parser import parse_sql
 from repro.engine.rewriter import to_dnf, classify_targets
 from repro.engine.planner import optimize, plan_statement, plan_sql
-from repro.engine.executor import execute_sql, execute_statement, execute_plan
+from repro.engine.executor import execute_plan
 from repro.engine.builder import QueryBuilder, GroupedQuery
 from repro.engine.prepared import PreparedStatement
 from repro.engine.results import CellEstimate, ResultSet
@@ -18,8 +18,6 @@ __all__ = [
     "optimize",
     "plan_statement",
     "plan_sql",
-    "execute_sql",
-    "execute_statement",
     "execute_plan",
     "QueryBuilder",
     "GroupedQuery",

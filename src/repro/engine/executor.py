@@ -7,10 +7,8 @@ straight tree-walk: PIP leans on its host DBMS's optimiser for the
 deterministic part of the plan, and our "host" is the planner's rewrite
 passes plus the algebra layer.
 
-``execute_sql`` / ``execute_statement`` remain as thin compatibility
-shims over the parse → plan → execute pipeline; both return bare
-c-tables exactly as they always did.  The ResultSet-returning entry
-points live on :class:`~repro.core.database.PIPDatabase` and
+The ResultSet-returning entry points live on
+:class:`~repro.core.database.PIPDatabase` and
 :class:`~repro.engine.prepared.PreparedStatement`, which call
 :func:`execute_plan` with an :class:`~repro.engine.results.ExecContext`
 to collect per-cell estimate metadata.
@@ -25,37 +23,12 @@ from repro.ctables.table import CTable, CTRow
 from repro.core import operators as ops
 from repro.sampling.confidence import conf as _conf
 from repro.engine import plan as P
-from repro.engine.parser import parse_sql
-from repro.engine.planner import optimize, plan_statement
 from repro.engine.results import ExecContext, normal_interval
 from repro.engine.rewriter import to_dnf
 from repro.engine.sqlast import VarCreateTerm, contains_var_create, map_expr_tree
 from repro.symbolic.conditions import conjunction_of
 from repro.symbolic.expression import ColumnTerm, Expression, VarTerm
 from repro.util.errors import PlanError, SchemaError
-
-
-# ---------------------------------------------------------------------------
-# Compatibility shims (the eager pre-plan API)
-# ---------------------------------------------------------------------------
-
-
-def execute_sql(db, text, params=None):
-    """Parse, plan and execute one SQL statement; returns a c-table."""
-    statement = parse_sql(text, params=params)
-    return execute_statement(db, statement)
-
-
-def execute_statement(db, statement):
-    """Plan and execute one parsed statement; returns a c-table.
-
-    Runs under the database's statement scope like every other entry
-    point, so even this legacy surface never observes a half-applied
-    transaction commit (or applies a mutation without the write lock).
-    """
-    plan = optimize(plan_statement(statement))
-    with db.statement_scope(plan):
-        return execute_plan(db, plan)
 
 
 # ---------------------------------------------------------------------------

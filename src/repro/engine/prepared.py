@@ -193,10 +193,6 @@ class PreparedStatement:
         if is_relational(bound):
             drawn = counters.samples_drawn - before[2]
             served = counters.samples_served - before[3]
-            # Shard attribution (repro.shard): the scheduler accumulates
-            # which workers this statement's prefetch scattered to.
-            take_shards = getattr(db.scheduler, "take_statement_shards", None)
-            shards = take_shards() if take_shards is not None else ""
             stats = QueryStats(
                 elapsed,
                 len(out.rows),
@@ -205,12 +201,10 @@ class PreparedStatement:
                 samples_drawn=drawn,
                 samples_reused=max(0, served - drawn),
                 trace_id=trace_id,
-                shards=shards,
             )
             if telemetry is not None:
                 telemetry.finish_statement(
-                    self.text, bound, elapsed, stats, trace_id=trace_id,
-                    shards=shards or None,
+                    self.text, bound, elapsed, stats, trace_id=trace_id
                 )
             self._record_history(db, bound, elapsed, stats, trace_id, qspan)
             return (
@@ -242,7 +236,6 @@ class PreparedStatement:
             "samples_drawn": stats.samples_drawn,
             "samples_reused": stats.samples_reused,
             "operators": qspan.summary() if qspan is not None else "",
-            "shards": stats.shards,
         })
 
     __call__ = run

@@ -176,12 +176,11 @@ class QueryStats:
         "samples_reused",
         "trace_id",
         "server_timing",
-        "shards",
     )
 
     def __init__(self, elapsed, rows, bank_hits=0, bank_misses=0,
                  samples_drawn=0, samples_reused=0, trace_id=None,
-                 server_timing=None, shards=""):
+                 server_timing=None):
         self.elapsed = elapsed
         self.rows = rows
         self.bank_hits = bank_hits
@@ -192,10 +191,6 @@ class QueryStats:
         # (for remote statements) the server's coarse timing breakdown.
         self.trace_id = trace_id
         self.server_timing = server_timing
-        # Shard attribution: comma-joined worker indices the statement's
-        # sampling was scattered to ("" off a sharded database, or when
-        # the statement needed no shard work).
-        self.shards = shards
 
     def as_dict(self):
         return {name: getattr(self, name) for name in self.__slots__}

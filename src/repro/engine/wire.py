@@ -147,8 +147,18 @@ def encode_stats(stats):
 
 
 def decode_stats(entry):
+    """Inverse of :func:`encode_stats`.  Keys this build's ``QueryStats``
+    does not have are ignored, so a payload recorded by a build with
+    other optional fields still decodes."""
     from repro.engine.results import QueryStats
 
     if entry is None:
         return None
-    return QueryStats(**{key: decode_value(v) for key, v in entry.items()})
+    if not isinstance(entry, dict) or "elapsed" not in entry or "rows" not in entry:
+        raise WireFormatError(
+            "stats must be an object with 'elapsed' and 'rows', got %r" % (entry,)
+        )
+    return QueryStats(**{
+        name: decode_value(entry[name])
+        for name in QueryStats.__slots__ if name in entry
+    })

@@ -52,7 +52,6 @@ HISTORY_SCHEMA = (
     ("samples_drawn", "int"),
     ("samples_reused", "int"),
     ("operators", "str"),
-    ("shards", "str"),
 )
 
 #: Names served by the database's virtual-catalog hook rather than the

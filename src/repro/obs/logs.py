@@ -89,16 +89,14 @@ class SlowQueryLog:
         return self.threshold is not None
 
     def observe(self, text, elapsed, plan=None, stats=None, span=None,
-                trace_id=None, tenant=None, shards=None):
+                trace_id=None, tenant=None):
         """Log the statement if it crossed the threshold.
 
         Returns whether a record was emitted, so callers can count slow
-        queries without re-checking the threshold.  ``trace_id``,
+        queries without re-checking the threshold.  ``trace_id`` and
         ``tenant`` (the authenticated principal, for statements arriving
-        over the wire) and ``shards`` (the worker indices a sharded
-        database scattered the statement's sampling to) are appended
-        when known, so slow-query lines join up with exported traces,
-        per-tenant accounting, and shard attribution.
+        over the wire) are appended when known, so slow-query lines join
+        up with exported traces and per-tenant accounting.
         """
         if self.threshold is None or elapsed < self.threshold:
             return False
@@ -112,8 +110,6 @@ class SlowQueryLog:
             parts.append("trace_id=%s" % (trace_id,))
         if tenant is not None:
             parts.append("tenant=%s" % (tenant,))
-        if shards:
-            parts.append("shards=%s" % (shards,))
         if stats is not None:
             parts.append(
                 "rows=%d samples_drawn=%d samples_reused=%d bank_hits=%d"

@@ -180,18 +180,6 @@ class Telemetry:
         self.parallel_merged_total = registry.counter(
             "pip_parallel_merged_total", "Worker bundles merged into the sample bank."
         )
-        self.shard_batches_total = registry.counter(
-            "pip_shard_batches_total",
-            "Shard prefetch batches scattered by the coordinator.",
-        )
-        self.shard_jobs_total = registry.counter(
-            "pip_shard_jobs_total",
-            "Group sampling jobs shipped to shard workers.",
-        )
-        self.shard_merged_total = registry.counter(
-            "pip_shard_merged_total",
-            "Shard payloads merged into the coordinator's sample bank.",
-        )
         self.columnar_chunks_scanned_total = registry.counter(
             "pip_columnar_chunks_scanned_total",
             "Column chunks evaluated by vectorized filters.",
@@ -390,13 +378,8 @@ class Telemetry:
     # live here so call sites stay one line and the disabled path stays
     # one comparison.
 
-    def finish_statement(self, text, plan, elapsed, stats=None, trace_id=None,
-                         shards=None):
-        """Statement epilogue: latency metrics + slow-query log.
-
-        ``shards`` is the statement's shard-attribution string (e.g.
-        ``"0,2"``) when it ran on a sharded database and touched workers.
-        """
+    def finish_statement(self, text, plan, elapsed, stats=None, trace_id=None):
+        """Statement epilogue: latency metrics + slow-query log."""
         if self.metrics_enabled:
             self.queries_total.inc()
             self.query_seconds.observe(elapsed)
@@ -407,7 +390,7 @@ class Telemetry:
             if self.slow_log.observe(
                 text, elapsed, plan=plan, stats=stats, span=span,
                 trace_id=trace_id or _trace.current_trace_id(),
-                tenant=_trace.current_tenant(), shards=shards,
+                tenant=_trace.current_tenant(),
             ) and self.metrics_enabled:
                 self.slow_queries_total.inc()
 
@@ -465,13 +448,6 @@ class Telemetry:
             self.parallel_batches_total.inc()
             self.parallel_jobs_total.inc(dispatched)
             self.parallel_merged_total.inc(merged)
-
-    def on_shard_prefetch(self, dispatched, merged):
-        """One coordinator scatter-gather finished (repro.shard)."""
-        if self.metrics_enabled:
-            self.shard_batches_total.inc()
-            self.shard_jobs_total.inc(dispatched)
-            self.shard_merged_total.inc(merged)
 
     def __repr__(self):
         flags = []

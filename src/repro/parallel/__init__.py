@@ -3,7 +3,7 @@
 PIP's group decomposition makes its dominant cost — conditionally
 sampling each minimal independent subset — embarrassingly parallel: every
 group bundle is an independent, deterministically seeded unit, keyed by
-the sample bank.  This package shards those units across a
+the sample bank.  This package spreads those units over a
 ``concurrent.futures`` pool while preserving bit-identical results; see
 :mod:`repro.parallel.scheduler` for the determinism argument and
 ``docs/architecture.md`` for how the pieces line up.

@@ -10,8 +10,8 @@ nothing), only the speedup shrinks to whatever numpy releases the GIL
 for.
 
 Pool sizing is resolved by :func:`resolve_workers` from the
-``SamplingOptions.parallel_workers`` knob; chunking by
-:func:`resolve_chunk_size` from ``parallel_chunk_size``.
+``SamplingOptions.parallel_workers`` knob; :func:`resolve_chunk_size`
+works the jobs per worker task out from the batch and the pool.
 """
 
 import multiprocessing
@@ -23,24 +23,23 @@ def resolve_workers(spec):
     """Turn the ``parallel_workers`` knob into a worker count.
 
     ``0``/``None``/negative → 0 (serial); a positive int is taken as-is;
-    ``"auto"`` → ``os.cpu_count() - 1`` (never below 0 — a single-core
-    host stays serial, the pool would only add overhead).
+    ``"auto"`` → ``os.cpu_count()`` — the calling thread only blocks in
+    ``future.result()`` while the workers run, so it needs no core of its
+    own — except on a single-core host, which stays serial (the pool
+    would only add overhead).
     """
     if spec in (None, 0):
         return 0
     if spec == "auto":
-        return max(0, (os.cpu_count() or 1) - 1)
+        cores = os.cpu_count() or 1
+        return cores if cores > 1 else 0
     count = int(spec)
     return count if count > 0 else 0
 
 
-def resolve_chunk_size(spec, n_jobs, n_workers):
-    """Jobs per worker task.  ``"auto"`` aims for ~4 tasks per worker so
-    stragglers can rebalance without paying per-job dispatch cost."""
-    if isinstance(spec, int) and spec > 0:
-        return spec
-    if n_workers <= 0:
-        return max(1, n_jobs)
+def resolve_chunk_size(n_jobs, n_workers):
+    """Jobs per worker task: ~4 tasks per worker, so stragglers can
+    rebalance without paying per-job dispatch cost."""
     return max(1, -(-n_jobs // (4 * n_workers)))
 
 

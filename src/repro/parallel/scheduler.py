@@ -1,10 +1,10 @@
-"""The parallel sampling scheduler: shard, run, merge.
+"""The parallel sampling scheduler: chunk, run, merge.
 
 ``ParallelSampleScheduler`` sits between the expectation engine and the
 sample bank.  The engine *plans* a statement's group-sampling jobs (one
 per missing bundle, mirroring exactly what its serial row loop would
-materialise first); the scheduler dedups them, shards them into chunks
-across the worker pool, and folds the resulting payloads back into the
+materialise first); the scheduler dedups them, cuts them into chunks
+for the worker pool, and folds the resulting payloads back into the
 bank **in submission order from the calling thread** — a single-writer
 merge, so the bank's LRU sequence and statistics match the serial
 execution byte for byte.
@@ -75,7 +75,7 @@ class ParallelSampleScheduler:
                 seen.add(job.key)
                 unique.append(job)
         pool = self._pool_for(workers)
-        chunk = resolve_chunk_size(options.parallel_chunk_size, len(unique), workers)
+        chunk = resolve_chunk_size(len(unique), workers)
         chunks = [unique[i : i + chunk] for i in range(0, len(unique), chunk)]
         telemetry = self.telemetry
         tracer = telemetry.tracer if telemetry is not None else None

@@ -59,16 +59,15 @@ class SamplingOptions:
     parallel_workers:
         How many sampling workers the parallel executor may use.  ``0``
         (default) runs fully serial; a positive int pins the pool size;
-        ``"auto"`` resolves to ``os.cpu_count() - 1`` (serial on a
+        ``"auto"`` resolves to ``os.cpu_count()`` (serial on a
         single-core host).  Group sampling jobs are pre-materialised into
         the sample bank across the pool; results are bit-identical to
         serial execution because every bundle is a pure function of its
         cache key and deterministic seed stream.  Requires an active
-        sample bank (``use_sample_bank=True``).
-    parallel_chunk_size:
-        How many group jobs one worker task carries.  ``"auto"`` (default)
-        balances per-task overhead against load-balancing by aiming for
-        ~4 tasks per worker; a positive int pins the chunk size.
+        sample bank (``use_sample_bank=True``).  Worth turning on when
+        a group costs well above a hand-off — acceptance of a few per
+        cent at large ``n_samples``, or Metropolis; cheap groups run
+        slower through the pool (``docs/performance.md``, "Job plane").
 
     Example
     -------
@@ -102,7 +101,6 @@ class SamplingOptions:
         "bank_capacity",
         "bank_spill_dir",
         "parallel_workers",
-        "parallel_chunk_size",
     )
 
     def __init__(
@@ -129,7 +127,6 @@ class SamplingOptions:
         bank_capacity=512,
         bank_spill_dir=None,
         parallel_workers=0,
-        parallel_chunk_size="auto",
     ):
         self.epsilon = epsilon
         self.delta = delta
@@ -153,7 +150,6 @@ class SamplingOptions:
         self.bank_capacity = bank_capacity
         self.bank_spill_dir = bank_spill_dir
         self.parallel_workers = parallel_workers
-        self.parallel_chunk_size = parallel_chunk_size
 
     def replace(self, **overrides):
         """A copy with the given fields changed (the original is never

@@ -96,7 +96,7 @@ class PIPServer:
     def __init__(self, dbs, tokens=None, host="127.0.0.1", port=8470, *,
                  telemetry=None, max_concurrent=8, max_pending=64,
                  per_tenant=4, queue_timeout=30.0, chunk_rows=512,
-                 drain_seconds=5.0, own_databases=False, shard_ops=False):
+                 drain_seconds=5.0, own_databases=False):
         if isinstance(dbs, PIPDatabase):
             dbs = {"default": dbs}
         if not dbs:
@@ -130,12 +130,6 @@ class PIPServer:
         self._tasks = set()
         self._closing = False
         self._next_session_id = 1
-        # Shard plane (repro.shard): only the loopback worker servers a
-        # coordinator forks for itself opt in — shard op payloads are
-        # pickled, so a public server must never accept them.
-        self.shard_ops = bool(shard_ops)
-        self._shard_states = {}
-        self.on_shard_shutdown = None
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -580,11 +574,9 @@ class PIPServer:
                 raise ProtocolError("unparseable message: %s" % exc) from exc
             request_id = message.get("id")
             op = message.get("op")
-            valid = protocol.OPS + (
-                protocol.SHARD_OPS if self.shard_ops else ())
-            if op not in valid:
+            if op not in protocol.OPS:
                 raise ProtocolError("unknown op %r (have: %s)"
-                                    % (op, ", ".join(valid)))
+                                    % (op, ", ".join(protocol.OPS)))
             if op == "ping":
                 await self._send(conn, protocol.done_ok(
                     request_id, "pong", -1,
@@ -599,12 +591,8 @@ class PIPServer:
                 raise ShutdownError(
                     "server is draining; no further statements accepted"
                 )
-            if op in protocol.SHARD_OPS:
-                async with self.admission.admit(conn.tenant):
-                    await self._run_shard_op(conn, request_id, op, message)
-            else:
-                async with self.admission.admit(conn.tenant):
-                    await self._run_statement_op(conn, request_id, op, message)
+            async with self.admission.admit(conn.tenant):
+                await self._run_statement_op(conn, request_id, op, message)
             self.telemetry.on_server_request(time.perf_counter() - start)
         except (ConnectionError, asyncio.IncompleteReadError):
             raise
@@ -710,59 +698,4 @@ class PIPServer:
         elapsed = await loop.run_in_executor(self._executor, work)
         await self._send(conn, protocol.done_ok(
             request_id, "txn", -1, in_transaction=session.in_transaction,
-            trace_id=trace_id, server_timing={"total": elapsed}))
-
-    # -- the shard plane (repro.shard worker side) --------------------------------
-
-    def _shard_executor(self, db_name):
-        """The lazily-built :class:`~repro.shard.executor.ShardExecutor`
-        for one hosted database (shard workers host exactly one, but the
-        state is keyed by name so the invariant is not load-bearing)."""
-        from repro.shard.executor import ShardExecutor
-
-        state = self._shard_states.get(db_name)
-        if state is None:
-            state = self._shard_states[db_name] = ShardExecutor(
-                self.dbs[db_name])
-        return state
-
-    async def _run_shard_op(self, conn, request_id, op, message):
-        """One coordinator RPC against this worker's shard database.
-
-        Only reachable with ``shard_ops=True`` (see :meth:`_dispatch`).
-        The coordinator's trace context arrives as ``traceparent`` like
-        any statement, so the fan-out shows up in one distributed trace:
-        coordinator ``shard.prefetch`` → per-shard ``client.wire`` →
-        this worker's ``server.request``.
-        """
-        loop = asyncio.get_running_loop()
-        trace_id, parent_id = self._trace_context(message.get("traceparent"))
-
-        if op == "shard_shutdown":
-            await self._send(conn, protocol.done_ok(
-                request_id, "shard", -1, trace_id=trace_id))
-            if self.on_shard_shutdown is not None:
-                self.on_shard_shutdown()
-            return
-
-        executor = self._shard_executor(conn.db_name)
-
-        def work():
-            started = time.perf_counter()
-            with self._request_span(
-                trace_id, parent_id, conn.tenant, message.get("retry"),
-                op=op, db=conn.db_name, session=conn.session_id,
-            ):
-                if op == "shard_jobs":
-                    result = executor.run_jobs(message.get("jobs"))
-                elif op == "shard_apply":
-                    result = executor.apply(message.get("ops"))
-                else:  # shard_info
-                    result = executor.info()
-            return result, time.perf_counter() - started
-
-        result, elapsed = await loop.run_in_executor(self._executor, work)
-        await self._send(conn, protocol.done_ok(
-            request_id, "shard", -1, result=result,
-            in_transaction=conn.session.in_transaction,
             trace_id=trace_id, server_timing={"total": elapsed}))

@@ -49,14 +49,6 @@ PROTOCOL_VERSION = 1
 #: Operations a client may request.
 OPS = ("execute", "executemany", "begin", "commit", "rollback", "ping", "close")
 
-#: Shard-plane operations (see ``repro.shard``).  Their payload fields
-#: are base64-wrapped pickles (``repro.shard.rpc``), so a server only
-#: honours them when started with ``shard_ops=True`` — i.e. the loopback
-#: worker processes a shard coordinator forks for itself.  A public
-#: server rejects them like any unknown op; untrusted peers never reach
-#: a pickle load.
-SHARD_OPS = ("shard_jobs", "shard_apply", "shard_info", "shard_shutdown")
-
 
 def dumps(message):
     """Compact JSON for the wire (no spaces, stable float repr)."""

@@ -125,13 +125,6 @@ class ShutdownError(SessionError):
     code = "PIP-SHUTDOWN"
 
 
-class ShardError(PIPError):
-    """The shard plane failed: a worker process would not start, died
-    mid-batch, or answered a shard RPC with garbage (see ``repro.shard``)."""
-
-    code = "PIP-SHARD"
-
-
 #: Every PIPError subclass the wire protocol can name, keyed by code.
 #: The client uses this to re-raise the *same* exception class a local
 #: database would have raised.
@@ -153,7 +146,6 @@ CODE_TO_ERROR = {
         AdmissionError,
         ProtocolError,
         ShutdownError,
-        ShardError,
     )
 }
 

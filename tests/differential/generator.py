@@ -135,22 +135,6 @@ def build_db(spec, columnar, parallel=False, path=None):
     return db
 
 
-def build_sharded_db(spec, shards, path=None):
-    """Same seed and options as :func:`build_db`, scattered over worker
-    processes.  Callers own ``db.close()`` — shards are real processes."""
-    from repro.shard import ShardedDatabase
-
-    options = SamplingOptions(n_samples=150)
-    if path is not None:
-        db = ShardedDatabase.open(
-            path, seed=5, options=options, columnar=True, shards=shards)
-    else:
-        db = ShardedDatabase(
-            seed=5, options=options, columnar=True, shards=shards)
-    apply_spec(db, spec)
-    return db
-
-
 # -- canonicalization --------------------------------------------------------------
 
 

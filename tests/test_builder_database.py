@@ -184,7 +184,7 @@ class TestClosedDatabaseIsFreed:
     whenever a full collection of the cyclic collector happens to run.
     (Cycles that used to hold it: table watcher -> database, bundle
     store -> bank, conflict-rate gauge -> telemetry, durability manager
-    -> database, shard scheduler -> database.)"""
+    -> database.)"""
 
     @staticmethod
     def _use(database):
@@ -233,14 +233,3 @@ class TestClosedDatabaseIsFreed:
                 str(tmp_path), seed=3, options=SamplingOptions(n_samples=100)),
             ("", "sample_bank", "telemetry"),
         ) == [True] * 3
-
-    def test_sharded(self):
-        from repro.shard import ShardedDatabase
-
-        # Not its telemetry: the coordinator's sessions to its workers keep
-        # that (a session and its default cursor refer to each other).
-        assert self._freed(
-            lambda: ShardedDatabase(
-                seed=3, shards=2, options=SamplingOptions(n_samples=100)),
-            ("", "sample_bank"),
-        ) == [True] * 2

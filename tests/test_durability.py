@@ -336,6 +336,22 @@ class TestLifecycle:
         with PIPDatabase.open(root) as db3:
             assert [row.values for row in db3.table("t").rows] == []
 
+    def test_stray_shard_files_are_ignored(self, tmp_path):
+        """An earlier build could run a durable directory sharded; it left
+        a ``shards.json`` manifest and a database per worker under
+        ``shards/<k>/`` beside the coordinator's own files.  Nothing reads
+        them now, and the directory opens as the database it always held."""
+        root = str(tmp_path / "db")
+        with PIPDatabase.open(root, seed=11, options=_options()) as db:
+            _build_workload(db)
+            expected = _query_all(db)
+        with open(os.path.join(root, "shards.json"), "w") as manifest:
+            manifest.write('{"partitioner": {"column": null, "kind": "hash"},'
+                           ' "shards": 2, "vnodes": 64}')
+        PIPDatabase.open(os.path.join(root, "shards", "0"), seed=11).close()
+        with PIPDatabase.open(root, options=_options()) as db2:
+            assert _query_all(db2) == expected
+
 
 class TestFailureModes:
     def test_zero_byte_wal_after_checkpoint_crash_window(self, tmp_path):

@@ -214,6 +214,21 @@ class TestQueryHistory:
         assert reloaded == recorded
         db2.close()
 
+    def test_segment_with_a_column_this_build_lacks_loads(self, tmp_path):
+        """A segment as the previous commit wrote it (it had a ``shards``
+        column) reloads and reads through SQL; the extra key is ignored."""
+        obs = tmp_path / "db" / "obs"
+        obs.mkdir(parents=True)
+        (obs / "history-000001.json").write_text(
+            '[{"ts":1790959871.390475,"statement":"SELECT v FROM t",'
+            '"plan":"feef9dd8","trace_id":"","elapsed":8.11829995654989e-05,'
+            '"rows":1,"bank_hits":0,"bank_misses":0,"samples_drawn":0,'
+            '"samples_reused":0,"operators":"","shards":""}]')
+        with PIPDatabase.open(str(tmp_path / "db"), seed=5) as db:
+            assert db.sql(
+                "SELECT statement, plan, rows FROM pip_query_history"
+            ).rows() == [("SELECT v FROM t", "feef9dd8", 1)]
+
     def test_segment_pruning_keeps_the_store_bounded(self, tmp_path):
         history = QueryHistory(max_records=64, segment_records=2,
                                max_segments=3)

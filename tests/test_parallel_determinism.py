@@ -12,6 +12,9 @@ states.  These tests pin that contract on the paper's workload shapes:
 * fig7(b)-shaped — Q5's two-variable comparison (demand > supply), the
   shape that forces rejection sampling;
 * conf-heavy — per-row ``conf()`` through the SQL front end;
+* expensive groups — ``a > b + 2.9`` over two Normals (acceptance ≈ 2 %),
+  by rejection and escalated to Metropolis: the regime the pool is kept
+  for (``docs/performance.md``, "Job plane");
 
 each cold (fresh bank) and warm (second run over the same bank), plus the
 bank-stats invariants and the pool plumbing units.
@@ -194,25 +197,72 @@ def test_adaptive_mode_bit_identical():
         assert parallel_stats[name] == serial_stats[name], name
 
 
+@pytest.mark.parametrize("escalate", [True, False], ids=["metropolis", "rejection"])
+def test_expensive_groups_bit_identical(escalate):
+    """Groups that cost well above a hand-off.  At ≈ 2 % acceptance 2000
+    samples need more candidates than the sampler's 65 536-draw warm-up,
+    so with the threshold at 0.95 every group escalates to a Metropolis
+    chain — in a worker under the pool, and to the same chain."""
+    strategy = dict(metropolis_threshold=0.95, metropolis_thin=1,
+                    metropolis_burn_in=50) if escalate else {}
+
+    def run(workers):
+        db = PIPDatabase(seed=3, options=_options(workers, n_samples=2000, **strategy))
+        table = CTable([("partkey", "int"), ("margin", "any")], name="parts")
+        for partkey in range(4):
+            a = db.create_variable("normal", (0.0, 1.0))
+            b = db.create_variable("normal", (0.0, 1.0))
+            table.add_row(
+                (partkey, var(a) - var(b)), conjunction_of(var(a) > var(b) + 2.9)
+            )
+        observed = []
+        for _ in ("cold", "warm"):
+            grouped = ops.grouped_aggregate(
+                table, ["partkey"], "expected_sum", "margin",
+                engine=db.engine, options=db.options,
+            )
+            stats = db.sample_bank.stats()
+            observed.append((
+                [(row.values[0], float(row.values[1]).hex()) for row in grouped.rows],
+                sorted(
+                    (key, bundle.used_metropolis, bundle.n, bundle.attempts, bundle.accepted)
+                    for key, bundle in db.sample_bank._store.items()
+                ),
+                [stats[name] for name in ("hits", "misses", "samples_drawn")],
+            ))
+        assert (db.scheduler.pool is not None) == bool(workers)
+        db.close()
+        return observed
+
+    serial = run(0)
+    assert run(2) == serial
+    (_, cold_bundles, cold_stats), (_, _, warm_stats) = serial
+    assert [bundle[1] for bundle in cold_bundles] == [escalate] * 4
+    assert all(accepted < 0.05 * attempts for *_, attempts, accepted in cold_bundles)
+    assert cold_stats == [0, 4, 8000] and warm_stats == [4, 4, 8000]
+
+
 # ---------------------------------------------------------------------------
 # Plumbing units
 # ---------------------------------------------------------------------------
 
 
-def test_resolve_workers():
+def test_resolve_workers(monkeypatch):
     assert resolve_workers(0) == 0
     assert resolve_workers(None) == 0
     assert resolve_workers(-3) == 0
     assert resolve_workers(4) == 4
-    auto = resolve_workers("auto")
-    assert auto >= 0  # cpu_count - 1, floored at 0 on single-core hosts
+    # The caller only waits while workers run, so "auto" is every core —
+    # except that one core stays serial.
+    for cores, expected in ((None, 0), (1, 0), (2, 2), (8, 8)):
+        monkeypatch.setattr("os.cpu_count", lambda cores=cores: cores)
+        assert resolve_workers("auto") == expected
 
 
 def test_resolve_chunk_size():
-    assert resolve_chunk_size(8, n_jobs=100, n_workers=4) == 8
-    assert resolve_chunk_size("auto", n_jobs=100, n_workers=4) == 7  # ceil(100/16)
-    assert resolve_chunk_size("auto", n_jobs=3, n_workers=4) == 1
-    assert resolve_chunk_size("auto", n_jobs=5, n_workers=0) == 5
+    assert resolve_chunk_size(n_jobs=100, n_workers=4) == 7  # ceil(100/16)
+    assert resolve_chunk_size(n_jobs=3, n_workers=4) == 1
+    assert resolve_chunk_size(n_jobs=48, n_workers=2) == 6
 
 
 def test_group_job_round_trips_through_pickle_and_runs():

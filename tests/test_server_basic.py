@@ -263,8 +263,11 @@ class TestErrorMapping:
     def test_unknown_op_is_protocol_error(self):
         with run_server(_db()) as server:
             with connect(server.url) as session:
-                with pytest.raises(ProtocolError):
-                    session._call("frobnicate")
+                # "shard_jobs" took a pickled payload on worker servers of
+                # an earlier build; no server accepts it now.
+                for op in ("frobnicate", "shard_jobs"):
+                    with pytest.raises(ProtocolError):
+                        session._call(op, jobs="gASVBQAAAAAAAABdlC4=")
 
     def test_closed_session_raises_locally(self):
         with run_server(_db()) as server:

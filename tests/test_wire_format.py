@@ -115,6 +115,31 @@ class TestEnvelope:
         assert back.as_dict() == stats.as_dict()
         assert wire.decode_stats(None) is None
 
+    def test_stats_keys_of_another_build_are_ignored(self):
+        """A payload recorded by a build whose ``QueryStats`` had a field
+        this one lacks still decodes (it used to be a bare TypeError)."""
+        # to_payload()["stats"] as the previous commit wrote it.
+        recorded = {"elapsed": 0.00022497999816550873, "rows": 2, "bank_hits": 0,
+                    "bank_misses": 0, "samples_drawn": 0, "samples_reused": 0,
+                    "trace_id": None, "server_timing": None, "shards": ""}
+        back = wire.decode_stats(recorded)
+        assert back.as_dict() == {k: v for k, v in recorded.items() if k != "shards"}
+
+        db = _db()
+        db.sql("CREATE TABLE t (k str, v float)")
+        payload = _json_round_trip(db.sql("SELECT k FROM t").to_payload())
+        payload["stats"]["from_the_future"] = 1
+        assert ResultSet.from_payload(payload).stats.rows == 0
+
+    @pytest.mark.parametrize("stats", [[], "fast", 3, {}, {"rows": 2}])
+    def test_malformed_stats_raise_wire_format_error(self, stats):
+        db = _db()
+        db.sql("CREATE TABLE t (k str, v float)")
+        payload = db.sql("SELECT k FROM t").to_payload()
+        payload["stats"] = stats
+        with pytest.raises(WireFormatError):
+            ResultSet.from_payload(payload)
+
     def test_symbolic_rows_and_conditions_round_trip(self):
         db = _db()
         x = db.create_variable_expr("normal", (0.0, 1.0))
