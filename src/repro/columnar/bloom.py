@@ -9,9 +9,17 @@ Membership is keyed on Python's ``hash()``, which respects numeric
 equality classes (``hash(2) == hash(2.0)``), so an ``int`` cell matches a
 ``float`` probe exactly as Python ``==`` would.  The bit array is a plain
 Python int used as a bitset — no allocation per probe, arbitrary size.
+The build hashes the batch once and runs the k mixes over all of it in
+wrapping ``uint64`` arithmetic — the same bits as mixing value by value
+(:meth:`BloomFilter._indices`, which probes still use).
 """
 
+import numpy as np
+
 _U64 = 0xFFFFFFFFFFFFFFFF
+_MIX1 = np.uint64(0xFF51AFD7ED558CCD)
+_MIX2 = np.uint64(0xC4CEB9FE1A85EC53)
+_S33, _S29, _S32 = np.uint64(33), np.uint64(29), np.uint64(32)
 
 
 class BloomFilter:
@@ -26,11 +34,19 @@ class BloomFilter:
             size <<= 1
         self.mask = size - 1
         self.k = k
-        bits = 0
-        for value in values:
-            for index in self._indices(value):
-                bits |= 1 << index
-        self.bits = bits
+        # hash() is a signed 64-bit int; its two's-complement view is
+        # hash(value) & _U64.
+        h = np.fromiter(map(hash, values), np.int64).view(np.uint64)
+        bitset = np.zeros(size, dtype=np.uint8)
+        mask = np.uint64(self.mask)
+        for _ in range(k):
+            h = (h ^ (h >> _S33)) * _MIX1
+            h = (h ^ (h >> _S29)) * _MIX2
+            h = h ^ (h >> _S32)
+            bitset[(h & mask).astype(np.intp)] = 1
+        self.bits = int.from_bytes(
+            np.packbits(bitset, bitorder="little").tobytes(), "little"
+        )
 
     def _indices(self, value):
         # splitmix64-style avalanche over hash(value): k successive mixes

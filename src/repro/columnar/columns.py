@@ -12,8 +12,7 @@ The store partitions rows into the **deterministic partition** (rows
 whose condition is TRUE) and the **symbolic remainder**; only the former
 is columnised.  Per column it caches, on demand:
 
-* the full object column (all rows — used by projection and the snapshot
-  packer),
+* the full object column (all rows — used by the snapshot packer),
 * a ``float64`` array over the deterministic partition, built only when
   every cell is a non-bool int/float **and** every int survives the
   round trip ``float(v) == v`` (so float64 comparisons agree bit-for-bit
@@ -23,6 +22,10 @@ is columnised.  Per column it caches, on demand:
 
 Chunks are ``DEFAULT_CHUNK`` deterministic rows; tests shrink the chunk
 size to force boundary behaviour.
+
+Every column cache is keyed by column *position*, so an aliased scan
+(``FROM items i``) gets a store that shares them with the stored table's
+(:meth:`ColumnStore.alias`): the names differ, the cells do not.
 """
 
 import numpy as np
@@ -51,9 +54,7 @@ def store_for(table, chunk_size=None):
     store = table.colstore
     if (
         store is not None
-        and store.rows_ref is table.rows
-        and store.n_rows == len(table.rows)
-        and store.version == table.version
+        and store.valid_for(table)
         and (chunk_size is None or store.chunk_size == chunk_size)
     ):
         return store
@@ -77,6 +78,7 @@ class ColumnStore:
         "det_rows",
         "all_det",
         "_name_index",
+        "_positions",
         "_objects",
         "_det_clean",
         "_numeric",
@@ -94,6 +96,7 @@ class ColumnStore:
         self.det_flags = flags
         self.det_rows = [row for row, det in zip(table.rows, flags) if det]
         self.all_det = len(self.det_rows) == self.n_rows
+        self._positions = None
         # Mirrors dict(zip(names, values)): for duplicate column names the
         # last occurrence wins, exactly like CTable.row_mapping.
         self._name_index = {name: i for i, name in enumerate(self.schema_names)}
@@ -102,6 +105,40 @@ class ColumnStore:
         self._numeric = {}
         self._zones = {}
         self._blooms = {}
+
+    def valid_for(self, table):
+        """Whether this store still describes ``table``'s current rows."""
+        return (
+            self.rows_ref is table.rows
+            and self.n_rows == len(table.rows)
+            and self.version == table.version
+        )
+
+    def alias(self, table):
+        """A store for ``table`` — the same rows in a list of its own,
+        under other column names (``algebra.prefix``).  Everything keyed
+        by position is shared, caches included, so what either store
+        materialises the other finds; only names, row list and version
+        are the alias's own."""
+        twin = ColumnStore.__new__(ColumnStore)
+        for slot in ColumnStore.__slots__:
+            setattr(twin, slot, getattr(self, slot))
+        twin.schema_names = list(table.schema.names)
+        twin._name_index = {name: i for i, name in enumerate(twin.schema_names)}
+        twin.rows_ref = table.rows
+        twin.version = table.version
+        return twin
+
+    def positions(self):
+        """``(det_index, sym_index)`` — ``det_index[p]`` is the table
+        index of the ``p``-th deterministic row, ``sym_index`` lists the
+        symbolic remainder's — so that a mask over the partition becomes
+        table positions by indexing, not by walking the table.  Built on
+        first use: most stores (one per GROUP BY group) never emit rows."""
+        if self._positions is None:
+            flags = np.asarray(self.det_flags, dtype=bool)
+            self._positions = (np.flatnonzero(flags), np.flatnonzero(~flags))
+        return self._positions
 
     # -- name resolution ---------------------------------------------------------
 

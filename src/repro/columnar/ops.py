@@ -16,10 +16,17 @@ purely to protect bit-identity:
 * Any unsupported atom falls the **whole conjunction** back, preserving
   the row path's per-row short-circuit error behaviour.
 
+Finding rows costs what it finds, not what the table holds:
+:func:`scan_mask` compiles a conjunction and scans the unpruned chunks
+into one boolean mask over the deterministic partition, and everything
+that looks for rows — ``Filter`` and ``Join`` through
+:func:`select_vectorized`, ``UPDATE`` / ``DELETE`` through
+:func:`candidate_rows` — turns ``np.flatnonzero(mask)`` into table
+positions through the store's ``positions()`` and touches only those rows.
 Mixed tables split per row: deterministic rows (condition TRUE) take the
-mask, symbolic-remainder rows run the exact ``algebra.select`` row body,
-and the merge walks ``table.rows`` in order — so output order is the row
-path's order, row for row.
+mask, symbolic-remainder rows run the exact ``algebra.select`` row body
+one by one, and the two ascending halves merge on row index — so output
+order is the row path's order, row for row.
 """
 
 import operator
@@ -28,7 +35,8 @@ import numpy as np
 
 from repro.columnar import columns as C
 from repro.ctables import algebra
-from repro.ctables.table import CTRow
+from repro.ctables.schema import Schema
+from repro.ctables.table import CTable, CTRow
 from repro.symbolic.conditions import conjoin
 from repro.symbolic.expression import (
     BinOp,
@@ -37,6 +45,7 @@ from repro.symbolic.expression import (
     UnaryOp,
     is_numeric,
 )
+from repro.util.errors import SchemaError
 
 _OPS = {
     "=": operator.eq,
@@ -50,6 +59,10 @@ _ORDERED = ("<", "<=", ">", ">=")
 #: a op b  <=>  b mirror(op) a — for pruning when the constant is on the left.
 _MIRROR = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 _VEC_ARITH = ("+", "-", "*")
+#: Cell types a projected column reference hands through untouched
+#: (exact types: whatever else ``as_expression`` may wrap — expressions,
+#: random variables, NumPy scalars — is the row path's to bind).
+_PLAIN = frozenset((int, float, str, bool, type(None)))
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +287,11 @@ def _compile_atom(atom, store):
 # ---------------------------------------------------------------------------
 
 
-def select_vectorized(db, table, atoms, condition, context=None):
-    """One conjunction of ``atoms`` over ``table``, or ``None`` when any
-    atom cannot vectorize.  ``condition`` is the row path's
-    ``conjunction_of(*atoms)`` — the symbolic remainder binds it exactly
-    as ``algebra.select`` would, and a deterministic row that passes the
-    mask keeps its own condition object (``conjoin(φ, TRUE) is φ``)."""
+def scan_mask(db, table, atoms, context=None):
+    """``(store, mask)`` for one conjunction of ``atoms`` over ``table`` —
+    ``mask[p]`` says whether the ``p``-th row of the store's deterministic
+    partition satisfies every atom — or ``None`` when any atom cannot
+    vectorize.  The one way SELECT, JOIN, UPDATE and DELETE find rows."""
     store = C.store_for(table)
     if store is None:
         return None
@@ -332,22 +344,62 @@ def select_vectorized(db, table, atoms, condition, context=None):
     telemetry = getattr(db, "telemetry", None)
     if telemetry is not None and (scanned or pruned_zone or pruned_bloom):
         telemetry.on_columnar_scan(scanned, pruned_zone, pruned_bloom)
+    return store, mask
 
-    out_rows = []
-    det_flags = store.det_flags
-    det_position = 0
-    for i, row in enumerate(table.rows):
-        if det_flags[i]:
-            if mask[det_position]:
-                # conjoin(φ, TRUE-bound) returns φ itself on the row path.
-                out_rows.append(CTRow(row.values, row.condition))
-            det_position += 1
-        else:
-            bound = condition.bind_columns(table.row_mapping(row))
-            combined = conjoin(row.condition, bound)
-            if not combined.is_false:
-                out_rows.append(CTRow(row.values, combined))
+
+def select_vectorized(db, table, atoms, condition, context=None):
+    """One conjunction of ``atoms`` over ``table``, or ``None`` when any
+    atom cannot vectorize.  ``condition`` is the row path's
+    ``conjunction_of(*atoms)`` — the symbolic remainder binds it exactly
+    as ``algebra.select`` would, and a deterministic row that passes the
+    mask keeps its own condition object (``conjoin(φ, TRUE) is φ``)."""
+    scanned = scan_mask(db, table, atoms, context)
+    if scanned is None:
+        return None
+    store, mask = scanned
+    rows = table.rows
+    det_index, sym_index = store.positions()
+    hits = det_index[np.flatnonzero(mask)]
+    # conjoin(φ, TRUE-bound) returns φ itself on the row path.
+    out_rows = [
+        CTRow(row.values, row.condition)
+        for row in map(rows.__getitem__, hits.tolist())
+    ]
+    survivors = []
+    for i in sym_index.tolist():
+        row = rows[i]
+        bound = condition.bind_columns(table.row_mapping(row))
+        combined = conjoin(row.condition, bound)
+        if not combined.is_false:
+            survivors.append(i)
+            out_rows.append(CTRow(row.values, combined))
+    if survivors:
+        # Both halves ascend by row index; merging on it is table order.
+        order = np.argsort(np.concatenate((hits, survivors)))
+        out_rows = [out_rows[j] for j in order.tolist()]
     return table.with_rows(out_rows)
+
+
+def candidate_rows(db, table, disjuncts):
+    """Ascending indices of the rows a DNF predicate can match: every
+    deterministic row some disjunct's mask keeps, plus the whole symbolic
+    remainder (its cells are not in the store; the caller's row-path
+    check decides them, as it decides each hit).  ``None`` when any atom
+    cannot vectorize — the caller then checks every row."""
+    store = hit = None
+    for atoms in disjuncts:
+        scanned = scan_mask(db, table, atoms)
+        if scanned is None:
+            return None
+        store, mask = scanned
+        hit = mask if hit is None else hit | mask
+    if store is None:
+        return None
+    det_index, sym_index = store.positions()
+    found = det_index[np.flatnonzero(hit)]
+    if len(sym_index):
+        found = np.sort(np.concatenate((found, sym_index)))
+    return found.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +408,11 @@ def select_vectorized(db, table, atoms, condition, context=None):
 
 
 def project(db, table, items):
-    """``algebra.project`` with a batch fast path for all-name item lists
-    (the common SELECT a, b shape): column slices zip straight into the
-    output rows, skipping the per-row mapping dict the row path builds."""
+    """``algebra.project`` with a batch fast path for item lists that only
+    pass columns through (``SELECT a, b`` — the front end's ``(name,
+    ColumnTerm)`` pairs included): column slices zip straight into the
+    output rows, skipping the per-row mapping dict and the per-cell
+    binding the row path does."""
     if getattr(db, "columnar", False):
         fast = _project_vectorized(table, items)
         if fast is not None:
@@ -367,28 +421,40 @@ def project(db, table, items):
 
 
 def _project_vectorized(table, items):
-    from repro.ctables.schema import Schema
-    from repro.ctables.table import CTable
-
-    if not items or not all(isinstance(item, str) for item in items):
+    if not items:
         return None
     schema = table.schema
-    indices = [schema.index_of(item) for item in items]  # same error as row path
-    out = CTable(
-        Schema([schema.columns[index] for index in indices]), name=table.name
-    )
-    store = C.store_for(table)
-    if store is not None and len(table.rows) >= 64:
-        cols = [store.objects(index) for index in indices]
-        out.rows = [
-            CTRow(values, row.condition)
-            for values, row in zip(zip(*cols), table.rows)
-        ]
-    else:
-        out.rows = [
-            CTRow(tuple(row.values[index] for index in indices), row.condition)
-            for row in table.rows
-        ]
+    cells = [row.values for row in table.rows]
+    out_columns = []
+    columns = []
+    for item in items:
+        if isinstance(item, str):
+            index = schema.index_of(item)  # same error as row path
+            out_columns.append(schema.columns[index])
+            column = map(operator.itemgetter(index), cells)
+        else:
+            name, expr = item
+            if not isinstance(expr, ColumnTerm):
+                return None
+            # A reference resolves as ColumnTerm.bind_columns has it.  One
+            # that does not goes to the row path, which raises for its
+            # first row (and, having none to bind, not on an empty table).
+            try:
+                index = schema.index_of(expr.name)
+            except SchemaError:
+                return None
+            # The row path hands back const_value() of the bound cell: the
+            # cell itself only when it is one of the plain types.
+            column = list(map(operator.itemgetter(index), cells))
+            if not _PLAIN.issuperset(map(type, column)):
+                return None
+            out_columns.append((name, "any"))
+        columns.append(column)
+    out = CTable(Schema(out_columns), name=table.name)
+    out.rows = [
+        CTRow(values, row.condition)
+        for values, row in zip(zip(*columns), table.rows)
+    ]
     return out
 
 

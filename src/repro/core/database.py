@@ -27,6 +27,7 @@ import threading
 import weakref
 from contextlib import contextmanager
 
+from repro.columnar.ops import candidate_rows
 from repro.ctables.explode import repair_key as _repair_key
 from repro.ctables.schema import Schema
 from repro.ctables.table import CTable
@@ -763,13 +764,23 @@ class PIPDatabase:
                 self._bump_version(name)
             return len(doomed_rows)
 
-    @classmethod
-    def _matching_rows(cls, table, where, verb):
+    def _matching_rows(self, table, where, verb):
         """Rows (and their indices) decided-True by a deterministic
-        predicate — the shared row-selection core of DELETE and UPDATE."""
+        predicate — the shared row-selection core of DELETE and UPDATE.
+
+        A columnar database asks the SELECT path's masks which rows a DNF
+        predicate can match at all and decides only those; each candidate
+        still goes through :meth:`_predicate_matches`, which owns the
+        verdict and the undecided-predicate error."""
+        candidates = None
+        if self.columnar and where is not None and not callable(where):
+            candidates = candidate_rows(self, table, where)
+        if candidates is None:
+            candidates = range(len(table.rows))
         rows, indices = [], []
-        for index, row in enumerate(table.rows):
-            if cls._predicate_matches(table, row, where, verb):
+        for index in candidates:
+            row = table.rows[index]
+            if self._predicate_matches(table, row, where, verb):
                 rows.append(row)
                 indices.append(index)
         return rows, indices
@@ -854,8 +865,7 @@ class PIPDatabase:
                 self._bump_version(name)
             return len(updates)
 
-    @classmethod
-    def _compute_updates(cls, table, assignments, where):
+    def _compute_updates(self, table, assignments, where):
         """Resolve an UPDATE into ``(row_index, new_values)`` pairs.
 
         This is the shared core of the autocommit path, the transaction
@@ -871,9 +881,9 @@ class PIPDatabase:
         ]
         if not normalized:
             raise PlanError("UPDATE needs at least one SET assignment")
-        matched, _indices = cls._matching_rows(table, where, "UPDATE")
+        matched, indices = self._matching_rows(table, where, "UPDATE")
         updates = []
-        for index, row in zip(_indices, matched):
+        for index, row in zip(indices, matched):
             mapping = table.row_mapping(row)
             values = list(row.values)
             for position, value in normalized:

@@ -186,8 +186,16 @@ def rename(table, mapping):
 
 
 def prefix(table, alias):
-    """Qualify every column as ``alias.column`` (used by scans)."""
-    return CTable(table.schema.prefixed(alias), list(table.rows), name=alias)
+    """Qualify every column as ``alias.column`` (used by scans).
+
+    The rows are the source's own, so their arity needs no second check,
+    and a column store the source already holds serves the alias too."""
+    out = CTable(table.schema.prefixed(alias), name=alias)
+    out.rows = list(table.rows)
+    store = table.colstore
+    if store is not None and store.valid_for(table):
+        out.colstore = store.alias(out)
+    return out
 
 
 def order_by(table, column, descending=False, key=None):

@@ -98,7 +98,9 @@ class Schema:
 
     @property
     def names(self):
-        return tuple(c.name for c in self.columns)
+        # The index is keyed in column order and names are unique, so it
+        # already is the name list (row_mapping asks once per row).
+        return tuple(self._index)
 
     def __len__(self):
         return len(self.columns)

@@ -193,7 +193,10 @@ def _dispatch_relational(db, plan, context):
         left = _execute_relational(db, plan.left, context)
         right = _execute_relational(db, plan.right, context)
         del context.estimates[mark:]  # rows multiply: can't attribute
-        return algebra.join(left, right, conjunction_of(*plan.atoms))
+        # θ-join = product, then the selection a Filter would run.
+        return _select_conjunction(
+            db, algebra.product(left, right), plan.atoms, context
+        )
     if isinstance(plan, P.Product):
         mark = len(context.estimates)
         left = _execute_relational(db, plan.left, context)
@@ -371,30 +374,32 @@ def _apply_filter(db, table, plan, context):
     disjuncts = plan.disjuncts
     if not disjuncts:
         return table.with_rows([])  # folded-FALSE WHERE
-    # Vectorize per disjunct: the planner's mark (plan.vec) is advisory —
-    # False means "provably not", None/True means "try"; select_vectorized
-    # still returns None at runtime when the actual column contents can't
-    # be compared bit-identically, and the whole conjunction then takes
-    # the row path (preserving its per-row error short-circuits).
-    vectorize = getattr(db, "columnar", False) and plan.vec is not False
-
-    def run(atoms):
-        condition = conjunction_of(*atoms)
-        if vectorize:
-            out = cops.select_vectorized(db, table, atoms, condition, context)
-            if out is not None:
-                return out
-        return algebra.select(table, condition)
-
-    if len(disjuncts) == 1:
-        return run(disjuncts[0])
     # The paper's DNF encoding: one selection per disjunct, bag-unioned
-    # (DISTINCT later coalesces them into DNF row conditions).
-    branches = [run(atoms) for atoms in disjuncts]
+    # (DISTINCT later coalesces them into DNF row conditions).  The
+    # planner's mark (plan.vec) is advisory — False means "provably not
+    # vectorizable", None/True means "try".
+    branches = [
+        _select_conjunction(db, table, atoms, context, plan.vec is not False)
+        for atoms in disjuncts
+    ]
     merged = branches[0]
     for branch in branches[1:]:
         merged = algebra.union(merged, branch)
     return merged
+
+
+def _select_conjunction(db, table, atoms, context, vectorize=True):
+    """σ of one conjunction: the mask-driven selection when the database
+    is columnar and every atom vectorizes.  ``select_vectorized`` returns
+    None when the actual column contents can't be compared
+    bit-identically, and the whole conjunction then takes the row path
+    (preserving its per-row error short-circuits)."""
+    condition = conjunction_of(*atoms)
+    if vectorize and getattr(db, "columnar", False):
+        out = cops.select_vectorized(db, table, atoms, condition, context)
+        if out is not None:
+            return out
+    return algebra.select(table, condition)
 
 
 def _apply_having(result, having):

@@ -63,12 +63,7 @@ def _numeric_column(values):
 def _cached_columns(table, n_columns):
     """Object columns from a valid ``table.colstore``, else ``None``."""
     store = getattr(table, "colstore", None)
-    if (
-        store is None
-        or store.rows_ref is not table.rows
-        or store.n_rows != len(table.rows)
-        or store.version != getattr(table, "version", 0)
-    ):
+    if store is None or not store.valid_for(table):
         return None
     return [list(store.objects(position)) for position in range(n_columns)]
 

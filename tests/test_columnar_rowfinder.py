@@ -1,0 +1,193 @@
+"""Cost proportional to matches: count-based pins, no wall clock.
+
+Finding rows — for SELECT, JOIN, UPDATE and DELETE — asks one mask and
+pays for its hits.  These tests count the per-row work that used to scale
+with the table (row mappings, ``CTRow`` constructions, predicate bindings,
+column-store builds) and pin it to the number of matches, and pin the
+single-pass Bloom build to the bit pattern of the loop it replaced.
+"""
+
+import pytest
+
+from repro import PIPDatabase
+from repro.columnar import BloomFilter
+from repro.columnar import columns as C
+from repro.columnar import ops as cops
+from repro.ctables import algebra
+from repro.ctables.table import CTable
+from repro.symbolic.atoms import Atom
+from repro.symbolic.conditions import conjunction_of
+from repro.symbolic.expression import col
+
+N = 500
+
+
+@pytest.fixture
+def db():
+    db = PIPDatabase(seed=3, columnar=True)
+    db.sql("CREATE TABLE items (k int, price float, qty int)")
+    db.insert_many("items", [(i, i * 0.25, i % 9) for i in range(N)])
+    db.sql("SELECT k FROM items WHERE k = 1")  # warm the store
+    return db
+
+
+def _count_calls(monkeypatch, owner, name, wrap=lambda fn: fn):
+    """Replace ``owner.name`` with a counting pass-through."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrap(counted))
+    return calls
+
+
+def test_point_select_touches_only_its_row(db, monkeypatch):
+    mappings = _count_calls(monkeypatch, CTable, "row_mapping")
+    rows = db.sql("SELECT k, price, qty FROM items WHERE k = 123").rows()
+    assert rows == [(123, 30.75, 6)]
+    assert mappings == []
+
+
+@pytest.mark.parametrize("lo,hi", [(7, 8), (100, 140), (0, N), (N, N + 5)])
+def test_filter_constructs_one_row_per_hit(db, monkeypatch, lo, hi):
+    built = _count_calls(monkeypatch, cops, "CTRow")
+    atoms = [Atom(col("k"), ">=", lo), Atom(col("k"), "<", hi)]
+    out = cops.select_vectorized(
+        db, db.table("items"), atoms, conjunction_of(*atoms)
+    )
+    assert [row.values[0] for row in out.rows] == list(range(lo, min(hi, N)))
+    assert len(built) == len(out.rows)
+
+
+def test_keyed_update_and_delete_decide_one_row(db, monkeypatch):
+    decided = _count_calls(
+        monkeypatch, PIPDatabase, "_predicate_matches", wrap=staticmethod
+    )
+    assert db.sql("UPDATE items SET qty = 0 WHERE k = 77") == 1
+    assert len(decided) == 1
+    assert db.sql("DELETE FROM items WHERE k = 78 OR k = 400") == 2
+    assert len(decided) == 3
+    assert db.sql("DELETE FROM items WHERE k = -5") == 0
+    assert len(decided) == 3
+    assert db.sql("SELECT k, qty FROM items WHERE k >= 76 AND k < 80").rows() == [
+        (76, 4), (77, 0), (79, 7),
+    ]
+
+
+def test_row_database_still_decides_every_row(monkeypatch):
+    """The database's own ``columnar`` flag — not the environment — picks
+    the candidates."""
+    db = PIPDatabase(seed=3, columnar=False)
+    db.sql("CREATE TABLE t (k int)")
+    db.insert_many("t", [(i,) for i in range(40)])
+    decided = _count_calls(
+        monkeypatch, PIPDatabase, "_predicate_matches", wrap=staticmethod
+    )
+    assert db.sql("UPDATE t SET k = 99 WHERE k = 7") == 1
+    assert len(decided) == 40
+
+
+def test_aliased_scan_builds_no_store(db, monkeypatch):
+    source = C.store_for(db.table("items"))
+    built = _count_calls(monkeypatch, C.ColumnStore, "__init__")
+    rows = db.sql("SELECT i.k, i.price FROM items i WHERE i.k = 42").rows()
+    assert rows == [(42, 10.5)]
+    assert db.sql("SELECT * FROM items i").rows()[:1] == [(0, 0.0, 0)]
+    assert built == []
+    # The alias's store is the source's columns under other names: what
+    # one materialised the other finds (here, the key column's array).
+    alias = algebra.prefix(db.table("items"), "i")
+    twin = alias.colstore
+    assert twin is not source and twin.valid_for(alias)
+    assert twin.resolve("i.k") == source.resolve("k") == 0
+    assert twin.numeric(0) is source.numeric(0)
+    assert twin.resolve("k") == 0 and twin.resolve("price") == 1  # unique suffix
+    assert twin.resolve("nope") is None
+    # A write drops the source's store; the alias keeps serving its rows.
+    db.sql("UPDATE items SET price = -1.0 WHERE k = 42")
+    assert db.table("items").colstore is None
+    assert twin.valid_for(alias) and alias.rows[42].values[1] == 10.5
+
+
+def test_mixed_table_keeps_table_order(db):
+    """Deterministic hits and symbolic-remainder survivors interleave in
+    table order, conditions as ``algebra.select`` builds them."""
+    db.register(
+        "noisy",
+        db.sql(
+            "SELECT k, price, price + create_variable('normal', 0.0, 1.0) AS u"
+            " FROM items WHERE k < 60"
+        ),
+    )
+    gated = db.sql("SELECT k, price FROM noisy WHERE u > 3.0").to_ctable()
+    plain = db.sql("SELECT k, price FROM items WHERE k >= 60 AND k < 120").to_ctable()
+    rows = [row for pair in zip(gated.rows, plain.rows) for row in pair]
+    mixed = gated.with_rows(rows, name="mixed")
+    assert not C.store_for(mixed).all_det and len(C.store_for(mixed).det_rows) == 60
+    for atoms in (
+        [Atom(col("price"), ">", 5.0)],
+        [Atom(col("k"), "=", 70)],
+        [Atom(col("price"), ">=", 2.0), Atom(col("k"), "<", 90)],
+        [Atom(col("k"), "<", 0)],
+    ):
+        condition = conjunction_of(*atoms)
+        want = algebra.select(mixed, condition)
+        got = cops.select_vectorized(db, mixed, atoms, condition)
+        assert [(r.values, repr(r.condition)) for r in got.rows] == [
+            (r.values, repr(r.condition)) for r in want.rows
+        ]
+
+
+# -- Bloom build: same bits as the loop it replaced --------------------------------
+
+_U64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _reference_bits(values, bits_per_value=10, k=4):
+    """The per-value build this change deleted, kept here as the oracle."""
+    size = 64
+    while size < max(1, len(values)) * bits_per_value:
+        size <<= 1
+    bits = 0
+    for value in values:
+        h = hash(value) & _U64
+        for _ in range(k):
+            h = (h ^ (h >> 33)) * 0xFF51AFD7ED558CCD & _U64
+            h = (h ^ (h >> 29)) * 0xC4CEB9FE1A85EC53 & _U64
+            h ^= h >> 32
+            bits |= 1 << (h & (size - 1))
+    return bits, size
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        list(range(300)),
+        [-1, -2, -(2**40), -(2**63), 2**63 - 1],
+        [2**70, -(2**70), 2**64, 2**61 - 1],
+        [0.5, -0.0, 0.0, 1e300, float("inf"), float("-inf")],
+        [float("nan"), float("nan")],
+        ["ash", "", "fir" * 50],
+        [None, True, False, 1, 0],
+        [(1, 2), ("a", None), frozenset([3])],
+        [7],
+        [],
+    ],
+    ids=["ints", "negative", "huge", "floats", "nan", "str", "none-bool", "tuples",
+         "single", "empty"],
+)
+def test_bloom_build_is_bit_identical(values):
+    bloom = BloomFilter(values)
+    bits, size = _reference_bits(values)
+    assert (bloom.bits, bloom.n_bits) == (bits, size)
+    assert all(bloom.might_contain(value) for value in values)
+    other = BloomFilter(values, bits_per_value=3, k=7)
+    assert (other.bits, other.n_bits) == _reference_bits(values, 3, 7)
+
+
+def test_bloom_unhashable_cell_still_raises():
+    with pytest.raises(TypeError):
+        BloomFilter([1, [2]])
