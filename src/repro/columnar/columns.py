@@ -134,7 +134,7 @@ class ColumnStore:
         index of the ``p``-th deterministic row, ``sym_index`` lists the
         symbolic remainder's — so that a mask over the partition becomes
         table positions by indexing, not by walking the table.  Built on
-        first use: most stores (one per GROUP BY group) never emit rows."""
+        first use."""
         if self._positions is None:
             flags = np.asarray(self.det_flags, dtype=bool)
             self._positions = (np.flatnonzero(flags), np.flatnonzero(~flags))

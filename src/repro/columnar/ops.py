@@ -66,7 +66,7 @@ _PLAIN = frozenset((int, float, str, bool, type(None)))
 
 
 # ---------------------------------------------------------------------------
-# Static vectorizability (the planner's advisory mark)
+# Static vectorizability
 # ---------------------------------------------------------------------------
 
 
@@ -87,9 +87,9 @@ def _expr_statically_ok(expr):
 
 
 def atom_statically_vectorizable(atom):
-    """Schema-independent check the planner runs once per plan: could this
-    atom *possibly* compile against a column store?  Runtime compilation
-    still re-checks against actual column contents."""
+    """Could this atom *possibly* compile against a column store?  Reads
+    the atom's shape only, so :func:`scan_mask` asks before it has a store;
+    compilation still re-checks against actual column contents."""
     return _expr_statically_ok(atom.lhs) and _expr_statically_ok(atom.rhs)
 
 
@@ -291,7 +291,10 @@ def scan_mask(db, table, atoms, context=None):
     """``(store, mask)`` for one conjunction of ``atoms`` over ``table`` —
     ``mask[p]`` says whether the ``p``-th row of the store's deterministic
     partition satisfies every atom — or ``None`` when any atom cannot
-    vectorize.  The one way SELECT, JOIN, UPDATE and DELETE find rows."""
+    vectorize.  The one way SELECT, JOIN, UPDATE and DELETE find rows.
+    No store is built for a conjunction whose shape cannot compile."""
+    if not all(map(atom_statically_vectorizable, atoms)):
+        return None
     store = C.store_for(table)
     if store is None:
         return None
@@ -456,55 +459,3 @@ def _project_vectorized(table, items):
         for values, row in zip(zip(*columns), table.rows)
     ]
     return out
-
-
-# ---------------------------------------------------------------------------
-# Group-by partitioning (sort-based keying)
-# ---------------------------------------------------------------------------
-
-
-def partition(db, table, group_columns):
-    """``algebra.partition`` with sort-based keying for a single numeric
-    group column: ``np.unique`` codes the keys, a stable argsort groups
-    the rows, and first-seen key order is restored — the exact dict-based
-    grouping the row path produces (float64 equality coincides with
-    Python ``==`` for round-tripping values, and key tuples come from the
-    first row of each group, as ``dict`` insertion would)."""
-    if getattr(db, "columnar", False):
-        fast = _partition_vectorized(table, group_columns)
-        if fast is not None:
-            return fast
-    return list(algebra.partition(table, group_columns))
-
-
-def _partition_vectorized(table, group_columns):
-    if len(group_columns) != 1:
-        return None
-    index = table.schema.index_of(group_columns[0])  # same error as row path
-    rows = table.rows
-    if not rows:
-        return []
-    floats = []
-    for row in rows:
-        value = row.values[index]
-        as_float = _const_float(value)
-        if as_float is None or as_float != as_float:  # non-numeric or NaN
-            return None
-        floats.append(as_float)
-    array = np.asarray(floats, dtype=np.float64)
-    unique, inverse = np.unique(array, return_inverse=True)
-    n = len(rows)
-    first_index = np.full(len(unique), n, dtype=np.int64)
-    np.minimum.at(first_index, inverse, np.arange(n))
-    key_order = np.argsort(first_index, kind="stable")
-    row_order = np.argsort(inverse, kind="stable")
-    counts = np.bincount(inverse, minlength=len(unique))
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    parts = []
-    for code in key_order:
-        members = row_order[offsets[code] : offsets[code + 1]]
-        key = (rows[int(first_index[code])].values[index],)
-        parts.append(
-            (key, table.with_rows([rows[int(i)] for i in members]))
-        )
-    return parts

@@ -27,8 +27,8 @@ from repro.sampling.confidence import conf as _conf
 from repro.sampling.expectation import ExpectationEngine
 from repro.sampling.worldgen import WorldSampler
 from repro.symbolic.conditions import Conjunction, TRUE, conjoin
-from repro.symbolic.expression import Expression, as_expression, col
-from repro.util.errors import PIPError
+from repro.symbolic.expression import ColumnTerm, Expression, as_expression, col
+from repro.util.errors import PIPError, PlanError, SchemaError
 
 
 def _resolve_expr(table, target):
@@ -40,6 +40,53 @@ def _resolve_expr(table, target):
 
 def _bound(table, row, expr):
     return expr.bind_columns(table.row_mapping(row))
+
+
+# ---------------------------------------------------------------------------
+# Deterministic rows
+# ---------------------------------------------------------------------------
+#
+# A row whose condition is TRUE and whose target is a bare column holding a
+# plain number needs no engine: E[h|φ] is the cell, P[φ] is exactly 1, both
+# exact, no samples — what ``engine.expectation`` / ``conf`` return for it,
+# term for term (tests/test_operators.py holds the loops to that).  The
+# aggregate loops below answer such a row in place; every other row — bool,
+# NumPy scalar or symbolic cell, symbolic condition, computed target, a
+# name that does not resolve — is bound and handed to the engine.
+
+#: Exact cell types of the short cut (a bool or NumPy scalar is the engine's).
+_NUMBERS = (int, float)
+
+_NOT_A_NUMBER = (ValueError, TypeError, ZeroDivisionError, OverflowError)
+
+
+def _plain_index(table, expr):
+    """Position of the column a bare reference names, resolved as
+    ``ColumnTerm.bind_columns`` resolves it, or ``None``: a computed
+    target, or a name the engine path will raise for when it binds it."""
+    if isinstance(expr, ColumnTerm):
+        try:
+            return table.schema.index_of(expr.name)
+        except SchemaError:
+            pass
+    return None
+
+
+def _constant(kind, target, term):
+    """``(value, float(value))`` of a constant aggregate term: a cell, or
+    the constant a bound target folds to.  The float is what the term
+    contributes; a target without one is the statement's mistake, and the
+    one place that converts it says so with a coded error."""
+    value = term
+    try:
+        if isinstance(term, Expression):
+            value = term.const_value()
+        return value, float(value)
+    except _NOT_A_NUMBER as exc:
+        raise PlanError(
+            "%s(%s): %.40r has no float value (%s: %s)"
+            % (kind, target, value, type(exc).__name__, exc)
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +265,27 @@ def expected_sum(table, target, engine=None, options=None, scale_by_rows=False):
         )
         row_options = row_options.replace(n_samples=shrunk)
     _prefetch_rows(table, expr, engine, row_options, want_probability=True)
+    index = _plain_index(table, expr)
     total = 0.0
     n_samples = 0
     exact = True
     for row in table.rows:
+        cell = row.values[index] if index is not None else None
+        if type(cell) in _NUMBERS and row.condition.is_true:
+            # float(cell); only an int can fail to convert.
+            mean = cell if type(cell) is float else _constant("expected_sum", expr, cell)[1]
+            if mean == mean:  # a NaN mean is skipped, as below
+                total += mean
+            continue
         bound = _bound(table, row, expr)
-        result = engine.expectation(
-            bound, row.condition, want_probability=True, options=row_options
-        )
+        try:
+            result = engine.expectation(
+                bound, row.condition, want_probability=True, options=row_options
+            )
+        except _NOT_A_NUMBER:
+            if bound.is_constant:
+                _constant("expected_sum", expr, bound)  # PlanError, if that was it
+            raise
         n_samples += result.n_samples
         if result.probability == 0.0 or result.is_nan:
             continue
@@ -241,6 +301,9 @@ def expected_count(table, engine=None, options=None):
     total = 0.0
     exact = True
     for row in table.rows:
+        if row.condition.is_true:
+            total += 1.0
+            continue
         result = _conf(row.condition, engine=engine, options=options)
         total += result.probability
         exact = exact and result.exact
@@ -273,6 +336,8 @@ def _rows_independent(table):
     """Whether row conditions live on pairwise-disjoint variable families."""
     seen = set()
     for row in table.rows:
+        if row.condition.is_true:
+            continue
         families = {v.vid for v in row.condition.variables()}
         if families & seen:
             return False
@@ -303,53 +368,8 @@ def expected_max(
     evaluation over ``n_worlds`` sampled worlds (Section IV-C's worst-case
     approach).  Worlds where no row is present contribute ``empty_value``.
     """
-    engine = engine or ExpectationEngine()
-    expr = _resolve_expr(table, target)
-    bound_rows = []
-    all_constant = True
-    for row in table.rows:
-        bound = _bound(table, row, expr)
-        if not bound.is_constant:
-            all_constant = False
-        bound_rows.append((row, bound))
-    if not table.rows:
-        return AggregateResult(empty_value, 0, 0, True, "empty")
-
-    if all_constant and _rows_independent(table):
-        ordered = sorted(
-            bound_rows, key=lambda pair: pair[1].const_value(), reverse=True
-        )
-        total = 0.0
-        none_before = 1.0  # probability that no earlier (larger) row exists
-        exact = True
-        scanned = 0
-        for row, bound in ordered:
-            value = float(bound.const_value())
-            remaining = [float(b.const_value()) for _, b in ordered[scanned:]]
-            bound_magnitude = max(
-                (abs(v) for v in remaining + [empty_value]), default=0.0
-            )
-            if none_before * bound_magnitude < precision:
-                break
-            result = _conf(row.condition, engine=engine, options=options)
-            exact = exact and result.exact
-            total += value * result.probability * none_before
-            none_before *= 1.0 - result.probability
-            scanned += 1
-        total += empty_value * none_before
-        return AggregateResult(
-            total, len(table.rows), 0, exact and scanned == len(ordered), "sorted-scan"
-        )
-
-    return _aggregate_by_worlds(
-        table,
-        [b for _r, b in bound_rows],
-        np.fmax,
-        -math.inf,
-        empty_value,
-        engine,
-        n_worlds,
-        "max",
+    return _sorted_scan(
+        "expected_max", table, target, engine, options, precision, empty_value, n_worlds
     )
 
 
@@ -362,20 +382,86 @@ def expected_min(
     empty_value=0.0,
     n_worlds=1000,
 ):
-    """Mirror of :func:`expected_max` (ascending sorted scan)."""
-    engine = engine or ExpectationEngine()
-    expr = _resolve_expr(table, target)
-    negated = expected_max(
-        table,
-        as_expression(0) - expr if isinstance(expr, Expression) else -expr,
-        engine=engine,
-        options=options,
-        precision=precision,
-        empty_value=-empty_value,
-        n_worlds=n_worlds,
+    """Mirror of :func:`expected_max` (ascending sorted scan): the
+    maximum of ``0 - h``, negated."""
+    negated = _sorted_scan(
+        "expected_min", table, target, engine, options, precision, -empty_value, n_worlds
     )
     return AggregateResult(
         -negated.value, negated.n_rows, negated.n_samples, negated.exact, negated.method
+    )
+
+
+def _sorted_scan(kind, table, target, engine, options, precision, empty_value, n_worlds):
+    """The scan :func:`expected_max` documents, over ``h`` — or, for its
+    mirror image, over ``0 - h``."""
+    engine = engine or ExpectationEngine()
+    shown = expr = _resolve_expr(table, target)
+    index = _plain_index(table, expr)
+    mirrored = kind == "expected_min"
+    if mirrored:
+        expr = as_expression(0) - expr
+    if not table.rows:
+        return AggregateResult(empty_value, 0, 0, True, "empty")
+    # What the target binds to, row by row: the number itself for a
+    # deterministic row (``0 - v`` is the fold binding performs on the
+    # mirrored target), an expression for every other.
+    terms = []
+    all_constant = True
+    for row in table.rows:
+        cell = row.values[index] if index is not None else None
+        if type(cell) in _NUMBERS and row.condition.is_true:
+            terms.append(0 - cell if mirrored else cell)
+            continue
+        bound = _bound(table, row, expr)
+        if not bound.is_constant:
+            all_constant = False
+        terms.append(bound)
+
+    if all_constant and _rows_independent(table):
+        # Largest constant first — ordered by the constants themselves,
+        # because ints compare exactly where their floats tie.
+        keys = [
+            term if type(term) in _NUMBERS else _constant(kind, shown, term)[0]
+            for term in terms
+        ]
+        order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+        ordered = [
+            key if type(key) is float else _constant(kind, shown, key)[1]
+            for key in map(keys.__getitem__, order)
+        ]
+        total = 0.0
+        none_before = 1.0  # probability that no earlier (larger) row exists
+        exact = True
+        scanned = 0
+        for value, row in zip(ordered, map(table.rows.__getitem__, order)):
+            bound_magnitude = max(
+                (abs(v) for v in ordered[scanned:] + [empty_value]), default=0.0
+            )
+            if none_before * bound_magnitude < precision:
+                break
+            probability = 1.0
+            if not row.condition.is_true:
+                result = _conf(row.condition, engine=engine, options=options)
+                exact = exact and result.exact
+                probability = result.probability
+            total += value * probability * none_before
+            none_before *= 1.0 - probability
+            scanned += 1
+        total += empty_value * none_before
+        return AggregateResult(
+            total, len(table.rows), 0, exact and scanned == len(ordered), "sorted-scan"
+        )
+
+    return _aggregate_by_worlds(
+        table,
+        [as_expression(term) for term in terms],
+        np.fmax,
+        -math.inf,
+        empty_value,
+        engine,
+        n_worlds,
+        "max",
     )
 
 

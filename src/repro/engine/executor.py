@@ -16,7 +16,6 @@ to collect per-cell estimate metadata.
 
 from time import perf_counter
 
-from repro.columnar import kernels as ckernels
 from repro.columnar import ops as cops
 from repro.ctables import algebra
 from repro.ctables.table import CTable, CTRow
@@ -375,12 +374,9 @@ def _apply_filter(db, table, plan, context):
     if not disjuncts:
         return table.with_rows([])  # folded-FALSE WHERE
     # The paper's DNF encoding: one selection per disjunct, bag-unioned
-    # (DISTINCT later coalesces them into DNF row conditions).  The
-    # planner's mark (plan.vec) is advisory — False means "provably not
-    # vectorizable", None/True means "try".
+    # (DISTINCT later coalesces them into DNF row conditions).
     branches = [
-        _select_conjunction(db, table, atoms, context, plan.vec is not False)
-        for atoms in disjuncts
+        _select_conjunction(db, table, atoms, context) for atoms in disjuncts
     ]
     merged = branches[0]
     for branch in branches[1:]:
@@ -388,14 +384,14 @@ def _apply_filter(db, table, plan, context):
     return merged
 
 
-def _select_conjunction(db, table, atoms, context, vectorize=True):
+def _select_conjunction(db, table, atoms, context):
     """σ of one conjunction: the mask-driven selection when the database
     is columnar and every atom vectorizes.  ``select_vectorized`` returns
-    None when the actual column contents can't be compared
-    bit-identically, and the whole conjunction then takes the row path
-    (preserving its per-row error short-circuits)."""
+    None when an atom's shape or the actual column contents can't be
+    compared bit-identically, and the whole conjunction then takes the
+    row path (preserving its per-row error short-circuits)."""
     condition = conjunction_of(*atoms)
-    if vectorize and getattr(db, "columnar", False):
+    if getattr(db, "columnar", False):
         out = cops.select_vectorized(db, table, atoms, condition, context)
         if out is not None:
             return out
@@ -678,14 +674,7 @@ def _execute_aggregate(db, plan, context):
     def compute(sub_table, row_index):
         row = []
         for spec in plan.specs:
-            result = (
-                ckernels.try_aggregate(db, sub_table, spec)
-                if getattr(db, "columnar", False)
-                else None
-            )
-            if result is None:
-                fn = _AGG_DISPATCH[spec.kind]
-                result = fn(db, sub_table, spec.expr)
+            result = _AGG_DISPATCH[spec.kind](db, sub_table, spec.expr)
             if isinstance(result, ops.AggregateResult):
                 context.record(
                     spec.name,
@@ -703,7 +692,7 @@ def _execute_aggregate(db, plan, context):
     # fans out across the worker pool in one batch (no-op when parallel
     # workers are disabled); the serial loop below then runs warm.
     if group_columns:
-        parts = cops.partition(db, table, group_columns)
+        parts = algebra.partition(table, group_columns)
     else:
         parts = [(None, table)]
     if db.engine.prefetch_enabled(db.options):

@@ -215,7 +215,7 @@ class Filter(_Unary):
     this node *condition-rewriting*.
     """
 
-    __slots__ = ("disjuncts", "condition", "fn", "vec")
+    __slots__ = ("disjuncts", "condition", "fn")
 
     classification = CONDITIONING
 
@@ -226,11 +226,6 @@ class Filter(_Unary):
         )
         self.condition = condition
         self.fn = fn
-        # Advisory vectorization mark set by the planner: False means the
-        # columnar executor should not even try this filter; None/True
-        # means "attempt it" (runtime gating still applies).  Rebuilt
-        # nodes reset to None, which is always safe.
-        self.vec = None
 
     def with_children(self, children):
         (child,) = children

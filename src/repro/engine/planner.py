@@ -536,36 +536,11 @@ def _prune(node, required):
 # ---------------------------------------------------------------------------
 
 
-def mark_vectorizable(plan):
-    """Annotate every Filter with whether its atoms could compile to the
-    columnar batch path (schema-independent check; see
-    :func:`repro.columnar.ops.atom_statically_vectorizable`).  Runs after
-    the rewrites so the marks describe the final predicate shapes.  The
-    mark is advisory: ``False`` lets the executor skip compilation
-    outright, anything else still gets runtime gating.
-    """
-    from repro.columnar.ops import atom_statically_vectorizable
-
-    def mark(node):
-        if isinstance(node, P.Filter) and node.disjuncts is not None:
-            node.vec = all(
-                atom_statically_vectorizable(atom)
-                for conjunction in node.disjuncts
-                for atom in conjunction
-            )
-        for child in node.children:
-            mark(child)
-
-    mark(plan)
-    return plan
-
-
 def optimize(plan):
     """The standard rewrite pipeline, in dependency order."""
     plan = fold_constants(plan)
     plan = pushdown_filters(plan)
     plan = prune_projections(plan)
-    plan = mark_vectorizable(plan)
     return plan
 
 

@@ -92,18 +92,43 @@ def make_spec(seed, deep=False):
         "SELECT expected_count(*) AS n FROM mixed WHERE v > %s" % c(),
         "SELECT grp, expected_sum(v) AS sv FROM mixed GROUP BY grp",
     ]
+    # GROUP BY keys that are equal without being identical (1, 1.0 and
+    # True are one dict key, first seen wins), that no sort can code
+    # ('a' beside numbers) and that equal nothing (NaN: one group per
+    # object) — drawn after everything above, so the older inputs stand.
+    nan = float("nan")
+    keyed_rows = [
+        (
+            rng.choice([1, 1.0, True, "a", nan, float("nan"), 2, -0.0, 0]),
+            rng.randint(0, 2),
+            value(),
+        )
+        for _ in range(rng.randint(30, 50))
+    ]
+    queries += [
+        "SELECT k, expected_sum(v) AS sv, expected_count(*) AS n FROM keyed GROUP BY k",
+        "SELECT k, expected_max(v) AS mv, expected_avg(v) AS av FROM keyed"
+        " WHERE j < 2 GROUP BY k",
+        "SELECT k, j, expected_sum(v) AS sv, expected_min(v) AS mv FROM keyed"
+        " GROUP BY k, j",
+        "SELECT grp, s, expected_count(*) AS n, expected_avg(v) AS av FROM det"
+        " GROUP BY grp, s",
+        "SELECT grp, v, expected_count(*) AS n FROM mixed GROUP BY grp, v",
+    ]
     return {
         "det_rows": det_rows,
         "src_rows": src_rows,
         "mixed_rows": mixed_rows,
+        "keyed_rows": keyed_rows,
         "queries": queries,
     }
 
 
 def apply_spec(db, spec):
     """Load the spec's tables: ``det`` (pure deterministic), ``gated``
-    (every row carries a symbolic condition) and ``mixed`` (symbolic rows
-    from ``gated``'s construction plus plain deterministic rows)."""
+    (every row carries a symbolic condition), ``mixed`` (symbolic rows
+    from ``gated``'s construction plus plain deterministic rows) and
+    ``keyed`` (deterministic, grouped by keys of several types)."""
     db.sql("CREATE TABLE det (id int, grp int, v float, w float, n int, s str)")
     db.insert_many("det", spec["det_rows"])
     db.sql("CREATE TABLE src (grp int, base float)")
@@ -121,6 +146,8 @@ def apply_spec(db, spec):
         db.sql("SELECT grp, base AS v FROM gated_all WHERE x > 0.5"),
     )
     db.insert_many("mixed", spec["mixed_rows"])
+    db.sql("CREATE TABLE keyed (k any, j int, v float)")
+    db.insert_many("keyed", spec["keyed_rows"])
 
 
 def build_db(spec, columnar, parallel=False, path=None):

@@ -101,3 +101,38 @@ def test_row_order_contract():
         canon_row = [tuple(canon_value(c) for c in r) for r in rows_row]
         canon_col = [tuple(canon_value(c) for c in r) for r in rows_col]
         assert canon_row == canon_col, "order/content drift on %r" % (query,)
+
+
+#: Figure 5's ``expected_count`` under a quantity threshold at three
+#: selectivities, a Figure 6-flavoured revenue band, and a point probe on
+#: a key column — the statements the columnar scan bench used to time.
+TPCH_SCAN_QUERIES = [
+    "SELECT expected_count(*) AS n FROM lineitem WHERE quantity >= 2.0",
+    "SELECT expected_count(*) AS n FROM lineitem WHERE quantity >= 45.0",
+    "SELECT expected_count(*) AS n FROM lineitem WHERE quantity = 50.0",
+    "SELECT expected_sum(extendedprice) AS rev FROM lineitem"
+    " WHERE quantity >= 25.0 AND quantity <= 40.0",
+    "SELECT quantity, extendedprice FROM lineitem WHERE partkey = 7",
+]
+
+
+def test_tpch_scan_statements_identical():
+    """TPC-H lineitems at scale 0.5 (twice the paper's figures): the
+    deterministic scans and aggregates over them answer the same through
+    both executors.  How fast is perfbench ``adhoc_local``'s to say."""
+    from repro import PIPDatabase
+    from repro.workloads import generate_tpch
+    from repro.workloads.tpch import load_pip
+
+    data = generate_tpch(scale=0.5, seed=7)
+    outcomes = {}
+    for columnar in (False, True):
+        db = PIPDatabase(seed=7, columnar=columnar)
+        load_pip(db, data)
+        outcomes[columnar] = (
+            run_workload(db, TPCH_SCAN_QUERIES),  # cold column store
+            run_workload(db, TPCH_SCAN_QUERIES),  # warm
+        )
+    assert all(kind == "ok" for kind, *_ in outcomes[True][0])
+    assert outcomes[False] == outcomes[True]
+    assert outcomes[True][0] == outcomes[True][1]

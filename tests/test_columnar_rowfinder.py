@@ -112,6 +112,45 @@ def test_aliased_scan_builds_no_store(db, monkeypatch):
     assert twin.valid_for(alias) and alias.rows[42].values[1] == 10.5
 
 
+def test_no_store_for_a_conjunction_that_cannot_compile(db, monkeypatch):
+    """``/`` never vectorizes, and ``scan_mask`` reads that off the atoms
+    before it asks for a store: the statement runs the row path without
+    building one — SELECT, UPDATE and DELETE alike, parameters or not."""
+    db.sql("UPDATE items SET qty = 1 WHERE k = 3")  # drops the warm store
+    assert db.table("items").colstore is None
+    built = _count_calls(monkeypatch, C.ColumnStore, "__init__")
+    assert db.sql("SELECT k FROM items WHERE price / 2.0 > 62.0").rows() == [
+        (i,) for i in range(497, N)
+    ]
+    assert db.prepare("SELECT k FROM items WHERE k / :d = 1").run(d=250).rows() == [
+        (250,)
+    ]
+    assert db.sql("UPDATE items SET qty = 2 WHERE k / 2 = 5") == 1
+    assert db.sql("DELETE FROM items WHERE k / 2 = 6.5") == 1
+    assert built == [] and db.table("items").colstore is None
+    assert cops.scan_mask(db, db.table("items"), [Atom(col("k") / 2, "=", 5)]) is None
+    assert built == []
+
+
+def test_grouped_aggregates_build_no_store(db, monkeypatch):
+    """GROUP BY sums within groups: no table per group is columnised, and
+    an aggregate straight over a stored table reads its rows, not a store."""
+    built = _count_calls(monkeypatch, C.ColumnStore, "__init__")
+    rows = db.sql(
+        "SELECT qty, expected_sum(price) AS s, expected_count(*) AS n,"
+        " expected_max(price) AS hi, expected_min(k) AS lo"
+        " FROM items WHERE k < 90 GROUP BY qty"
+    ).rows()
+    assert rows == [
+        (q, sum(i * 0.25 for i in range(q, 90, 9)), 10.0, (81 + q) * 0.25, float(q))
+        for q in range(9)
+    ]
+    assert db.sql("SELECT expected_avg(price) AS a FROM items").rows() == [
+        (sum(i * 0.25 for i in range(N)) / N,)
+    ]
+    assert built == []
+
+
 def test_mixed_table_keeps_table_order(db):
     """Deterministic hits and symbolic-remainder survivors interleave in
     table order, conditions as ``algebra.select`` builds them."""

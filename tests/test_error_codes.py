@@ -93,3 +93,60 @@ class TestMapping:
         with pytest.raises(SessionError):
             # subclass relationship: PIP-SHUTDOWN is catchable as SessionError
             raise error_from_code("PIP-SHUTDOWN", "draining")
+
+
+class TestAggregateTargetErrors:
+    """A target that has no float value is the statement's mistake: both
+    executors raise ``PlanError`` naming operator, target and value, and a
+    client sees ``PIP-PLAN`` — not a bare ``ValueError`` / ``TypeError`` /
+    ``ZeroDivisionError`` / ``OverflowError`` behind ``PIP-INTERNAL``."""
+
+    CASES = [
+        ("SELECT expected_sum(s) FROM t", "expected_sum(s)", "'x'", "ValueError"),
+        ("SELECT expected_min(s) FROM t", "expected_min(s)", "(0 - 'x')", "TypeError"),
+        (
+            "SELECT expected_sum(v / 0) FROM t WHERE k = 1",
+            "expected_sum((v / 0))",
+            "(1.5 / 0)",
+            "ZeroDivisionError",
+        ),
+        ("SELECT expected_sum(v) FROM t", "expected_sum(v)", "1000000", "OverflowError"),
+    ]
+
+    @staticmethod
+    def _db(columnar=None):
+        from repro import PIPDatabase
+
+        db = PIPDatabase(seed=1, columnar=columnar)
+        db.create_table("t", [("k", "int"), ("s", "str"), ("v", "any")])
+        db.insert_many("t", [(1, "x", 1.5), (2, "y", 10**400)])
+        return db
+
+    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "row"])
+    @pytest.mark.parametrize("text,call,value,cause", CASES)
+    def test_sql_raises_plan_error(self, columnar, text, call, value, cause):
+        with pytest.raises(errors.PlanError) as caught:
+            self._db(columnar).sql(text)
+        message = str(caught.value)
+        assert message.startswith(call + ": " + value), message
+        assert cause in message
+        assert type(caught.value.__cause__).__name__ == cause
+
+    def test_values_that_convert_still_do(self):
+        db = self._db()
+        db.sql("CREATE TABLE u (s str, b bool)")
+        db.insert_many("u", [("1.5", True), ("2", False)])
+        assert db.sql(
+            "SELECT expected_sum(s) AS s, expected_sum(b) AS b, expected_max(s) AS m FROM u"
+        ).rows() == [(3.5, 1.0, 2.0)]
+
+    def test_client_sees_the_code(self):
+        from repro.client import connect
+        from repro.server.testing import run_server
+
+        with run_server(self._db()) as server:
+            with connect(server.url) as session:
+                with pytest.raises(errors.PlanError) as caught:
+                    session.execute("SELECT expected_sum(s) FROM t")
+        assert error_code(caught.value) == "PIP-PLAN"
+        assert "expected_sum(s): 'x'" in str(caught.value)

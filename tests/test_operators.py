@@ -7,6 +7,7 @@ import pytest
 from scipy import stats as sps
 
 from repro.core.operators import (
+    _aggregate_by_worlds,
     aconf_distinct,
     confidence,
     expectation_column,
@@ -22,8 +23,10 @@ from repro.core.operators import (
 from repro.ctables import CTable
 from repro.ctables.worlds import exact_expected_sum
 from repro.sampling import ExpectationEngine, SamplingOptions
+from repro.sampling.confidence import conf
 from repro.symbolic import VariableFactory, conjunction_of, var
-from repro.util.errors import PIPError
+from repro.symbolic.expression import as_expression, col
+from repro.util.errors import PIPError, SchemaError
 
 
 @pytest.fixture
@@ -276,3 +279,292 @@ class TestGrouped:
         table = CTable(["g", "v"])
         with pytest.raises(PIPError):
             grouped_aggregate(table, ["g"], "nope", "v", engine=engine)
+
+
+# ---------------------------------------------------------------------------
+# The deterministic short cut, held to its definition
+# ---------------------------------------------------------------------------
+#
+# The aggregate loops answer a row whose condition is TRUE and whose target
+# is a bare column holding an exact int/float without calling the engine.
+# The reference loops below are the paper's formulas and nothing else —
+# every row is bound and goes through ``engine.expectation`` / ``conf`` —
+# and the operators must return what they return, to the bit, while making
+# only the engine calls the reference makes for the rows that need one.
+
+_PLAIN_CELLS = [
+    math.nan, 0.0, -0.0, math.inf, -math.inf, 1e308, 2**53 + 1, -(2**53) - 1,
+    10**20, 5, 5.0,
+]
+_FINITE_CELLS = [c for c in _PLAIN_CELLS if c == c and abs(c) != math.inf]
+
+
+class _CountingEngine(ExpectationEngine):
+    """Records every ``expectation`` / ``probability`` call, tagged with
+    the row the (reference) loop says it is working on."""
+
+    def __init__(self):
+        super().__init__(options=SamplingOptions(n_samples=300), base_seed=13)
+        self.calls = []
+        self.row = None
+
+    def expectation(self, expr, condition, want_probability=False, seed=None, options=None):
+        self.calls.append(
+            (self.row, ("expectation", repr(expr), repr(condition), want_probability))
+        )
+        return super().expectation(
+            expr, condition, want_probability=want_probability, seed=seed, options=options
+        )
+
+    def probability(self, condition, seed=None, options=None):
+        self.calls.append((self.row, ("probability", repr(condition))))
+        return super().probability(condition, seed=seed, options=options)
+
+
+def _ref_bound(table, row, target):
+    expr = col(target) if isinstance(target, str) else as_expression(target)
+    return expr.bind_columns(table.row_mapping(row))
+
+
+def _ref_sum(table, target, engine):
+    """E[Σ h] = Σ E[h|φ]·P[φ] (Section II-C)."""
+    total, n_samples, exact = 0.0, 0, True
+    for row in table.rows:
+        engine.row = row
+        result = engine.expectation(
+            _ref_bound(table, row, target), row.condition, want_probability=True
+        )
+        n_samples += result.n_samples
+        if result.probability == 0.0 or result.is_nan:
+            continue
+        exact = exact and result.exact_mean and result.exact_probability
+        total += result.mean * result.probability
+    return total, len(table.rows), n_samples, exact, "linearity"
+
+
+def _ref_count(table, target, engine):
+    total, exact = 0.0, True
+    for row in table.rows:
+        engine.row = row
+        result = conf(row.condition, engine=engine)
+        total += result.probability
+        exact = exact and result.exact
+    return total, len(table.rows), 0, exact, "conf-sum"
+
+
+def _ref_avg(table, target, engine):
+    numerator = _ref_sum(table, target, engine)
+    denominator = _ref_count(table, target, engine)
+    value = math.nan if denominator[0] == 0 else numerator[0] / denominator[0]
+    return value, numerator[1], numerator[2], numerator[3] and denominator[3], "ratio"
+
+
+def _ref_max(table, target, engine, precision=1e-4, empty_value=0.0):
+    """Example 4.4's sorted scan over constant targets and independent
+    rows; anything else is the world-parallel fallback."""
+    if not table.rows:
+        return empty_value, 0, 0, True, "empty"
+    pairs = [(row, _ref_bound(table, row, target)) for row in table.rows]
+    seen, independent = set(), True
+    for row in table.rows:
+        families = {v.vid for v in row.condition.variables()}
+        independent = independent and not (families & seen)
+        seen |= families
+    if not (independent and all(bound.is_constant for _row, bound in pairs)):
+        engine.row = None
+        worlds = _aggregate_by_worlds(
+            table, [b for _r, b in pairs], np.fmax, -math.inf, empty_value,
+            engine, 1000, "max",
+        )
+        return worlds.value, worlds.n_rows, worlds.n_samples, worlds.exact, worlds.method
+    ordered = sorted(pairs, key=lambda pair: pair[1].const_value(), reverse=True)
+    total, none_before, exact, scanned = 0.0, 1.0, True, 0
+    for row, bound in ordered:
+        value = float(bound.const_value())
+        remaining = [float(b.const_value()) for _r, b in ordered[scanned:]]
+        if none_before * max(abs(v) for v in remaining + [empty_value]) < precision:
+            break
+        engine.row = row
+        result = conf(row.condition, engine=engine)
+        exact = exact and result.exact
+        total += value * result.probability * none_before
+        none_before *= 1.0 - result.probability
+        scanned += 1
+    total += empty_value * none_before
+    return total, len(table.rows), 0, exact and scanned == len(ordered), "sorted-scan"
+
+
+def _ref_min(table, target, engine):
+    value, n_rows, n_samples, exact, method = _ref_max(
+        table, as_expression(0) - col(target), engine, empty_value=-0.0
+    )
+    return -value, n_rows, n_samples, exact, method
+
+
+_PAIRS = [
+    (expected_sum, _ref_sum),
+    (lambda table, target, engine: expected_count(table, engine=engine), _ref_count),
+    (expected_avg, _ref_avg),
+    (expected_max, _ref_max),
+    (expected_min, _ref_min),
+]
+_PAIR_IDS = ["sum", "count", "avg", "max", "min"]
+
+
+def _canon(value, n_rows, n_samples, exact, method):
+    return float(value).hex(), n_rows, n_samples, exact, method
+
+
+def _canon_result(result):
+    return _canon(result.value, result.n_rows, result.n_samples, result.exact, result.method)
+
+
+def _needs_engine(table, row, call, target="v"):
+    """Whether the short cut leaves this reference call to the engine: a
+    probability when the condition is not TRUE, an expectation also when
+    the cell is not an exact int / float."""
+    if row is None or not row.condition.is_true:
+        return True
+    if call[0] == "probability":
+        return False
+    return type(row.values[table.schema.index_of(target)]) not in (int, float)
+
+
+#: Group keys of the test tables: equal without being identical (1, 1.0, True).
+_KEYS = ["a", 1, "b", 1.0, True]
+
+
+def _key(i):
+    return _KEYS[i % len(_KEYS)]
+
+
+def _symbolic_table(cells, names=("g", "v")):
+    """``cells`` under TRUE, interleaved with the same kinds of cell under
+    symbolic conditions over variables of their own (so rows stay
+    independent and constant targets keep the sorted scan)."""
+    factory = VariableFactory()
+    table = CTable(list(names))
+    for i, cell in enumerate(cells):
+        table.add_row((_key(i), cell))
+        if i % 3 == 0:
+            gate = factory.create("normal", (0.0, 1.0))
+            table.add_row(
+                (_key(i + 1), cell), conjunction_of(var(gate) > 0.25 * i - 1)
+            )
+        if i % 4 == 1:
+            a = factory.create("normal", (0.0, 1.0))
+            b = factory.create("normal", (1.0, 2.0))
+            table.add_row((_key(i), 3), conjunction_of(var(a) * var(b) > 0.5))
+    return table
+
+
+class TestDeterministicShortCut:
+    @staticmethod
+    def _tables():
+        def det(cells):
+            table = CTable(["g", "v"])
+            for i, cell in enumerate(cells):
+                table.add_row((_key(i), cell))
+            return table
+
+        factory = VariableFactory()
+        y = factory.create("normal", (1.0, 2.0))
+        # The extremes sit under symbolic conditions, so both sorted scans
+        # have to ask for probabilities before a certain row ends them.
+        gated = CTable(["g", "v"])
+        for i, cell in enumerate([50.0, -50, 7, 40, -40.5, -7.0, 3.0, 2**53 + 1]):
+            gate = factory.create("normal", (0.0, 1.0))
+            certain = cell in (7, -7.0)
+            table_condition = conjunction_of() if certain else conjunction_of(var(gate) > 0.1 * i)
+            gated.add_row(("ab"[i % 2], cell), table_condition)
+        return {
+            "empty": det([]),
+            "plain": det(_PLAIN_CELLS),
+            "finite": det(_FINITE_CELLS + _FINITE_CELLS[::-1]),
+            "bool-numpy": det(_FINITE_CELLS + [True, np.float64(2.5), False]),
+            "mixed-conditions": _symbolic_table(_FINITE_CELLS + [True, np.float64(2.5)]),
+            "mixed-specials": _symbolic_table(_PLAIN_CELLS),
+            "expression-cell": _symbolic_table([1.5, var(y) * 2.0 + 1.0, 4, -0.0]),
+            "gated-extremes": gated,
+        }
+
+    @pytest.mark.parametrize("op,ref", _PAIRS, ids=_PAIR_IDS)
+    def test_operators_return_the_reference_loops_answer(self, op, ref):
+        for label, table in self._tables().items():
+            got = _canon_result(op(table, "v", engine=_CountingEngine()))
+            want = _canon(*ref(table, "v", _CountingEngine()))
+            assert got == want, label
+
+    @pytest.mark.parametrize("op,ref", _PAIRS, ids=_PAIR_IDS)
+    def test_only_the_rows_that_need_the_engine_call_it(self, op, ref):
+        for label, table in self._tables().items():
+            ours, reference = _CountingEngine(), _CountingEngine()
+            op(table, "v", engine=ours)
+            ref(table, "v", reference)
+            want = [
+                call
+                for row, call in reference.calls
+                if _needs_engine(table, row, call)
+            ]
+            assert [call for _row, call in ours.calls] == want, label
+            if label in ("empty", "plain", "finite"):
+                assert ours.calls == [], label
+
+    @pytest.mark.parametrize(
+        "aggregate,ref",
+        [
+            ("expected_sum", _ref_sum),
+            ("expected_count", _ref_count),
+            ("expected_avg", _ref_avg),
+            ("expected_max", _ref_max),
+            ("expected_min", _ref_min),
+        ],
+    )
+    def test_grouped_aggregate_sums_within_groups(self, aggregate, ref):
+        for label, table in self._tables().items():
+            ours, reference = _CountingEngine(), _CountingEngine()
+            got = grouped_aggregate(table, ["g"], aggregate, "v", engine=ours)
+            groups = {}
+            for row in table.rows:
+                groups.setdefault(row.values[0], []).append(row)
+            want = [
+                (key, float(ref(table.with_rows(rows), "v", reference)[0]).hex())
+                for key, rows in groups.items()
+            ]
+            assert [
+                (row.values[0], float(row.values[1]).hex()) for row in got.rows
+            ] == want, label
+            assert [type(row.values[0]) for row in got.rows] == [
+                type(key) for key in groups
+            ], label
+            if label in ("plain", "finite"):
+                assert ours.calls == [], label
+
+    @pytest.mark.parametrize("op,ref", _PAIRS, ids=_PAIR_IDS)
+    def test_column_names_resolve_as_binding_resolves_them(self, op, ref):
+        cells = _FINITE_CELLS + [True]
+        cases = [
+            (("g", "v"), "v"),  # exact
+            (("g", "v"), "t.v"),  # qualified reference, unqualified storage
+            (("t.g", "t.v"), "t.v"),  # exact, qualified storage
+            (("t.g", "t.v"), "v"),  # unique suffix
+            (("a.v", "b.v"), "b.v"),  # exact among look-alikes
+        ]
+        for names, target in cases:
+            table = _symbolic_table(cells, names=names)
+            got = _canon_result(op(table, target, engine=_CountingEngine()))
+            assert got == _canon(*ref(table, target, _CountingEngine())), (names, target)
+        for names, target in [(("a.v", "b.v"), "v"), (("g", "v"), "nope")]:
+            table = _symbolic_table(cells, names=names)
+            if ref is _ref_count:
+                continue  # no target to resolve
+            with pytest.raises(SchemaError) as ours:
+                op(table, target, engine=_CountingEngine())
+            with pytest.raises(SchemaError) as reference:
+                ref(table, target, _CountingEngine())
+            assert str(ours.value) == str(reference.value)
+            # No row, nothing to bind: neither loop can notice the name.
+            empty = CTable(list(names))
+            assert _canon_result(op(empty, target, engine=_CountingEngine())) == _canon(
+                *ref(empty, target, _CountingEngine())
+            )

@@ -242,6 +242,60 @@ def test_expensive_groups_bit_identical(escalate):
     assert cold_stats == [0, 4, 8000] and warm_stats == [4, 4, 8000]
 
 
+def test_mixed_deterministic_and_symbolic_rows_bit_identical():
+    """Plain-number rows under TRUE sit between the symbolic ones: the
+    aggregate loops answer them without the engine, so only the symbolic
+    rows' groups become jobs — and rows and bank stats are the serial
+    run's whether or not anyone prefetched."""
+    n_symbolic = 8
+
+    def run(workers):
+        db = PIPDatabase(seed=29, options=_options(workers))
+        symbolic = _fig7_workload(db, n_suppliers=n_symbolic)
+        mixed = CTable(symbolic.schema, name="mixed")
+        for i, row in enumerate(symbolic.rows):
+            mixed.add_row((i % 3, 1.5 * i - 4))  # exact int and float cells
+            mixed.add_row((i % 3,) + row.values[1:], row.condition)
+        db.register("mixed", mixed)
+        dispatched = []
+        prefetch = db.scheduler.prefetch
+
+        def recording_prefetch(jobs, options):
+            dispatched.append([job.key for job in jobs])
+            return prefetch(jobs, options)
+
+        db.scheduler.prefetch = recording_prefetch
+        observed = []
+        for _ in ("cold", "warm"):
+            for aggregate in ("expected_sum", "expected_avg", "expected_count"):
+                grouped = ops.grouped_aggregate(
+                    mixed, ["suppkey"], aggregate, "shortfall",
+                    engine=db.engine, options=db.options,
+                )
+                observed.append(
+                    [(row.values[0], float(row.values[1]).hex()) for row in grouped.rows]
+                )
+            result = db.sql(
+                "SELECT expected_sum(shortfall) AS s, expected_count(*) AS n FROM mixed"
+            )
+            observed.append([float(cell).hex() for cell in result.rows()[0]])
+        stats = db.sample_bank.stats()
+        db.close()
+        return observed, stats, dispatched
+
+    serial, serial_stats, none_dispatched = run(0)
+    parallel, parallel_stats, dispatched = run(2)
+    assert parallel == serial
+    for name in STRICT_STATS:
+        assert parallel_stats[name] == serial_stats[name], name
+    assert none_dispatched == []
+    # One bundle per symbolic row, each dispatched once (the first, cold
+    # statement); no batch ever holds more than the symbolic rows' groups.
+    assert dispatched and all(len(batch) <= n_symbolic for batch in dispatched)
+    assert len({key for batch in dispatched for key in batch}) == n_symbolic
+    assert serial_stats["entries"] == n_symbolic
+
+
 # ---------------------------------------------------------------------------
 # Plumbing units
 # ---------------------------------------------------------------------------

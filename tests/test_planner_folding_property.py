@@ -3,10 +3,10 @@
 
 Hypothesis builds randomized deterministic predicate trees; the
 properties assert that (a) the optimized plan — constant folding,
-pushdown, projection pruning, vectorization marking — returns exactly
-what the unoptimized plan returns, (b) both agree with brute-force
-Python evaluation of the same DNF over the raw rows, and (c) predicates
-the folder can fully decide really do fold away.
+pushdown, projection pruning — returns exactly what the unoptimized plan
+returns, (b) both agree with brute-force Python evaluation of the same
+DNF over the raw rows, and (c) predicates the folder can fully decide
+really do fold away.
 """
 
 import math
@@ -153,24 +153,3 @@ def test_constant_predicates_fold_away(left, right, op):
         assert filters == []  # folded to the bare scan
     else:
         assert len(filters) == 1 and filters[0].disjuncts == ()
-
-
-def test_marked_plans_carry_vec_flags():
-    """optimize() annotates Filters: vectorizable shapes get vec=True,
-    provably unvectorizable ones (division) get vec=False."""
-    vec_plan = optimize(plan_statement(parse_sql("SELECT id FROM t WHERE a > 1.0")))
-    div_plan = optimize(
-        plan_statement(parse_sql("SELECT id FROM t WHERE a / 2.0 > 1.0"))
-    )
-
-    def first_filter(node):
-        if isinstance(node, P.Filter):
-            return node
-        for child in node.children:
-            found = first_filter(child)
-            if found is not None:
-                return found
-        return None
-
-    assert first_filter(vec_plan).vec is True
-    assert first_filter(div_plan).vec is False
