@@ -11,31 +11,33 @@ Concurrency model (see ``docs/sessions.md``):
   queries share it, autocommit mutations and transaction commits hold it
   exclusively.  Concurrent reader sessions therefore never observe a
   half-applied write.
-* ``db.connect()`` returns a :class:`~repro.session.Session`.  Inside an
-  explicit transaction, every mutation entry point below routes through
-  the session's **write-intent** path: the change is staged against
-  private copy-on-write tables and only applied — atomically, under the
-  write lock, framed in the WAL — at ``commit()``.
-* Direct calls (``db.sql(...)``, ``db.insert(...)``) remain the implicit
-  autocommit path and behave bit-identically to the pre-session API:
-  apply immediately, journal one unframed WAL record per mutation, fire
-  sample-bank watchers per row.
+* Every mutation entry point below resolves its arguments, builds one
+  logical record (:mod:`repro.storage.records`) and hands it to the
+  active sink.  Inside an explicit transaction of a ``db.connect()``
+  :class:`~repro.session.Session` that is the transaction: the record is
+  applied to private copy-on-write tables, buffered, and only reaches the
+  shared catalog — atomically, under the write lock, framed in the WAL —
+  at ``commit()``.
+* Direct calls (``db.sql(...)``, ``db.insert(...)``) are the implicit
+  autocommit path: the sink is this database under the write lock —
+  apply to the stored tables in place, journal one unframed WAL record
+  per mutation, fire sample-bank watchers per row.
 """
 
 import os
 import threading
 import weakref
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from repro.columnar.ops import candidate_rows
 from repro.ctables.explode import repair_key as _repair_key
-from repro.ctables.schema import Schema
 from repro.ctables.table import CTable
 from repro.obs.history import VIRTUAL_TABLES as _VIRTUAL_TABLES
 from repro.parallel import ParallelSampleScheduler
 from repro.samplebank import SampleBank
 from repro.sampling.expectation import ExpectationEngine
 from repro.sampling.options import SamplingOptions
+from repro.storage import records
 from repro.symbolic.conditions import Condition, TRUE, conjunction_of
 from repro.symbolic.expression import Expression, var
 from repro.symbolic.variables import VariableFactory
@@ -48,6 +50,13 @@ def _as_ctable(table):
     if not isinstance(table, CTable) and hasattr(table, "to_ctable"):
         return table.to_ctable()
     return table
+
+
+def _write(sink, record):
+    """Apply ``record`` to ``sink``'s catalog, then have it logged there."""
+    result = records.apply(record, sink)
+    sink.log_record(record)
+    return result
 
 
 class PIPDatabase:
@@ -218,26 +227,11 @@ class PIPDatabase:
         """Whether mutations are journaled to a write-ahead log."""
         return self._durability is not None and self._durability.durable
 
-    def _journal(self, op, **fields):
-        if self._durability is not None:
-            self._durability.journal(op, **fields)
-
     def _check_writable(self):
         """Reject mutations on a closed durable database *before* they
         touch memory — memory and log must never disagree."""
         if self._durability is not None:
             self._durability.check_writable()
-
-    @staticmethod
-    def _check_not_virtual(name):
-        """Virtual-catalog names are read-only and cannot be shadowed —
-        a stored table called ``pip_query_history`` would be unreachable
-        behind the virtual resolution in :meth:`table`."""
-        if name in _VIRTUAL_TABLES:
-            raise SchemaError(
-                "%r is a read-only virtual table; it cannot be created, "
-                "dropped or mutated" % (name,)
-            )
 
     # -- sessions & transactions -------------------------------------------------
 
@@ -315,14 +309,25 @@ class PIPDatabase:
     def _bump_version(self, name):
         self._table_versions[name] = self._table_versions.get(name, 0) + 1
 
-    def _autocommit_write_scope(self):
-        """Write lock in autocommit; no lock inside a transaction (whose
-        compound operations only touch the private overlay)."""
-        from contextlib import nullcontext
-
-        if self._current_transaction() is not None:
-            return nullcontext()
-        return self._rwlock.write()
+    @contextmanager
+    def _write_sink(self, name=None):
+        """Where a mutation (of table ``name``) goes: the open transaction
+        (its overlay; no lock), or this database under the write lock —
+        refusing, before memory is touched, when the log could not take
+        the record.  Compound operations hold it from read to write."""
+        if name in _VIRTUAL_TABLES:  # a stored one would be unreachable
+            raise SchemaError(
+                "%r is a read-only virtual table; it cannot be created, "
+                "dropped or mutated" % (name,)
+            )
+        txn = self._current_transaction()
+        if txn is not None:
+            txn._check_active("mutate through")
+            yield txn
+        else:
+            with self._rwlock.write():
+                self._check_writable()
+                yield self
 
     @contextmanager
     def statement_scope(self, plan):
@@ -460,20 +465,8 @@ class PIPDatabase:
         >>> db.create_table("t", [("k", "str"), ("v", "float")])
         <CTable t: 2 cols, 0 rows>
         """
-        self._check_not_virtual(name)
-        txn = self._current_transaction()
-        if txn is not None:
-            return txn.stage_create_table(name, columns)
-        with self._rwlock.write():
-            self._check_writable()
-            if name in self.tables:
-                raise SchemaError("table %r already exists" % (name,))
-            table = CTable(Schema(columns), name=name)
-            self.tables[name] = table
-            self._watch(table)
-            self._journal("create_table", name=name, columns=list(columns))
-            self._bump_version(name)
-            return table
+        with self._write_sink(name) as sink:
+            return _write(sink, records.create_table(name, columns))
 
     def drop_table(self, name):
         """DROP TABLE; unknown names raise (matching :meth:`table`).
@@ -487,18 +480,8 @@ class PIPDatabase:
         name:
             Name of a stored table; ``SchemaError`` if unknown.
         """
-        self._check_not_virtual(name)
-        txn = self._current_transaction()
-        if txn is not None:
-            txn.stage_drop_table(name)
-            return
-        with self._rwlock.write():
-            self._check_writable()
-            table = self.table(name)
-            del self.tables[name]
-            self._release_table(table)
-            self._journal("drop_table", name=name)
-            self._bump_version(name)
+        with self._write_sink(name) as sink:
+            _write(sink, records.drop_table(name))
 
     def register(self, name, table):
         """Register an existing c-table (used by generators and views).
@@ -522,37 +505,17 @@ class PIPDatabase:
         CTable
             The stored table, renamed to ``name``.
         """
-        self._check_not_virtual(name)
         table = _as_ctable(table)
-        txn = self._current_transaction()
-        if txn is not None:
-            return txn.stage_register(name, table)
-        with self._rwlock.write():
-            self._check_writable()
-            if name in self.tables and self.tables[name] is not table:
-                replaced = self.tables.pop(name)
-                self._release_table(replaced)
-            aliases = [
-                stored_name
-                for stored_name, stored in self.tables.items()
-                if stored is table and stored_name != name
-            ]
-            table.name = name
-            self.tables[name] = table
-            self._watch(table)
-            if aliases:
-                # The object is already durable under another name; journal a
-                # reference so recovery preserves the shared identity.
-                self._journal("register_alias", name=name, source=aliases[0])
+        with self._write_sink(name) as sink:
+            source = sink.bind_table(name, table)
+            if source is None:
+                # The caller's object *is* the table; its record is the
+                # transcript of what the sink bound (and named).
+                sink.log_record(records.register(name, table))
             else:
-                self._journal(
-                    "register",
-                    name=name,
-                    table_name=table.name,
-                    columns=[(c.name, c.ctype) for c in table.schema.columns],
-                    rows=[(row.values, row.condition) for row in table.rows],
-                )
-            self._bump_version(name)
+                # Already durable under another name: the record is a
+                # reference, so recovery preserves the shared identity.
+                sink.log_record(records.register_alias(name, source))
             return table
 
     def table(self, name):
@@ -574,13 +537,58 @@ class PIPDatabase:
         if name in _VIRTUAL_TABLES:
             return self.history.as_table(name)
         txn = self._current_transaction()
-        if txn is not None:
-            return txn.resolve_table(name)
+        return (self if txn is None else txn).resolve_table(name)
+
+    # -- the shared catalog as records.apply sees it (a Transaction: its overlay) --
+
+    def resolve_table(self, name):
+        """The stored table ``name``, whatever transaction is open."""
         try:
             return self.tables[name]
         except KeyError:
             known = ", ".join(sorted(self.tables))
             raise SchemaError("no table %r (have: %s)" % (name, known)) from None
+
+    #: Autocommit mutates stored tables in place.
+    writable_table = resolve_table
+
+    def bind_table(self, name, table):
+        """Returns another stored name already bound to this very object
+        (the binding is then an alias), if any."""
+        replaced = self.tables.get(name)
+        if replaced is not None and replaced is not table:
+            del self.tables[name]
+            self._release_table(replaced)
+        table.name = name
+        self.tables[name] = table
+        self._watch(table)
+        return next(
+            (n for n, t in self.tables.items() if t is table and n != name), None
+        )
+
+    def unbind_table(self, name):
+        table = self.resolve_table(name)
+        del self.tables[name]
+        self._release_table(table)
+
+    def rows_changed(self, rows):
+        """Nothing to do: a stored table's watchers already told the bank."""
+
+    def allocate_variable(self, dist_name, params):
+        created = self.factory.create(dist_name, params)
+        self.factory.mark_durable()  # no later rollback may re-mint it
+        return created
+
+    def keep_distribution(self, instance):
+        self._journaled_distributions[instance.name.lower()] = instance
+
+    def log_record(self, record):
+        """Journal an applied record and bump its table's commit counter."""
+        if self._durability is not None:
+            self._durability.journal(record)
+        name = records.table_name(record)
+        if name is not None:
+            self._bump_version(name)
 
     # -- sample-bank plumbing ---------------------------------------------------
 
@@ -638,16 +646,8 @@ class PIPDatabase:
         >>> len(db.table("t"))
         1
         """
-        self._check_not_virtual(name)
-        txn = self._current_transaction()
-        if txn is not None:
-            txn.stage_insert(name, values, condition)
-            return
-        with self._rwlock.write():
-            self._check_writable()
-            self.table(name).add_row(values, condition)
-            self._journal("insert", name=name, values=tuple(values), condition=condition)
-            self._bump_version(name)
+        with self._write_sink(name) as sink:
+            _write(sink, records.insert(name, values, condition))
 
     def insert_many(self, name, rows, conditions=None):
         """Bulk INSERT.
@@ -671,7 +671,6 @@ class PIPDatabase:
         CTable
             The mutated stored table.
         """
-        self._check_not_virtual(name)
         rows = list(rows)
         if conditions is not None:
             conditions = list(conditions)
@@ -692,24 +691,22 @@ class PIPDatabase:
                 else (row, TRUE)
                 for row in rows
             )
-        txn = self._current_transaction()
-        if txn is not None:
-            return txn.stage_insert_many(name, pairs)
-        with self._rwlock.write():
-            self._check_writable()
-            table = self.table(name)
-            applied = []
+        with self._write_sink(name) as sink:
+            table = sink.resolve_table(name)
+            pairs = [(tuple(values), condition) for values, condition in pairs]
             try:
-                for values, condition in pairs:
-                    table.add_row(values, condition)
-                    applied.append((tuple(values), condition))
-            finally:
-                # Journal exactly what reached the table: a mid-batch schema
-                # error must not leave memory and log disagreeing.
-                if applied:
-                    self._journal("insert_many", name=name, pairs=applied)
-                    self._bump_version(name)
-            return table
+                return _write(sink, records.insert_many(name, pairs)) if pairs else table
+            except SchemaError:
+                # A mid-batch schema error: exactly the rows ahead of it
+                # reach the table and the log, together; then it raises.
+                ahead = 0
+                with suppress(SchemaError):
+                    for values, condition in pairs:
+                        table.check_row(values, condition)
+                        ahead += 1
+                if ahead:
+                    _write(sink, records.insert_many(name, pairs[:ahead]))
+                raise
 
     def delete(self, name, where=None):
         """DELETE rows from a stored table.
@@ -750,23 +747,16 @@ class PIPDatabase:
         >>> [row.values for row in db.table("t")]
         [('a', 1.0)]
         """
-        self._check_not_virtual(name)
-        txn = self._current_transaction()
-        if txn is not None:
-            return txn.stage_delete(name, where)
-        with self._rwlock.write():
-            self._check_writable()
-            table = self.table(name)
-            doomed_rows, doomed_indices = self._matching_rows(table, where, "DELETE")
-            if doomed_rows:
-                table.remove_rows(doomed_rows)
-                self._journal("delete", name=name, indices=doomed_indices)
-                self._bump_version(name)
-            return len(doomed_rows)
+        with self._write_sink(name) as sink:
+            table = sink.resolve_table(name)
+            doomed = self._matching_rows(table, where, "DELETE")
+            if doomed:
+                _write(sink, records.delete(name, doomed))
+            return len(doomed)
 
     def _matching_rows(self, table, where, verb):
-        """Rows (and their indices) decided-True by a deterministic
-        predicate — the shared row-selection core of DELETE and UPDATE.
+        """Indices of the rows decided-True by a deterministic predicate
+        — the shared row-selection core of DELETE and UPDATE.
 
         A columnar database asks the SELECT path's masks which rows a DNF
         predicate can match at all and decides only those; each candidate
@@ -777,13 +767,12 @@ class PIPDatabase:
             candidates = candidate_rows(self, table, where)
         if candidates is None:
             candidates = range(len(table.rows))
-        rows, indices = [], []
-        for index in candidates:
-            row = table.rows[index]
-            if self._predicate_matches(table, row, where, verb):
-                rows.append(row)
-                indices.append(index)
-        return rows, indices
+        rows = table.rows
+        return [
+            index
+            for index in candidates
+            if self._predicate_matches(table, rows[index], where, verb)
+        ]
 
     @staticmethod
     def _predicate_matches(table, row, where, verb="DELETE"):
@@ -851,28 +840,19 @@ class PIPDatabase:
         >>> db.sql("SELECT k, v FROM t").rows()
         [('a', 1.0), ('b', 20.0)]
         """
-        self._check_not_virtual(name)
-        txn = self._current_transaction()
-        if txn is not None:
-            return txn.stage_update(name, assignments, where)
-        with self._rwlock.write():
-            self._check_writable()
-            table = self.table(name)
+        with self._write_sink(name) as sink:
+            table = sink.resolve_table(name)
             updates = self._compute_updates(table, assignments, where)
             if updates:
-                table.update_rows(updates)
-                self._journal("update", name=name, updates=updates)
-                self._bump_version(name)
+                _write(sink, records.update(name, updates))
             return len(updates)
 
     def _compute_updates(self, table, assignments, where):
         """Resolve an UPDATE into ``(row_index, new_values)`` pairs.
 
-        This is the shared core of the autocommit path, the transaction
-        staging path, and (via the journaled pairs) WAL replay: the
-        resolved values — not the expressions — are what gets applied and
-        journaled, so recovery replays exactly what the original
-        execution computed.
+        The resolved values — not the expressions — are what the record
+        carries, so a transaction's commit and recovery repeat exactly
+        what the original execution computed.
         """
         if isinstance(assignments, dict):
             assignments = assignments.items()
@@ -881,9 +861,9 @@ class PIPDatabase:
         ]
         if not normalized:
             raise PlanError("UPDATE needs at least one SET assignment")
-        matched, indices = self._matching_rows(table, where, "UPDATE")
         updates = []
-        for index, row in zip(indices, matched):
+        for index in self._matching_rows(table, where, "UPDATE"):
+            row = table.rows[index]
             mapping = table.row_mapping(row)
             values = list(row.values)
             for position, value in normalized:
@@ -923,25 +903,10 @@ class PIPDatabase:
         >>> db.create_variable("normal", (0.0, 1.0))
         X1~normal
         """
-        txn = self._current_transaction()
-        if txn is not None:
-            return txn.stage_create_variable(distribution, params)
-        with self._rwlock.write():
-            self._check_writable()
-            created = self.factory.create(distribution, params)
+        with self._write_sink() as sink:
+            created = sink.allocate_variable(distribution, params)
             vid = created[0].vid if isinstance(created, list) else created.vid
-            # Autocommit variables are durable on the spot: the journaled
-            # vid lets replay reproduce this exact allocation even when
-            # transaction frames commit their own creations out of
-            # allocation order, and the floor stops any later rollback
-            # from re-minting it.
-            self.factory.mark_durable()
-            self._journal(
-                "create_variable",
-                dist_name=distribution,
-                params=tuple(params),
-                vid=vid,
-            )
+            sink.log_record(records.create_variable(distribution, params, vid))
             return created
 
     def create_variable_expr(self, distribution, params):
@@ -973,16 +938,10 @@ class PIPDatabase:
         """
         from repro.distributions import register_distribution
 
-        txn = self._current_transaction()
-        if txn is not None:
+        with self._write_sink() as sink:
             instance = register_distribution(cls_or_instance, replace=replace)
-            txn.stage_register_distribution(instance)
-            return instance
-        with self._rwlock.write():
-            self._check_writable()
-            instance = register_distribution(cls_or_instance, replace=replace)
-            self._journaled_distributions[instance.name.lower()] = instance
-            self._journal("register_distribution", instance=instance)
+            sink.keep_distribution(instance)
+            sink.log_record(records.register_distribution(instance))
             return instance
 
     def repair_key(self, name, key_columns, probability_column, new_name=None):
@@ -1011,7 +970,7 @@ class PIPDatabase:
         # In a transaction everything stages against the private overlay
         # (no lock needed); in autocommit the read-compute-register
         # sequence is one statement and must be atomic against writers.
-        with self._autocommit_write_scope():
+        with self._write_sink():
             table = self.table(name)
             repaired = _repair_key(
                 table, key_columns, probability_column, self.factory
@@ -1173,7 +1132,7 @@ class PIPDatabase:
         source = _as_ctable(table)
         # Copy + register atomically in autocommit, so the stored view can
         # never mix rows from both sides of a concurrent writer statement.
-        with self._autocommit_write_scope():
+        with self._write_sink():
             return self.register(name, source.copy(name=name))
 
     def __repr__(self):

@@ -94,22 +94,36 @@ class CTable:
                 % (len(values), len(self.schema))
             )
 
-    def add_row(self, values, condition=TRUE):
-        """Append a row; values are validated against declared column types."""
+    def check_row(self, values, condition=TRUE):
+        """Raise ``SchemaError`` unless ``(values, condition)`` could be
+        added: arity, declared column types, and a real ``Condition``."""
         self._check_arity(values)
-        coerced = []
         for column, value in zip(self.schema.columns, values):
-            if isinstance(value, Expression) or not hasattr(value, "key"):
-                pass
             if not column.accepts(value):
                 raise SchemaError(
                     "value %r not valid for column %s:%s"
                     % (value, column.name, column.ctype)
                 )
-            coerced.append(value)
+        if not isinstance(condition, Condition):
+            raise SchemaError("row condition must be a Condition, got %r" % (condition,))
+
+    def add_row(self, values, condition=TRUE):
+        """Append a row; values are validated against declared column types."""
+        self.check_row(values, condition)
+        self._append(values, condition)
+
+    def add_rows(self, pairs):
+        """Append a list of ``(values, condition)`` pairs, all or none:
+        every pair is validated before the first is appended."""
+        for values, condition in pairs:
+            self.check_row(values, condition)
+        for values, condition in pairs:
+            self._append(values, condition)
+
+    def _append(self, values, condition):
         if condition.is_false:
             return  # inconsistent rows may be freely removed (Section III-C)
-        row = CTRow(tuple(coerced), condition)
+        row = CTRow(values, condition)
         self.rows.append(row)
         self.version += 1
         for watcher in self.watchers:
@@ -132,13 +146,7 @@ class CTable:
         for index, values in updates:
             old = self.rows[index]
             values = tuple(values)
-            self._check_arity(values)
-            for column, value in zip(self.schema.columns, values):
-                if not column.accepts(value):
-                    raise SchemaError(
-                        "value %r not valid for column %s:%s"
-                        % (value, column.name, column.ctype)
-                    )
+            self.check_row(values)
             staged.append((index, old, CTRow(values, old.condition)))
         for index, _old, new in staged:
             self.rows[index] = new
@@ -208,7 +216,7 @@ class CTable:
 
     def copy(self, name=None):
         """Shallow copy (rows are immutable, so sharing them is safe)."""
-        return CTable(self.schema, list(self.rows), name=name or self.name)
+        return self.with_rows(self.rows, name=name)
 
     def with_rows(self, rows, name=None):
         """New table over the same schema with different rows."""

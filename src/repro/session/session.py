@@ -412,53 +412,53 @@ class Session:
     def _delegate(self, method, *args, **kwargs):
         self._check_open()
         with self.db.activate(self):
-            return getattr(self.db, method)(*args, **kwargs)
+            return method(*args, **kwargs)
 
     def table(self, name):
-        return self._delegate("table", name)
+        return self._delegate(self.db.table, name)
 
     def create_table(self, name, columns):
-        return self._delegate("create_table", name, columns)
+        return self._delegate(self.db.create_table, name, columns)
 
     def drop_table(self, name):
-        return self._delegate("drop_table", name)
+        return self._delegate(self.db.drop_table, name)
 
     def insert(self, name, values, condition=None):
         from repro.symbolic.conditions import TRUE
 
         return self._delegate(
-            "insert", name, values, TRUE if condition is None else condition
+            self.db.insert, name, values, TRUE if condition is None else condition
         )
 
     def insert_many(self, name, rows, conditions=None):
-        return self._delegate("insert_many", name, rows, conditions)
+        return self._delegate(self.db.insert_many, name, rows, conditions)
 
     def delete(self, name, where=None):
-        return self._delegate("delete", name, where)
+        return self._delegate(self.db.delete, name, where)
 
     def update(self, name, assignments, where=None):
-        return self._delegate("update", name, assignments, where)
+        return self._delegate(self.db.update, name, assignments, where)
 
     def register(self, name, table):
-        return self._delegate("register", name, table)
+        return self._delegate(self.db.register, name, table)
 
     def materialize(self, name, table):
-        return self._delegate("materialize", name, table)
+        return self._delegate(self.db.materialize, name, table)
 
     def repair_key(self, name, key_columns, probability_column, new_name=None):
         return self._delegate(
-            "repair_key", name, key_columns, probability_column, new_name
+            self.db.repair_key, name, key_columns, probability_column, new_name
         )
 
     def create_variable(self, distribution, params):
-        return self._delegate("create_variable", distribution, params)
+        return self._delegate(self.db.create_variable, distribution, params)
 
     def create_variable_expr(self, distribution, params):
-        return self._delegate("create_variable_expr", distribution, params)
+        return self._delegate(self.db.create_variable_expr, distribution, params)
 
     def register_distribution(self, cls_or_instance, replace=False):
         return self._delegate(
-            "register_distribution", cls_or_instance, replace=replace
+            self.db.register_distribution, cls_or_instance, replace=replace
         )
 
     def __repr__(self):

@@ -1,10 +1,11 @@
 """Transactions: buffered write intents over a copy-on-write snapshot.
 
 A :class:`Transaction` turns every mutation a session issues between
-``begin()`` and ``commit()`` into a **write intent**: a logical record in
-exactly the write-ahead log's format, applied immediately to a *private*
-copy of the affected table (so the transaction reads its own writes) and
-to nothing else.  Until commit, the shared database state is untouched —
+``begin()`` and ``commit()`` into a **write intent**: the statement's
+logical record (:mod:`repro.storage.records`), applied immediately — by
+the ``apply`` autocommit and recovery run — to a *private* copy of the
+affected table (so the transaction reads its own writes) and to nothing
+else.  Until commit, the shared database state is untouched —
 a concurrent reader can never observe an uncommitted row, because
 uncommitted rows live only in this object.
 
@@ -43,8 +44,7 @@ work fires once per transaction, not once per buffered statement.
 
 import pickle
 
-from repro.ctables.schema import Schema
-from repro.ctables.table import CTable
+from repro.storage import records
 from repro.util.errors import SchemaError, TransactionError
 
 #: Transaction lifecycle states.
@@ -67,8 +67,9 @@ class Transaction:
             # map anchors first-committer-wins conflict detection.
             self._snapshot = dict(db.tables)
             self._versions_at_begin = dict(db._table_versions)
+        # Objects other sessions can see: never renamed or written in place.
+        self._shared = {id(table) for table in self._snapshot.values()}
         self._overlay = {}  # name -> private (or txn-created) CTable
-        self._shared_overlay = set()  # overlay names still aliasing snapshot objects
         self._cow_bases = {}  # name -> committed object its overlay copy evolved from
         self._dropped = set()
         self._write_versions = {}  # name -> begin-time version, first write touch
@@ -78,9 +79,7 @@ class Transaction:
         self._staged_distributions = {}
         self._vid_savepoint = db.factory.savepoint()
         self._vids_allocated = 0  # staged create_variable calls (rollback proof)
-        telemetry = getattr(db, "telemetry", None)
-        if telemetry is not None:
-            telemetry.on_txn_event("begin")
+        db.telemetry.on_txn_event("begin")
 
     # -- state guards -------------------------------------------------------------
 
@@ -134,7 +133,9 @@ class Transaction:
             name, self._versions_at_begin.get(name, 0)
         )
 
-    def _writable(self, name):
+    # -- the overlay, as records.apply sees it (same view as PIPDatabase's) ---------
+
+    def writable_table(self, name):
         """The private copy of ``name``, created on first write.
 
         Every visible alias of the same object is repointed at the one
@@ -142,179 +143,68 @@ class Transaction:
         identity — exactly the autocommit (and WAL-replay) semantics.
         """
         table = self.resolve_table(name)
-        if name in self._overlay and name not in self._shared_overlay:
+        if name in self._overlay and id(table) not in self._shared:
             return table
         copy = table.copy()  # shallow, rows shared, no watchers
         for alias, stored in list(self._visible_items().items()):
             if stored is table:
                 self._note_write(alias)
                 self._overlay[alias] = copy
-                self._shared_overlay.discard(alias)
                 self._cow_bases[alias] = table
         return copy
 
-    def _touch_rows(self, rows):
+    def rows_changed(self, rows):
         for row in rows:
             self._touched_variables |= row.variables()
 
-    # -- staged mutations (called from the database's entry points) ---------------
-
-    def stage_create_table(self, name, columns):
-        self._check_active("mutate through")
-        if name in self._visible_items():
-            raise SchemaError("table %r already exists" % (name,))
-        self._note_write(name)
-        table = CTable(Schema(columns), name=name)
-        self._overlay[name] = table
-        self._shared_overlay.discard(name)
-        self._dropped.discard(name)
-        self._records.append(
-            {"op": "create_table", "name": name, "columns": list(columns)}
-        )
-        return table
-
-    def stage_drop_table(self, name):
-        self._check_active("mutate through")
-        table = self.resolve_table(name)
-        self._note_write(name)
-        self._overlay.pop(name, None)
-        self._shared_overlay.discard(name)
-        self._dropped.add(name)
-        # If the object survives under another visible name (alias) its
-        # cached samples stay relevant; otherwise the commit invalidates.
-        if not any(t is table for t in self._visible_items().values()):
+    def _leaves(self, name, table, visible):
+        """``table`` stops being what ``name`` means.  If the object
+        survives under another visible name (alias) its cached samples stay
+        relevant; otherwise the commit invalidates its variables."""
+        if not any(t is table for n, t in visible.items() if n != name):
             self._touched_variables |= table.variables()
-        self._records.append({"op": "drop_table", "name": name})
 
-    def stage_insert(self, name, values, condition):
-        self._check_active("mutate through")
-        table = self._writable(name)
-        before = len(table.rows)
-        table.add_row(values, condition)
-        if len(table.rows) > before:
-            self._touch_rows([table.rows[-1]])
-        self._records.append(
-            {
-                "op": "insert",
-                "name": name,
-                "values": tuple(values),
-                "condition": condition,
-            }
-        )
-
-    def stage_insert_many(self, name, pairs):
-        self._check_active("mutate through")
-        table = self._writable(name)
-        applied = []
-        try:
-            for values, condition in pairs:
-                before = len(table.rows)
-                table.add_row(values, condition)
-                if len(table.rows) > before:
-                    self._touch_rows([table.rows[-1]])
-                applied.append((tuple(values), condition))
-        finally:
-            # Stage exactly what reached the overlay — a mid-batch schema
-            # error keeps overlay and intent log agreeing, mirroring the
-            # autocommit journal discipline.
-            if applied:
-                self._records.append(
-                    {"op": "insert_many", "name": name, "pairs": applied}
-                )
-        return table
-
-    def stage_delete(self, name, where):
-        self._check_active("mutate through")
-        table = self._writable(name)
-        doomed_rows, doomed_indices = self.db._matching_rows(table, where, "DELETE")
-        if doomed_rows:
-            table.remove_rows(doomed_rows)
-            self._touch_rows(doomed_rows)
-            self._records.append(
-                {"op": "delete", "name": name, "indices": doomed_indices}
-            )
-        return len(doomed_rows)
-
-    def stage_update(self, name, assignments, where):
-        self._check_active("mutate through")
-        table = self._writable(name)
-        updates = self.db._compute_updates(table, assignments, where)
-        if updates:
-            old_rows = [table.rows[index] for index, _values in updates]
-            table.update_rows(updates)
-            self._touch_rows(old_rows)
-            self._touch_rows(table.rows[index] for index, _values in updates)
-            self._records.append({"op": "update", "name": name, "updates": updates})
-        return len(updates)
-
-    def stage_register(self, name, table):
-        self._check_active("mutate through")
+    def bind_table(self, name, table):
+        """Returns another visible name already bound to this very object
+        (the binding is then an alias), if any."""
         visible = self._visible_items()
         replaced = visible.get(name)
         if replaced is not None and replaced is not table:
-            self._note_write(name)
-            if not any(
-                t is replaced for n, t in visible.items() if n != name
-            ):
-                self._touched_variables |= replaced.variables()
-        aliases = [
-            stored_name
-            for stored_name, stored in visible.items()
-            if stored is table and stored_name != name
-        ]
-        self._note_write(name)
-        shares_snapshot = any(t is table for t in self._snapshot.values())
-        if not shares_snapshot:
-            table.name = name
-        self._overlay[name] = table
-        if shares_snapshot:
-            self._shared_overlay.add(name)
-        else:
-            self._shared_overlay.discard(name)
-        self._dropped.discard(name)
-        if aliases:
-            # The record's meaning is "bind `name` to whatever `source`
-            # is at replay time": commit must conflict if another session
-            # moved the source after our begin, or memory (the begin-time
-            # object) and recovery (the new object) would diverge.
-            self._note_guard(aliases[0])
-            self._records.append(
-                {"op": "register_alias", "name": name, "source": aliases[0]}
-            )
-        else:
-            self._records.append(
-                {
-                    "op": "register",
-                    "name": name,
-                    "table_name": table.name,
-                    "columns": [(c.name, c.ctype) for c in table.schema.columns],
-                    "rows": [(row.values, row.condition) for row in table.rows],
-                }
-            )
-        return table
-
-    def stage_create_variable(self, distribution, params):
-        self._check_active("mutate through")
-        created = self.db.factory.create(distribution, params)
-        self._vids_allocated += 1
-        vid = created[0].vid if isinstance(created, list) else created.vid
-        # The vid is allocated now but journaled at commit: recording it
-        # lets replay reproduce this exact allocation even when autocommit
-        # creations were journaled between our begin and our frame.
-        self._records.append(
-            {
-                "op": "create_variable",
-                "dist_name": distribution,
-                "params": tuple(params),
-                "vid": vid,
-            }
+            self._leaves(name, replaced, visible)
+        source = next(
+            (n for n, t in visible.items() if t is table and n != name), None
         )
+        if source is not None:
+            # The record will mean "bind `name` to whatever `source` is at
+            # replay time": commit must conflict if another session moved
+            # the source after our begin, or memory (the begin-time object)
+            # and recovery (the new object) would diverge.
+            self._note_guard(source)
+        self._note_write(name)
+        if id(table) not in self._shared:
+            table.name = name  # (a shared object is renamed at commit)
+        self._overlay[name] = table
+        self._dropped.discard(name)
+        return source
+
+    def unbind_table(self, name):
+        table = self.resolve_table(name)
+        self._note_write(name)
+        self._overlay.pop(name, None)
+        self._dropped.add(name)
+        self._leaves(name, table, self._visible_items())
+
+    def allocate_variable(self, dist_name, params):
+        # Allocated now, journaled at commit (see records.create_variable).
+        created = self.db.factory.create(dist_name, params)
+        self._vids_allocated += 1
         return created
 
-    def stage_register_distribution(self, instance):
-        self._check_active("mutate through")
+    def keep_distribution(self, instance):
         self._staged_distributions[instance.name.lower()] = instance
-        self._records.append({"op": "register_distribution", "instance": instance})
+
+    def log_record(self, record):
+        self._records.append(record)
 
     # -- commit / rollback ----------------------------------------------------------
 
@@ -328,9 +218,7 @@ class Transaction:
         the staged records, then widened to every alias sharing a dirty
         overlay object (aliases must swap together), plus drops.
         """
-        named = {
-            record["name"] for record in self._records if "name" in record
-        }
+        named = {records.table_name(record) for record in self._records} - {None}
         dirty_objects = {
             id(self._overlay[name]) for name in named if name in self._overlay
         }
@@ -350,18 +238,13 @@ class Transaction:
         the ``with session.transaction():`` form does so automatically).
         """
         self._check_active("commit")
-        db = self.db
-        telemetry = getattr(db, "telemetry", None)
-        if telemetry is not None and telemetry.tracer.enabled:
-            with telemetry.tracer.span("txn.commit", txn=self.txn_id):
-                self._commit_locked(db, telemetry)
-        else:
-            self._commit_locked(db, telemetry)
+        with self.db.telemetry.tracer.span("txn.commit", txn=self.txn_id):
+            self._commit_locked(self.db, self.db.telemetry)
         self.state = COMMITTED
         self.session._finish_transaction(self)
 
     def _commit_locked(self, db, telemetry):
-        """The lock-holding middle of :meth:`commit` (span-wrappable)."""
+        """The lock-holding middle of :meth:`commit`."""
         dirty = self._dirty_names()
         with db._rwlock.write():
             db._check_writable()
@@ -373,16 +256,14 @@ class Transaction:
             )
             for name, base_version in checks.items():
                 if db.table_version(name) != base_version:
-                    if telemetry is not None:
-                        telemetry.on_txn_event("conflict")
+                    telemetry.on_txn_event("conflict")
                     raise TransactionError(
                         "write-write conflict: table %r was committed by "
                         "another session after this transaction began" % (name,)
                     )
             manager = db._durability
-            framed = (
-                manager is not None and manager.active and bool(self._records)
-            )
+            # (_check_writable above has refused a closed or poisoned log)
+            framed = manager is not None and manager.durable and bool(self._records)
             if framed:
                 # Pre-validate serialization before the frame opens: an
                 # unpicklable staged value must fail the commit cleanly
@@ -391,10 +272,10 @@ class Transaction:
                 # would swallow later committed records at recovery.
                 for record in self._records:
                     pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-                manager.journal("txn_begin", txn=self.txn_id)
+                manager.journal(records.frame_mark(records.TXN_BEGIN, self.txn_id))
                 try:
                     for record in self._records:
-                        manager.journal_record(record)
+                        manager.journal(record)
                 except BaseException:
                     self._journal_abort(manager)
                     raise
@@ -405,7 +286,7 @@ class Transaction:
                     self._journal_abort(manager)
                 raise
             if framed:
-                manager.journal("txn_commit", txn=self.txn_id)
+                manager.journal(records.frame_mark(records.TXN_COMMIT, self.txn_id))
             # Everything this transaction allocated is committed state now;
             # no later rollback (any session, any thread) may re-mint it.
             db.factory.mark_durable()
@@ -413,8 +294,7 @@ class Transaction:
             # buffered statement, and never any on rollback.
             if self._touched_variables:
                 db.sample_bank.invalidate_variables(self._touched_variables)
-        if telemetry is not None:
-            telemetry.on_txn_event("commit")
+        telemetry.on_txn_event("commit")
 
     def _journal_abort(self, manager):
         """Best-effort frame close after a mid-commit failure.
@@ -424,7 +304,7 @@ class Transaction:
         next recovery's frame-healing closes it (see
         ``DurabilityManager.recover``)."""
         try:
-            manager.journal("txn_abort", txn=self.txn_id)
+            manager.journal(records.frame_mark(records.TXN_ABORT, self.txn_id))
         except Exception:
             pass
 
@@ -482,7 +362,6 @@ class Transaction:
         self._check_active("roll back")
         self.db.factory.rollback_to(self._vid_savepoint, self._vids_allocated)
         self._overlay.clear()
-        self._shared_overlay.clear()
         self._cow_bases.clear()
         self._dropped.clear()
         self._version_guards.clear()
@@ -490,9 +369,7 @@ class Transaction:
         self._touched_variables = set()
         self._staged_distributions = {}
         self.state = ROLLED_BACK
-        telemetry = getattr(self.db, "telemetry", None)
-        if telemetry is not None:
-            telemetry.on_txn_event("rollback")
+        self.db.telemetry.on_txn_event("rollback")
         self.session._finish_transaction(self)
 
     # -- context-manager protocol -----------------------------------------------

@@ -13,17 +13,15 @@ Storage layout (all under the ``PIPDatabase.open`` path)::
         manifest.json           # bank identity + footprint
 
 The manager owns the WAL and the checkpoint cycle; the database calls
-:meth:`journal` from every mutating method and :meth:`checkpoint` /
-:meth:`close` from its own lifecycle hooks.  ``suspend()`` wraps replay
-so recovery never re-journals the operations it is applying.
+:meth:`journal` with every record it applies and :meth:`checkpoint` /
+:meth:`close` from its own lifecycle hooks.  Recovery applies records
+without coming back here, so replay cannot re-journal what it applies.
 """
 
 import json
 import os
 import weakref
-from contextlib import contextmanager
-
-from repro.storage import recovery, snapshot as snap
+from repro.storage import records, recovery, snapshot as snap
 from repro.storage.wal import WriteAheadLog
 from repro.util.errors import StorageError
 
@@ -79,7 +77,6 @@ class DurabilityManager:
         self.path = path
         self.durable = durable
         self.snapshot_dir = os.path.join(path, _SNAPSHOT_DIR)
-        self._suspended = 0
         self._closed = False
         self._failed = None
         # One process at a time: the WAL constructor truncates torn tails
@@ -120,20 +117,6 @@ class DurabilityManager:
 
     # -- journaling ----------------------------------------------------------
 
-    @property
-    def active(self):
-        """Whether mutations should be journaled right now."""
-        return self.durable and not self._suspended and not self._closed
-
-    @contextmanager
-    def suspend(self):
-        """Temporarily stop journaling (replay, internal rebuilds)."""
-        self._suspended += 1
-        try:
-            yield
-        finally:
-            self._suspended -= 1
-
     def check_writable(self):
         """Raise when a durable database can no longer journal mutations.
 
@@ -154,8 +137,9 @@ class DurabilityManager:
                 "database at %r is closed; reopen it before mutating" % (self.path,)
             )
 
-    def journal(self, op, **fields):
-        """Append one logical mutation record; returns its LSN.
+    def journal(self, record):
+        """Append one logical record (:mod:`repro.storage.records` builds
+        them: mutations and transaction-frame marks); returns its LSN.
 
         Every record carries the post-operation variable-factory watermark
         so replay keeps vid allocation aligned even for variables created
@@ -166,10 +150,10 @@ class DurabilityManager:
         every later mutation and checkpoint must refuse rather than
         silently persist a divergent history.
         """
-        self.check_writable()
-        if not self.active:
+        self.check_writable()  # a closed or poisoned log refuses here
+        if not self.durable:
             return None
-        record = dict(fields, op=op, next_vid=self.db.factory._next_vid)
+        record = dict(record, next_vid=self.db.factory._next_vid)
         try:
             return self.wal.append(record)
         except Exception as exc:
@@ -177,12 +161,6 @@ class DurabilityManager:
             raise StorageError(
                 "WAL append failed at %r: %s" % (self.path, exc)
             ) from exc
-
-    def journal_record(self, record):
-        """Append a prebuilt logical record (the transaction commit path:
-        buffered write intents carry the WAL record format already)."""
-        fields = {key: value for key, value in record.items() if key != "op"}
-        return self.journal(record["op"], **fields)
 
     # -- recovery ------------------------------------------------------------
 
@@ -197,13 +175,10 @@ class DurabilityManager:
         inside the stale frame and be discarded (or rejected) by the
         *next* recovery.
         """
-        with self.suspend():
-            base_lsn = recovery.restore_snapshot(self.db, self.snapshot_dir)
-            tail = self.wal.tail(base_lsn)
-            recovery.replay(self.db, tail)
-            dangling = recovery.open_frame(tail)
-            if dangling is not None:
-                self.wal.append({"op": "txn_abort", "txn": dangling[0]})
+        base_lsn = recovery.restore_snapshot(self.db, self.snapshot_dir)
+        dangling = recovery.replay(self.db, self.wal.tail(base_lsn))
+        if dangling is not None:
+            self.wal.append(records.healing_abort(dangling))
 
     # -- checkpointing ---------------------------------------------------------
 
@@ -227,14 +202,8 @@ class DurabilityManager:
                 "holds mutations the log missed" % (self._failed,)
             )
         lsn = self.wal.last_lsn
-        telemetry = getattr(self.db, "telemetry", None)
-        if telemetry is not None and telemetry.tracer.enabled:
-            span = telemetry.tracer.span("storage.checkpoint", lsn=lsn)
-        else:
-            from contextlib import nullcontext
-
-            span = nullcontext()
-        with span:
+        telemetry = self.db.telemetry
+        with telemetry.tracer.span("storage.checkpoint", lsn=lsn):
             path = snap.write_snapshot(
                 self.snapshot_dir,
                 lsn,
@@ -249,8 +218,7 @@ class DurabilityManager:
             # it covers be dropped.
             self.wal.reset(lsn)
             self._prune_snapshots(keep=2)
-        if telemetry is not None:
-            telemetry.on_checkpoint()
+        telemetry.on_checkpoint()
         return path
 
     def _prune_snapshots(self, keep):

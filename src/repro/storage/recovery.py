@@ -3,11 +3,12 @@
 Recovery rebuilds a :class:`~repro.core.database.PIPDatabase` in two
 phases.  Phase one installs the newest *loadable* snapshot (a corrupt or
 half-written snapshot falls back to the previous one, and ultimately to an
-empty catalog).  Phase two replays every WAL record past the snapshot's
-LSN through the database's ordinary mutation API — the same code path the
-original process ran — with journaling suspended, so the recovered state
-is produced by the operations themselves, not by a parallel
-deserializer that could drift from them.
+empty catalog).  Phase two hands every committed WAL record past the
+snapshot's LSN to :func:`repro.storage.records.apply` — the function the
+original process's statements ran, against the same shared catalog —
+so the recovered state is produced by the operations themselves, not by
+a parallel deserializer that could drift from them.  Nothing on that
+path journals, so replay cannot re-journal what it applies.
 
 Determinism does the heavy lifting: variable identifiers are allocated
 sequentially and every WAL record carries the post-operation ``next_vid``
@@ -17,8 +18,8 @@ is what lets a restarted process serve its first repeated query straight
 from the spilled bank (see ``docs/durability.md``).
 """
 
-from repro.storage import snapshot as snap
-from repro.util.errors import StorageError
+from repro.storage import records, snapshot as snap
+from repro.util.errors import PIPError, StorageError
 
 
 def restore_snapshot(db, directory):
@@ -32,7 +33,8 @@ def restore_snapshot(db, directory):
             manifest, tables = snap.load_snapshot(path)
         except StorageError:
             continue  # half-written or damaged: use the previous one
-        _register_distributions(db, manifest["distributions"])
+        for instance in manifest["distributions"]:
+            records.apply(records.register_distribution(instance), db)
         for name, table in tables.items():
             db.tables[name] = table
             db._watch(table)
@@ -41,20 +43,13 @@ def restore_snapshot(db, directory):
     return 0
 
 
-def _register_distributions(db, instances):
-    from repro.distributions import register_distribution
+def replay(db, wal_records):
+    """Apply WAL records (in order) to the shared catalog of ``db``.
 
-    for instance in instances:
-        register_distribution(instance, replace=True)
-        db._journaled_distributions[instance.name.lower()] = instance
-
-
-def replay(db, records):
-    """Apply WAL records (in order) through the database mutation API.
-
-    The caller must have suspended journaling; replaying must never
-    re-journal.  Unknown ops raise :class:`StorageError` — an old build
-    reading a newer log must fail loudly, not drop mutations.
+    A record that cannot be applied — unknown op (an old build reading a
+    newer log must fail loudly, not drop mutations), missing field, a row
+    index or table the catalog does not have — raises
+    :class:`StorageError` naming its LSN, before it changes anything.
 
     **Transaction framing** (PR 5): records between a ``txn_begin`` and
     its ``txn_commit`` are buffered and applied only when the commit
@@ -64,19 +59,24 @@ def replay(db, records):
     recovery replays *only committed transactions*.  Records outside any
     frame are the autocommit path and apply immediately, which keeps
     pre-session logs replayable unchanged.
+
+    Returns the ``txn_begin`` record of a frame the log leaves open (for
+    ``DurabilityManager.recover`` to *heal* with a ``txn_abort``), or
+    ``None`` when every frame is closed.
     """
+    begin = None  # the mark that opened the current frame
     pending = None  # buffered records of the currently open frame
-    for record in records:
-        op = record["op"]
-        if op == "txn_begin":
+    for record in wal_records:
+        op = record.get("op")
+        if op == records.TXN_BEGIN:
             if pending is not None:
                 raise StorageError(
                     "WAL record %r opens a transaction frame inside another"
                     % (record.get("lsn"),)
                 )
-            pending = []
+            begin, pending = record, []
             continue
-        if op == "txn_commit":
+        if op == records.TXN_COMMIT:
             if pending is None:
                 raise StorageError(
                     "WAL record %r commits with no open transaction frame"
@@ -87,37 +87,25 @@ def replay(db, records):
             pending = None
             _advance_watermark(db, record)
             continue
-        if op == "txn_abort":
+        if op == records.TXN_ABORT:
             pending = None
             continue
         if pending is not None:
             pending.append(record)
             continue
         _apply_record(db, record)
-
-
-def open_frame(records):
-    """The ``(txn_id,)`` of a transaction frame left open at the end of
-    ``records`` (a crash between a frame's intents and its commit mark),
-    or ``None`` when every frame is closed.
-
-    Recovery uses this to *heal* the log: the dangling ``txn_begin``
-    must be closed with a ``txn_abort`` before any new record is
-    appended, otherwise a later replay would buffer every subsequent —
-    committed! — record into the stale frame and drop or reject it.
-    """
-    open_txn = None
-    for record in records:
-        op = record["op"]
-        if op == "txn_begin":
-            open_txn = (record.get("txn"),)
-        elif op in ("txn_commit", "txn_abort"):
-            open_txn = None
-    return open_txn
+    return begin if pending is not None else None
 
 
 def _apply_record(db, record):
-    _apply(db, record)
+    try:
+        records.apply(record, db)
+    except StorageError:
+        raise
+    except PIPError as exc:
+        raise StorageError(
+            "%s cannot be replayed: %s" % (records.describe(record), exc)
+        ) from exc
     _advance_watermark(db, record)
 
 
@@ -128,51 +116,3 @@ def _advance_watermark(db, record):
         # dedicated record; the watermark keeps post-recovery vids from
         # colliding with durable variables minted after that point.
         db.factory._next_vid = watermark
-
-
-def _apply(db, record):
-    op = record["op"]
-    if op == "create_table":
-        db.create_table(record["name"], record["columns"])
-    elif op == "drop_table":
-        db.drop_table(record["name"])
-    elif op == "insert":
-        db.insert(record["name"], record["values"], record["condition"])
-    elif op == "insert_many":
-        rows = [values for values, _condition in record["pairs"]]
-        conditions = [condition for _values, condition in record["pairs"]]
-        db.insert_many(record["name"], rows, conditions)
-    elif op == "delete":
-        table = db.table(record["name"])
-        doomed = [table.rows[i] for i in record["indices"]]
-        table.remove_rows(doomed)
-    elif op == "update":
-        db.table(record["name"]).update_rows(record["updates"])
-    elif op == "register":
-        db.register(record["name"], _rebuild_table(record))
-    elif op == "register_alias":
-        db.register(record["name"], db.table(record["source"]))
-    elif op == "create_variable":
-        vid = record.get("vid")
-        if vid is not None:
-            # Transaction frames journal their creations at commit, which
-            # may be after autocommit creations that allocated later vids;
-            # pinning the recorded vid reproduces the original allocation
-            # regardless of journal order.  (Records from pre-session logs
-            # carry no vid and replay sequentially, as they always did.)
-            db.factory._next_vid = vid
-        db.create_variable(record["dist_name"], record["params"])
-    elif op == "register_distribution":
-        _register_distributions(db, [record["instance"]])
-    else:
-        raise StorageError("WAL record %r has unknown op %r" % (record.get("lsn"), op))
-
-
-def _rebuild_table(record):
-    from repro.ctables.schema import Schema
-    from repro.ctables.table import CTable, CTRow
-
-    table = CTable(Schema(record["columns"]), name=record["table_name"])
-    for values, condition in record["rows"]:
-        table.rows.append(CTRow(values, condition))
-    return table

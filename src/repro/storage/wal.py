@@ -1,20 +1,16 @@
 """The write-ahead log: an append-only journal of logical mutations.
 
-Every durable :class:`~repro.core.database.PIPDatabase` mutation —
-``create_table``, ``insert``/``insert_many``, ``delete``, ``update``,
-``drop_table``,
-table registration (which covers ``repair_key`` and ``materialize``),
-``create_variable`` and distribution registration — is appended here as a
-*logical* record before the in-memory state changes become reachable by a
+Every durable :class:`~repro.core.database.PIPDatabase` mutation is
+appended here as a *logical* record (:mod:`repro.storage.records` owns
+the vocabulary) before the in-memory state changes become reachable by a
 checkpoint.  Records are self-describing dicts pickled with the symbolic
 layer's slot-state hooks, so a row's values, expressions and condition
 round-trip bit-identically.
 
-Autocommit mutations append bare records, exactly as before the session
-layer existed.  Explicit transactions append their buffered intents
-inside a frame — ``txn_begin``, the intent records, ``txn_commit`` (or
-``txn_abort``) — written contiguously under the database's write lock;
-recovery replays a frame only when its commit record survived (see
+Autocommit mutations append bare records.  Explicit transactions append
+their buffered records inside a frame — begin mark, records, commit (or
+abort) mark — written contiguously under the database's write lock;
+recovery applies a frame only when its commit mark survived (see
 :func:`repro.storage.recovery.replay`), which is what makes commits
 atomic across crashes.
 

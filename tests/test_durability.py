@@ -19,7 +19,8 @@ from repro.sampling.options import SamplingOptions
 from repro.storage import scan
 from repro.storage.wal import WriteAheadLog
 from repro.symbolic import conjunction_of, var
-from repro.util.errors import PlanError, StorageError
+from repro.symbolic.conditions import TRUE
+from repro.util.errors import DistributionError, PlanError, SchemaError, StorageError
 from repro.util.intervals import Interval
 
 
@@ -411,6 +412,108 @@ class TestFailureModes:
         with PIPDatabase.open(root) as db3:
             assert [row.values for row in db3.table("t").rows] == []
 
+    #: CRC-valid records no build of ours wrote: each must fail the open
+    #: as a StorageError naming the LSN and the op — never a bare
+    #: KeyError / IndexError / TypeError / AttributeError.  The flag says
+    #: whether the error chains from a SchemaError (the record disagrees
+    #: with the catalog) or is raised directly (it is no record at all).
+    MALFORMED = [
+        ({"op": "delete", "name": "t", "indices": [7]}, True),
+        ({"op": "delete", "name": "t", "indices": [-1]}, True),
+        ({"op": "delete", "name": "t", "indices": None}, True),
+        ({"op": "delete", "name": "nope", "indices": [0]}, True),
+        ({"op": "insert", "name": "t"}, False),
+        ({"op": "insert", "name": "t", "values": ("b", 2.0), "condition": None}, True),
+        ({"op": "insert", "name": "t", "values": ("b",), "condition": TRUE}, True),
+        ({"op": "insert", "name": "t", "values": None, "condition": TRUE}, True),
+        (
+            {
+                "op": "insert_many",
+                "name": "t",
+                "pairs": [(("b", 2.0), TRUE), (("c", 3.0), "not a condition")],
+            },
+            True,
+        ),
+        ({"op": "insert_many", "name": "t", "pairs": [("b", 2.0, TRUE)]}, True),
+        ({"op": "update", "name": "t", "updates": [(0,)]}, True),
+        ({"op": "update", "name": "t", "updates": [(3, ("b", 2.0))]}, True),
+        ({"op": "update", "name": "t", "updates": [("zero", ("b", 2.0))]}, True),
+        ({"op": "update", "name": "t", "updates": [(0, ("b",))]}, True),
+        ({"op": "update", "name": "t"}, False),
+        ({"op": "create_table", "name": "t", "columns": [("k", "str")]}, True),
+        ({"op": "create_table", "name": "u"}, False),
+        ({"op": "drop_table", "name": "nope"}, True),
+        ({"op": "register_alias", "name": "u", "source": "nope"}, True),
+        (
+            {
+                "op": "register",
+                "name": "u",
+                "table_name": "u",
+                "columns": [("k", "str")],
+                "rows": [(("a",), "not a condition")],
+            },
+            True,
+        ),
+        ({"op": "create_variable", "dist_name": "normal", "params": (0.0, 1.0), "vid": "x"}, True),
+        ({"op": "create_variable", "dist_name": "no_such_dist", "params": ()}, True),
+        ({"op": "register_distribution", "instance": object()}, True),
+        ({"op": "insert_everything", "name": "t"}, False),
+        ({"name": "t"}, False),
+    ]
+
+    @pytest.mark.parametrize(
+        "record,chained",
+        MALFORMED,
+        ids=[record.get("op", "no-op") for record, _chained in MALFORMED],
+    )
+    def test_malformed_record_fails_the_open_as_storage_error(
+        self, tmp_path, record, chained
+    ):
+        root = str(tmp_path / "db")
+        with PIPDatabase.open(root, seed=1) as db:
+            db.sql("CREATE TABLE t (k str, v float)")
+            db.insert("t", ("a", 1.0))
+        wal = WriteAheadLog(os.path.join(root, "wal.log"))
+        lsn = wal.append(dict(record))
+        wal.close()
+        for _attempt in range(2):
+            # Twice: the failed open released the directory lock and the
+            # WAL handle, so the second attempt fails the same way (not
+            # with "open in another process").
+            with pytest.raises(StorageError) as caught:
+                PIPDatabase.open(root)
+            assert caught.value.code == "PIP-STORAGE"
+            message = str(caught.value)
+            assert "record %d" % lsn in message
+            assert str(record.get("op")) in message
+            cause = caught.value.__cause__
+            assert isinstance(cause, (SchemaError, DistributionError)) == chained
+        # Dropping the bad record brings the database back untouched.
+        wal = WriteAheadLog(os.path.join(root, "wal.log"))
+        with open(wal.path, "r+b") as handle:
+            handle.truncate(_offset_of_record(wal.path, lsn - 1))
+        with PIPDatabase.open(root) as db2:
+            assert [row.values for row in db2.table("t").rows] == [("a", 1.0)]
+
+    @pytest.mark.parametrize(
+        "record",
+        [record for record, _chained in MALFORMED if record.get("name") == "t"],
+        ids=lambda record: record.get("op", "no-op"),
+    )
+    def test_bad_record_applies_nothing(self, record):
+        """The check runs before the change: a record that raises leaves
+        the table (rows, version, watchers' view) exactly as it was."""
+        from repro.storage import records
+
+        db = PIPDatabase(seed=1)
+        db.sql("CREATE TABLE t (k str, v float)")
+        db.insert("t", ("a", 1.0))
+        table = db.table("t")
+        before = (list(table.rows), table.version, dict(db.tables))
+        with pytest.raises((SchemaError, StorageError)):
+            records.apply(dict(record), db)
+        assert (list(table.rows), table.version, dict(db.tables)) == before
+
 
 class TestWALFraming:
     def test_scan_missing_file_is_empty(self, tmp_path):
@@ -482,7 +585,8 @@ def _scan_bytes(data):
 
 def _offset_of_record(path, n):
     """Byte offset of the end of the n-th record in a WAL file."""
-    data = open(path, "rb").read()
+    with open(path, "rb") as handle:
+        data = handle.read()
     for end in range(len(data) + 1):
         base, records, clean = _scan_bytes(data[:end])
         if records is not None and len(records) == n and clean == end:
