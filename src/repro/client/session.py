@@ -30,6 +30,7 @@ from repro.client.wsclient import BlockingWebSocket
 from repro.engine.results import ResultSet
 from repro.obs.trace import IdAllocator, format_traceparent
 from repro.server import protocol, wsproto
+from repro.session.session import Cursor
 from repro.util.errors import (
     ProtocolError,
     SessionError,
@@ -38,31 +39,17 @@ from repro.util.errors import (
 )
 
 
-class RemoteCursor:
+class RemoteCursor(Cursor):
     """A DB-API-shaped cursor over one remote session.
 
-    Mirrors :class:`repro.session.session.Cursor`: fetch position is
-    cursor-local, everything else lives on the session/server.
-    ``chunks_received`` counts the streamed ``rows`` frames behind the
-    last result — >1 means the server never sent the result whole.
+    The local :class:`repro.session.session.Cursor` with its statements
+    sent over the wire: fetch position is cursor-local, everything else
+    lives on the session/server.  ``chunks_received`` counts the streamed
+    ``rows`` frames behind the last result — >1 means the server never
+    sent the result whole.
     """
 
-    arraysize = 1
-
-    def __init__(self, session):
-        self.session = session
-        self._rows = []
-        self._position = 0
-        self._description = None
-        self._rowcount = -1
-        self.result = None
-        self.chunks_received = 0
-        self._closed = False
-
-    def _check_open(self):
-        if self._closed:
-            raise SessionError("cursor is closed")
-        self.session._check_open()
+    chunks_received = 0
 
     def execute(self, text, params=None):
         """Run one SQL statement on the server; returns the cursor."""
@@ -70,32 +57,23 @@ class RemoteCursor:
         done, rows, conditions, chunks = self.session._call(
             "execute", sql=text, params=params
         )
-        self._rows = []
-        self._position = 0
-        self._description = None
-        self._rowcount = done.get("rowcount", -1)
-        self.result = None
         self.chunks_received = chunks
-        if done.get("kind") == "resultset":
-            payload = dict(done["result"])
-            payload["rows"] = rows
-            if conditions:
-                payload["conditions"] = conditions
-            self.result = ResultSet.from_payload(payload)
-            self._rows = self.result.rows()
-            self._rowcount = len(self._rows)
-            self._description = [
-                (column.name, column.ctype, None, None, None, None, None)
-                for column in self.result.schema.columns
-            ]
-            stats = self.result.stats
-            if stats is not None:
-                # Correlate the client-side result with the distributed
-                # trace: the server's trace id (ours, when it adopted our
-                # traceparent) and its coarse timing breakdown.
-                if stats.trace_id is None:
-                    stats.trace_id = done.get("trace_id")
-                stats.server_timing = done.get("server_timing")
+        if done.get("kind") != "resultset":
+            self._reset(done.get("rowcount", -1))
+            return self
+        payload = dict(done["result"])
+        payload["rows"] = rows
+        if conditions:
+            payload["conditions"] = conditions
+        self._reset(result=ResultSet.from_payload(payload))
+        stats = self.result.stats
+        if stats is not None:
+            # Correlate the client-side result with the distributed
+            # trace: the server's trace id (ours, when it adopted our
+            # traceparent) and its coarse timing breakdown.
+            if stats.trace_id is None:
+                stats.trace_id = done.get("trace_id")
+            stats.server_timing = done.get("server_timing")
         return self
 
     def executemany(self, text, param_seq):
@@ -104,61 +82,9 @@ class RemoteCursor:
         done, _rows, _conditions, _chunks = self.session._call(
             "executemany", sql=text, paramseq=list(param_seq)
         )
-        self._rows = []
-        self._position = 0
-        self._description = None
-        self._rowcount = done.get("rowcount", -1)
-        self.result = None
+        self._reset(done.get("rowcount", -1))
         self.chunks_received = 0
         return self
-
-    # -- fetching (identical to the local cursor) ---------------------------------
-
-    @property
-    def description(self):
-        return self._description
-
-    @property
-    def rowcount(self):
-        return self._rowcount
-
-    def fetchone(self):
-        self._check_open()
-        if self._position >= len(self._rows):
-            return None
-        row = self._rows[self._position]
-        self._position += 1
-        return row
-
-    def fetchmany(self, size=None):
-        self._check_open()
-        if size is None:
-            size = self.arraysize
-        chunk = self._rows[self._position : self._position + size]
-        self._position += len(chunk)
-        return chunk
-
-    def fetchall(self):
-        self._check_open()
-        chunk = self._rows[self._position :]
-        self._position = len(self._rows)
-        return chunk
-
-    def __iter__(self):
-        while True:
-            row = self.fetchone()
-            if row is None:
-                return
-            yield row
-
-    def close(self):
-        self._closed = True
-        self._rows = []
-        self.result = None
-
-    def __repr__(self):
-        state = "closed" if self._closed else "%d rows" % (len(self._rows),)
-        return "<RemoteCursor (%s)>" % (state,)
 
 
 class RemoteTransaction:

@@ -7,7 +7,8 @@ expectations and moments of the uncertain data" at the end of a query:
   row is integrated independently within its own context.
 * Aggregate (per-table sampling semantics): ``expected_sum``,
   ``expected_count``, ``expected_avg``, ``expected_max``, ``expected_min``,
-  plus the ``*_hist`` variants returning raw sample arrays.
+  ``expected_stddev``, plus the ``*_hist`` variants returning raw sample
+  arrays.
 
 ``expected_sum`` exploits linearity of expectation: per-row conditional
 means weighted by row confidences, summed.  ``expected_max`` implements
@@ -26,7 +27,7 @@ from repro.sampling.confidence import aconf as _aconf
 from repro.sampling.confidence import conf as _conf
 from repro.sampling.expectation import ExpectationEngine
 from repro.sampling.worldgen import WorldSampler
-from repro.symbolic.conditions import Conjunction, TRUE, conjoin
+from repro.symbolic.conditions import TRUE
 from repro.symbolic.expression import ColumnTerm, Expression, as_expression, col
 from repro.util.errors import PIPError, PlanError, SchemaError
 
@@ -90,80 +91,110 @@ def _constant(kind, target, term):
 
 
 # ---------------------------------------------------------------------------
-# Parallel prefetch plumbing
+# The seam to the worker pool
 # ---------------------------------------------------------------------------
 #
 # Every operator below is a per-row loop over independent sampling work —
 # exactly the shape the parallel executor fans out.  Before looping, each
-# operator (and the plan executor, for whole statements) hands the batch
-# of (expression, condition) pairs to ExpectationEngine.prefetch, which
-# materialises the missing sample-bank bundles across the worker pool.
-# The loop then runs serially against a warm bank; results are
-# bit-identical to fully serial execution.  All helpers are no-ops unless
-# the options enable parallel workers.
+# operator — or, for a whole statement, :func:`row_results` /
+# :func:`aggregate_results` — hands its batch of (expression, condition)
+# pairs to ExpectationEngine.prefetch, which materialises the missing
+# sample-bank bundles across the worker pool.  The loop then runs serially
+# against a warm bank; results are bit-identical to fully serial execution.
 
 
-def _prefetch_rows(table, expr, engine, options, want_probability=False):
-    """Prefetch one operator's per-row sampling (``expr`` may be None for
-    probability-only operators such as ``conf``)."""
-    options = options or engine.options
-    if not engine.prefetch_enabled(options):
-        return
-    if expr is None:
-        tasks = ((None, row.condition, False) for row in table.rows)
-    else:
-        tasks = (
-            (_bound(table, row, expr), row.condition, want_probability)
-            for row in table.rows
-        )
-    engine.prefetch(tasks, options=options)
+def _prefetch(engine, options, passes):
+    """Hand a batch of per-row sampling to the pool; returns the options
+    for the loops it covers.
 
-
-def prefetch_aggregate_tasks(partitions, specs, engine, options):
-    """Prefetch a whole statement's aggregate sampling in one batch.
-
-    ``partitions`` is the list of (sub-)tables the aggregate loop will
-    visit in order; ``specs`` the ``(kind, expr)`` pairs evaluated per
-    partition.  Tasks are emitted in the exact order the serial loops
-    touch them so first-wins job dedup reproduces serial behaviour.
-    Kinds whose sampling bypasses the bank (``*_hist``, the world-parallel
-    fallbacks) or whose early exits make prefetch speculative
-    (``expected_max``/``min``) are skipped.
+    ``passes`` yields ``(table, expr, want_probability)`` — one loop over
+    one table each, ``expr`` ``None`` for a probability-only loop
+    (``conf``) — in the order the serial loops will run, so first-wins job
+    dedup reproduces serial behaviour.  Without parallel workers a no-op
+    that hands ``options`` back; after a hand-off, the same options with
+    the workers off, so an operator nested in the batch (``expected_avg``'s
+    sum and count, each group of a GROUP BY) does not bind and dry-plan its
+    rows a second time.
     """
-    options = options or engine.options
     if not engine.prefetch_enabled(options):
-        return
-    tasks = []
-    for sub_table in partitions:
-        for kind, expr in specs:
-            if kind in ("expected_sum", "expected_avg"):
-                bound_expr = _resolve_expr(sub_table, expr)
-                tasks.extend(
-                    (_bound(sub_table, row, bound_expr), row.condition, True)
-                    for row in sub_table.rows
-                )
-            if kind in ("expected_count", "expected_avg"):
-                tasks.extend((None, row.condition, False) for row in sub_table.rows)
-    if tasks:
-        engine.prefetch(tasks, options=options)
+        return options
+    options = options or engine.options
+    engine.prefetch(
+        (
+            (
+                None if expr is None else _bound(table, row, expr),
+                row.condition,
+                want_probability,
+            )
+            for table, expr, want_probability in passes
+            for row in table.rows
+        ),
+        options=options,
+    )
+    return options.replace(parallel_workers=0)
 
 
 # ---------------------------------------------------------------------------
 # Row-level operators
 # ---------------------------------------------------------------------------
 
+#: The row-level operators (per-row sampling semantics), and whether each
+#: takes an argument.  With :data:`AGGREGATES` this is the vocabulary of
+#: probability-removing operators: the SQL parser and the rewriter's
+#: target classification read their name sets from these two tables.
+ROW_OPERATORS = {"conf": False, "aconf": False, "expectation": True}
+
+
+def row_results(table, calls, engine=None, options=None):
+    """The per-row loop behind ``conf`` and ``expectation`` (Section IV-B).
+
+    ``calls`` is a sequence of ``(target, want_probability)`` pairs; a
+    ``None`` target asks for the row's confidence alone.  Returns, per
+    call, a result per row — a ``ConfidenceResult`` for a confidence call,
+    else an ``ExpectationResult`` — each row integrated independently
+    within its own context, one call after the other.  The fluent builder
+    and the plan executor both assemble their output from these.
+    """
+    engine = engine or ExpectationEngine()
+    calls = [
+        (None if target is None else _resolve_expr(table, target), want_probability)
+        for target, want_probability in calls
+    ]
+    _prefetch(engine, options, [(table, expr, want) for expr, want in calls])
+    return [
+        [
+            _conf(row.condition, engine=engine, options=options)
+            if expr is None
+            else engine.expectation(
+                _bound(table, row, expr), row.condition,
+                want_probability=want_probability, options=options,
+            )
+            for row in table.rows
+        ]
+        for expr, want_probability in calls
+    ]
+
+
+def append_columns(table, columns, keep_conditions):
+    """``table`` plus float ``columns`` (``(name, values)`` pairs, one
+    value per row).  Without ``keep_conditions`` the rows come out under
+    TRUE: a confidence column is probability-removing, the result table
+    deterministic."""
+    schema = list(table.schema.columns) + [(name, "float") for name, _values in columns]
+    out = CTable(schema, name=table.name)
+    for row, extra in zip(table.rows, zip(*(values for _name, values in columns))):
+        condition = row.condition if keep_conditions else TRUE
+        out.rows.append(CTRow(row.values + extra, condition))
+    return out
+
 
 def confidence(table, engine=None, options=None, column_name="conf"):
     """Append each row's confidence and strip conditions (the ``conf()``
     operator is probability-removing: the result table is deterministic)."""
-    engine = engine or ExpectationEngine()
-    _prefetch_rows(table, None, engine, options)
-    schema = list(table.schema.columns) + [(column_name, "float")]
-    out = CTable(schema, name=table.name)
-    for row in table.rows:
-        result = _conf(row.condition, engine=engine, options=options)
-        out.rows.append(CTRow(row.values + (result.probability,)))
-    return out
+    (results,) = row_results(table, [(None, False)], engine, options)
+    return append_columns(
+        table, [(column_name, [r.probability for r in results])], keep_conditions=False
+    )
 
 
 def aconf_distinct(table, engine=None, options=None, column_name="aconf"):
@@ -176,12 +207,13 @@ def aconf_distinct(table, engine=None, options=None, column_name="aconf"):
 
     engine = engine or ExpectationEngine()
     coalesced = distinct(table)
-    schema = list(coalesced.schema.columns) + [(column_name, "float")]
-    out = CTable(schema, name=table.name)
-    for row in coalesced.rows:
-        result = _aconf(row.condition, engine=engine, options=options)
-        out.rows.append(CTRow(row.values + (result.probability,)))
-    return out
+    probabilities = [
+        _aconf(row.condition, engine=engine, options=options).probability
+        for row in coalesced.rows
+    ]
+    return append_columns(
+        coalesced, [(column_name, probabilities)], keep_conditions=False
+    )
 
 
 def expectation_column(
@@ -199,24 +231,11 @@ def expectation_column(
     specifies.  With ``with_confidence``, the row's probability is emitted
     too and the result is fully deterministic.
     """
-    engine = engine or ExpectationEngine()
-    expr = _resolve_expr(table, target)
-    _prefetch_rows(table, expr, engine, options, want_probability=with_confidence)
-    extra = [(column_name, "float")]
+    (results,) = row_results(table, [(target, with_confidence)], engine, options)
+    columns = [(column_name, [r.mean for r in results])]
     if with_confidence:
-        extra.append(("conf", "float"))
-    schema = list(table.schema.columns) + extra
-    out = CTable(schema, name=table.name)
-    for row in table.rows:
-        bound = _bound(table, row, expr)
-        result = engine.expectation(
-            bound, row.condition, want_probability=with_confidence, options=options
-        )
-        extras = (result.mean,)
-        if with_confidence:
-            extras += (result.probability,)
-        out.rows.append(CTRow(row.values + extras, row.condition))
-    return out
+        columns.append(("conf", [r.probability for r in results]))
+    return append_columns(table, columns, keep_conditions=not with_confidence)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +283,7 @@ def expected_sum(table, target, engine=None, options=None, scale_by_rows=False):
             int(math.ceil(row_options.n_samples / math.sqrt(len(table.rows)))),
         )
         row_options = row_options.replace(n_samples=shrunk)
-    _prefetch_rows(table, expr, engine, row_options, want_probability=True)
+    row_options = _prefetch(engine, row_options, [(table, expr, True)])
     index = _plain_index(table, expr)
     total = 0.0
     n_samples = 0
@@ -297,7 +316,7 @@ def expected_sum(table, target, engine=None, options=None, scale_by_rows=False):
 def expected_count(table, engine=None, options=None):
     """``expected_count``: Σ P[φ] — the constant-1 case of expected_sum."""
     engine = engine or ExpectationEngine()
-    _prefetch_rows(table, None, engine, options)
+    options = _prefetch(engine, options, [(table, None, False)])
     total = 0.0
     exact = True
     for row in table.rows:
@@ -465,28 +484,40 @@ def _sorted_scan(kind, table, target, engine, options, precision, empty_value, n
     )
 
 
-def _aggregate_by_worlds(
-    table, bound_exprs, reducer, identity, empty_value, engine, n_worlds, label
-):
-    """Naive per-table semantics: evaluate the aggregate in parallel on
-    ``n_worlds`` instantiated sample worlds and average (Section IV-C)."""
+def _per_world(node, arrays, n_worlds, dtype):
+    """A condition or bound target evaluated on every sampled world (one
+    that mentions no variable is the same in all of them)."""
+    out = np.asarray(node.evaluate_batch(arrays), dtype=dtype)
+    return np.full(n_worlds, out) if out.shape == () else out
+
+
+def _fold_worlds(table, bound_exprs, reducer, identity, empty_value, seed, n_worlds):
+    """Naive per-table semantics (Section IV-C): instantiate ``n_worlds``
+    sample worlds and fold each world's present rows with ``reducer``;
+    returns the per-world results."""
     variables = set(table.variables())
-    sampler = WorldSampler(base_seed=engine.base_seed)
+    sampler = WorldSampler(base_seed=seed)
     arrays = sampler.arrays(variables, n_worlds) if variables else {}
     accumulator = np.full(n_worlds, identity)
     any_present = np.zeros(n_worlds, dtype=bool)
     for row, bound in zip(table.rows, bound_exprs):
-        mask = np.asarray(row.condition.evaluate_batch(arrays))
-        if mask.shape == ():
-            mask = np.full(n_worlds, bool(mask))
+        mask = _per_world(row.condition, arrays, n_worlds, bool)
         if not mask.any():
             continue
-        values = np.asarray(bound.evaluate_batch(arrays), dtype=float)
-        if values.shape == ():
-            values = np.full(n_worlds, float(values))
+        values = _per_world(bound, arrays, n_worlds, float)
         accumulator = np.where(mask, reducer(accumulator, values), accumulator)
         any_present |= mask
-    results = np.where(any_present, accumulator, empty_value)
+    return np.where(any_present, accumulator, empty_value)
+
+
+def _aggregate_by_worlds(
+    table, bound_exprs, reducer, identity, empty_value, engine, n_worlds, label
+):
+    """The aggregate evaluated in parallel on ``n_worlds`` sampled worlds
+    and averaged (:func:`_fold_worlds`)."""
+    results = _fold_worlds(
+        table, bound_exprs, reducer, identity, empty_value, engine.base_seed, n_worlds
+    )
     return AggregateResult(
         float(results.mean()), len(table.rows), n_worlds, False, "worlds-" + label
     )
@@ -502,25 +533,14 @@ def expected_stddev(table, target, engine=None, n_worlds=1000):
     """
     engine = engine or ExpectationEngine()
     expr = _resolve_expr(table, target)
-    variables = set(table.variables())
-    sampler = WorldSampler(base_seed=engine.base_seed)
-    arrays = sampler.arrays(variables, n_worlds) if variables else {}
-    totals = np.zeros(n_worlds)
-    for row in table.rows:
-        bound = _bound(table, row, expr)
-        mask = np.asarray(row.condition.evaluate_batch(arrays))
-        if mask.shape == ():
-            mask = np.full(n_worlds, bool(mask))
-        values = np.asarray(bound.evaluate_batch(arrays), dtype=float)
-        if values.shape == ():
-            values = np.full(n_worlds, float(values))
-        totals += np.where(mask, values, 0.0)
+    bound = [_bound(table, row, expr) for row in table.rows]
+    totals = _fold_worlds(table, bound, np.add, 0.0, 0.0, engine.base_seed, n_worlds)
     return AggregateResult(
         float(totals.std()), len(table.rows), n_worlds, False, "worlds-stddev"
     )
 
 
-def expected_sum_hist(table, target, n, engine=None, seed=None, options=None):
+def expected_sum_hist(table, target, n=1000, engine=None, seed=None, options=None):
     """``expected_sum_hist``: per-sample sums across the table.
 
     Returns an ndarray of ``n`` sampled values of Σ h(t)·χφ — row samples
@@ -555,42 +575,84 @@ def expected_sum_hist(table, target, n, engine=None, seed=None, options=None):
     return totals
 
 
-def expected_max_hist(table, target, n, engine=None, seed=None, options=None):
+def expected_max_hist(table, target, n=1000, engine=None, seed=None, options=None):
     """``expected_max_hist``: sampled values of the table-wide max."""
     engine = engine or ExpectationEngine()
     expr = _resolve_expr(table, target)
-    variables = set(table.variables())
-    sampler = WorldSampler(base_seed=engine.base_seed if seed is None else seed)
-    arrays = sampler.arrays(variables, n) if variables else {}
-    best = np.full(n, -math.inf)
-    any_present = np.zeros(n, dtype=bool)
-    for row in table.rows:
-        bound = _bound(table, row, expr)
-        mask = np.asarray(row.condition.evaluate_batch(arrays))
-        if mask.shape == ():
-            mask = np.full(n, bool(mask))
-        values = np.asarray(bound.evaluate_batch(arrays), dtype=float)
-        if values.shape == ():
-            values = np.full(n, float(values))
-        best = np.where(mask, np.fmax(best, values), best)
-        any_present |= mask
-    return np.where(any_present, best, 0.0)
+    bound = [_bound(table, row, expr) for row in table.rows]
+    seed = engine.base_seed if seed is None else seed
+    return _fold_worlds(table, bound, np.fmax, -math.inf, 0.0, seed, n)
 
 
 # ---------------------------------------------------------------------------
-# Grouped aggregates
+# The aggregate vocabulary and GROUP BY
 # ---------------------------------------------------------------------------
 
-_GROUPED = {
-    "expected_sum": expected_sum,
-    "expected_count": lambda table, target, **kw: expected_count(table, **kw),
-    "expected_avg": expected_avg,
-    "expected_max": expected_max,
-    "expected_min": expected_min,
-    "expected_stddev": lambda table, target, engine=None, options=None, **kw: (
-        expected_stddev(table, target, engine=engine, **kw)
+_MEAN = (True, True)  # per row: E[target | φ] with P[φ]
+_CONF = (False, False)  # per row: P[φ] alone
+
+#: Every per-table aggregate, by its SQL name: the function that computes
+#: it over one (sub-)table — called ``fn(table, target, engine=…,
+#: options=…, **kwargs)`` — and the per-row engine loops it runs, in
+#: order, which is what a statement batches for the pool.  Aggregates
+#: whose sampling bypasses the bank (``*_hist``, the world-parallel ones)
+#: or whose early exit makes a prefetch speculative (``expected_max`` /
+#: ``expected_min``) declare none.
+AGGREGATES = {
+    "expected_sum": (expected_sum, (_MEAN,)),
+    "expected_count": (lambda table, target, **kw: expected_count(table, **kw), (_CONF,)),
+    "expected_avg": (expected_avg, (_MEAN, _CONF)),
+    "expected_max": (expected_max, ()),
+    "expected_min": (expected_min, ()),
+    "expected_stddev": (
+        lambda table, target, engine=None, options=None, **kw: (
+            expected_stddev(table, target, engine=engine, **kw)
+        ),
+        (),
     ),
+    "expected_sum_hist": (expected_sum_hist, ()),
+    "expected_max_hist": (expected_max_hist, ()),
 }
+
+
+def aggregate_results(table, specs, group_columns=None, engine=None, options=None, **kwargs):
+    """Every ``(aggregate, target)`` of ``specs`` over every group of
+    ``table``: ``[(key, [result, …]), …]`` in first-seen key order, one
+    :class:`AggregateResult` (a sample array for ``*_hist``) per spec.
+
+    ``group_columns`` of ``None`` is the ungrouped statement: one group
+    with key ``()``, even over an empty table.  The whole statement —
+    every group's and every spec's rows, in the order the loops touch
+    them — goes to the worker pool as one batch; :func:`grouped_aggregate`
+    and the plan executor's ``Aggregate`` node both run exactly this.
+    """
+    try:
+        calls = [AGGREGATES[kind] + (target,) for kind, target in specs]
+    except KeyError as unknown:
+        raise PIPError(
+            "unknown aggregate %s (one of %s)" % (unknown, ", ".join(sorted(AGGREGATES)))
+        ) from None
+    parts = [((), table)] if group_columns is None else partition(table, group_columns)
+    # scale_by_rows resizes n_samples per partition, which one batch cannot
+    # mirror — those calls prefetch per partition instead.
+    if engine is not None and not kwargs.get("scale_by_rows"):
+        passes = (
+            (sub, _resolve_expr(sub, target) if reads_target else None, want)
+            for _key, sub in parts
+            for _fn, loops, target in calls
+            for reads_target, want in loops
+        )
+        options = _prefetch(engine, options, passes)
+    return [
+        (
+            key,
+            [
+                fn(sub, target, engine=engine, options=options, **kwargs)
+                for fn, _loops, target in calls
+            ],
+        )
+        for key, sub in parts
+    ]
 
 
 def grouped_aggregate(table, group_columns, aggregate, target, engine=None, options=None, **kwargs):
@@ -601,28 +663,13 @@ def grouped_aggregate(table, group_columns, aggregate, target, engine=None, opti
     (Section II-C) — and PIP creates as many samples as each group needs,
     which is the crux of the Figure 7(a) accuracy win.
     """
-    if aggregate not in _GROUPED:
-        raise PIPError(
-            "unknown grouped aggregate %r (one of %s)"
-            % (aggregate, ", ".join(sorted(_GROUPED)))
-        )
-    fn = _GROUPED[aggregate]
+    groups = aggregate_results(
+        table, [(aggregate, target)], group_columns, engine, options, **kwargs
+    )
     schema = [
         table.schema.columns[table.schema.index_of(c)] for c in group_columns
     ] + [(aggregate, "float")]
     out = CTable(schema, name=table.name)
-    parts = list(partition(table, group_columns))
-    # Statement-level fan-out: one group-by query's partitions are all
-    # independent sampling units, so their bundles materialise across the
-    # worker pool in one batch rather than partition by partition.  The
-    # per-partition prefetch inside ``fn`` then finds everything warm.
-    # scale_by_rows resizes n_samples per partition, which the batch
-    # planner cannot mirror — those calls prefetch per partition instead.
-    if engine is not None and not kwargs.get("scale_by_rows"):
-        prefetch_aggregate_tasks(
-            [sub for _key, sub in parts], [(aggregate, target)], engine, options
-        )
-    for key, sub_table in parts:
-        result = fn(sub_table, target, engine=engine, options=options, **kwargs)
-        out.rows.append(CTRow(key + (result.value,)))
+    for key, (result,) in groups:
+        out.rows.append(CTRow(key + (getattr(result, "value", result),)))
     return out

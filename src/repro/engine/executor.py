@@ -20,7 +20,6 @@ from repro.columnar import ops as cops
 from repro.ctables import algebra
 from repro.ctables.table import CTable, CTRow
 from repro.core import operators as ops
-from repro.sampling.confidence import conf as _conf
 from repro.engine import plan as P
 from repro.engine.results import ExecContext, normal_interval
 from repro.engine.rewriter import to_dnf
@@ -520,7 +519,12 @@ def _apply_project(db, table, items):
     return out
 
 
-# -- row-level operators -----------------------------------------------------------
+# -- sampling operators -------------------------------------------------------------
+#
+# The loops, their pool batch and the operator vocabulary live in
+# :mod:`repro.core.operators`; a node here runs its child, asks for the
+# per-row / per-group results, and turns them into an output table and the
+# cells' estimate metadata.
 
 
 def _execute_row_ops(db, plan, context):
@@ -532,135 +536,58 @@ def _execute_row_ops(db, plan, context):
     if plan.star:
         base_items.extend(table.schema.names)
     base_items.extend(plan.base_items)
+    working = algebra.project(table, base_items) if base_items else table
 
-    working = table
-    if base_items:
-        working = algebra.project(working, base_items)
+    kinds = [spec.kind for spec in plan.ops]
+    for kind in kinds:
+        if kind not in ops.ROW_OPERATORS:
+            raise PlanError("unknown row operator %r" % (kind,))
+    if "aconf" in kinds:
+        # aconf implies distinct-coalescing (the planner lets no other
+        # row operator share its SELECT); delegate to the dedicated
+        # operator over the projected rows.
+        name = plan.ops[kinds.index("aconf")].name
+        out = ops.aconf_distinct(
+            working, engine=db.engine, options=db.options, column_name=name
+        )
+        # Coalescing re-keys the rows: no child estimate survives into
+        # the distinct output.
+        del context.estimates[mark:]
+        for i in range(len(out.rows)):
+            context.record(name, i, "aconf", None, None)
+        return out
 
-    # Statement-level parallel prefetch: every row x spec pair below is an
-    # independent sampling unit, so the whole statement's missing bank
-    # bundles materialise across the worker pool in one batch, in the
-    # serial loops' touch order (spec-major).  No-op when parallel workers
-    # are disabled.
-    if db.engine.prefetch_enabled(db.options):
-        tasks = []
-        for spec in plan.ops:
-            if spec.kind == "conf":
-                tasks.extend((None, row.condition, False) for row in working.rows)
-            elif spec.kind == "expectation":
-                tasks.extend(
-                    (
-                        spec.expr.bind_columns(table.row_mapping(table.rows[i])),
-                        working.rows[i].condition,
-                        False,
-                    )
-                    for i in range(len(working.rows))
-                )
-            elif spec.kind == "aconf":
-                # The spec loop below returns at aconf, discarding later
-                # specs — sampling for them here would be pure waste.
-                break
-        if tasks:
-            db.engine.prefetch(tasks, options=db.options)
-
-    strip_conditions = False
-    extra_columns = []
-    extra_values_per_row = [[] for _ in working.rows]
-    for spec in plan.ops:
-        name = spec.name
-        if spec.kind == "conf":
-            strip_conditions = True
-            for i, row in enumerate(working.rows):
-                result = _conf(row.condition, engine=db.engine, options=db.options)
-                extra_values_per_row[i].append(result.probability)
-                # ConfidenceResult carries no draw count; record None
-                # rather than guessing (the aconf path does the same).
-                context.record(
-                    name,
-                    i,
-                    "exact" if result.exact else "monte-carlo",
-                    0 if result.exact else None,
-                    result.exact,
-                )
-            extra_columns.append((name, "float"))
-        elif spec.kind == "aconf":
-            # aconf implies distinct-coalescing; delegate to the dedicated
-            # operator over the *original* table.
-            out = ops.aconf_distinct(
-                algebra.project(table, base_items) if base_items else table,
-                engine=db.engine,
-                options=db.options,
-                column_name=name,
+    # Targets bind against the child's rows: the base projection may have
+    # dropped or renamed the columns they read.
+    results = ops.row_results(
+        table,
+        [(spec.expr if spec.kind == "expectation" else None, False) for spec in plan.ops],
+        engine=db.engine,
+        options=db.options,
+    )
+    columns = []
+    for spec, column in zip(plan.ops, results):
+        is_conf = spec.kind == "conf"
+        for i, result in enumerate(column):
+            exact = result.exact if is_conf else result.exact_mean
+            # ConfidenceResult carries no draw count; record None rather
+            # than guessing (the aconf path does the same).
+            n_samples = (0 if exact else None) if is_conf else result.n_samples
+            interval = None
+            if not (is_conf or exact):
+                interval = normal_interval(result.mean, result.stderr)
+            context.record(
+                spec.name, i, "exact" if exact else "monte-carlo", n_samples, exact, interval
             )
-            # Coalescing re-keys the rows: neither child estimates nor
-            # those of earlier row-op specs survive into the distinct
-            # output.
-            del context.estimates[mark:]
-            for i in range(len(out.rows)):
-                context.record(name, i, "aconf", None, None)
-            return out
-        elif spec.kind == "expectation":
-            for i, row in enumerate(working.rows):
-                bound = spec.expr.bind_columns(table.row_mapping(table.rows[i]))
-                result = db.engine.expectation(
-                    bound, row.condition, options=db.options
-                )
-                extra_values_per_row[i].append(result.mean)
-                context.record(
-                    name,
-                    i,
-                    "exact" if result.exact_mean else "monte-carlo",
-                    result.n_samples,
-                    result.exact_mean,
-                    None
-                    if result.exact_mean
-                    else normal_interval(result.mean, result.stderr),
-                )
-            extra_columns.append((name, "float"))
-        else:
-            raise PlanError("unknown row operator %r" % (spec.kind,))
-
-    schema = list(working.schema.columns) + extra_columns
-    out = CTable(schema, name=table.name)
-    for i, row in enumerate(working.rows):
-        values = row.values + tuple(extra_values_per_row[i])
-        if strip_conditions:
-            out.rows.append(CTRow(values))
-        else:
-            out.rows.append(CTRow(values, row.condition))
+        columns.append(
+            (spec.name, [r.probability if is_conf else r.mean for r in column])
+        )
+    out = ops.append_columns(working, columns, keep_conditions="conf" not in kinds)
     # Rows stayed 1:1 with the child's, but the base projection may have
     # dropped or renamed the column a child estimate describes.
     if base_items:
         _retarget_estimates_through_projection(context, mark, child_end, base_items)
     return out
-
-
-# -- aggregates ---------------------------------------------------------------------
-
-
-_AGG_DISPATCH = {
-    "expected_sum": lambda db, t, e: ops.expected_sum(
-        t, e, engine=db.engine, options=db.options
-    ),
-    "expected_count": lambda db, t, e: ops.expected_count(
-        t, engine=db.engine, options=db.options
-    ),
-    "expected_avg": lambda db, t, e: ops.expected_avg(
-        t, e, engine=db.engine, options=db.options
-    ),
-    "expected_max": lambda db, t, e: ops.expected_max(
-        t, e, engine=db.engine, options=db.options
-    ),
-    "expected_min": lambda db, t, e: ops.expected_min(
-        t, e, engine=db.engine, options=db.options
-    ),
-    "expected_sum_hist": lambda db, t, e, n=1000: ops.expected_sum_hist(
-        t, e, n, engine=db.engine, options=db.options
-    ),
-    "expected_max_hist": lambda db, t, e, n=1000: ops.expected_max_hist(
-        t, e, n, engine=db.engine, options=db.options
-    ),
-}
 
 
 def _execute_aggregate(db, plan, context):
@@ -669,50 +596,25 @@ def _execute_aggregate(db, plan, context):
     # Aggregation collapses rows: child estimates can't be attributed to
     # the (grouped) output.
     del context.estimates[mark:]
-    group_columns = list(plan.group_by)
-
-    def compute(sub_table, row_index):
-        row = []
-        for spec in plan.specs:
-            result = _AGG_DISPATCH[spec.kind](db, sub_table, spec.expr)
-            if isinstance(result, ops.AggregateResult):
-                context.record(
-                    spec.name,
-                    row_index,
-                    result.method,
-                    result.n_samples,
-                    result.exact,
-                )
-                row.append(result.value)
-            else:
-                row.append(result)  # hist aggregates return sample arrays
-        return row
-
-    # Statement-level parallel prefetch: all partitions' per-row sampling
-    # fans out across the worker pool in one batch (no-op when parallel
-    # workers are disabled); the serial loop below then runs warm.
-    if group_columns:
-        parts = algebra.partition(table, group_columns)
-    else:
-        parts = [(None, table)]
-    if db.engine.prefetch_enabled(db.options):
-        ops.prefetch_aggregate_tasks(
-            [sub for _key, sub in parts],
-            [(spec.kind, spec.expr) for spec in plan.specs],
-            db.engine,
-            db.options,
-        )
-
-    if not group_columns:
-        schema = [(spec.name, "any") for spec in plan.specs]
-        out = CTable(schema, name=table.name)
-        out.rows.append(CTRow(tuple(compute(table, 0))))
-        return out
-
+    groups = ops.aggregate_results(
+        table,
+        [(spec.kind, spec.expr) for spec in plan.specs],
+        list(plan.group_by) or None,
+        engine=db.engine,
+        options=db.options,
+    )
     schema = [
-        table.schema.columns[table.schema.index_of(c)] for c in group_columns
+        table.schema.columns[table.schema.index_of(c)] for c in plan.group_by
     ] + [(spec.name, "any") for spec in plan.specs]
     out = CTable(schema, name=table.name)
-    for index, (key, sub_table) in enumerate(parts):
-        out.rows.append(CTRow(key + tuple(compute(sub_table, index))))
+    for index, (key, results) in enumerate(groups):
+        for spec, result in zip(plan.specs, results):
+            if isinstance(result, ops.AggregateResult):
+                context.record(
+                    spec.name, index, result.method, result.n_samples, result.exact
+                )
+        # hist aggregates return sample arrays, which are their own cells
+        out.rows.append(
+            CTRow(key + tuple(getattr(result, "value", result) for result in results))
+        )
     return out

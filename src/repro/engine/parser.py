@@ -15,12 +15,14 @@ Supported statements::
 Targets may use the probability-removing functions ``conf()``, ``aconf()``,
 ``expectation(e)``, ``expected_sum(e)``, ``expected_count(*)``,
 ``expected_avg(e)``, ``expected_max(e)``, ``expected_min(e)``,
-``expected_sum_hist(e)``, ``expected_max_hist(e)``; scalar expressions may
+``expected_stddev(e)``, ``expected_sum_hist(e)``, ``expected_max_hist(e)``
+(the vocabulary of :mod:`repro.core.operators`); scalar expressions may
 call ``create_variable('dist', p…)`` (alias ``pip_var``) plus the usual
 math functions.  WHERE conditions are arbitrary AND/OR/NOT combinations of
 comparisons; the rewriter normalises them to DNF.
 """
 
+from repro.core.operators import AGGREGATES, ROW_OPERATORS
 from repro.engine.lexer import (
     EOF,
     IDENT,
@@ -60,20 +62,9 @@ from repro.symbolic.expression import (
 )
 from repro.util.errors import ParseError
 
-AGGREGATE_FUNCTIONS = frozenset(
-    {
-        "conf",
-        "aconf",
-        "expectation",
-        "expected_sum",
-        "expected_count",
-        "expected_avg",
-        "expected_max",
-        "expected_min",
-        "expected_sum_hist",
-        "expected_max_hist",
-    }
-)
+#: Every probability-removing operator a SELECT target may name: the one
+#: vocabulary of :mod:`repro.core.operators`.
+AGGREGATE_FUNCTIONS = frozenset(ROW_OPERATORS) | frozenset(AGGREGATES)
 
 SCALAR_FUNCTIONS = frozenset(
     {"exp", "log", "sqrt", "abs", "floor", "ceil", "least", "greatest"}
@@ -331,7 +322,7 @@ class Parser:
             aggregate = token.value.lower()
             self.advance()
             self.expect(PUNCT, "(")
-            if aggregate in ("conf", "aconf"):
+            if not ROW_OPERATORS.get(aggregate, True):  # takes no argument
                 self.expect(PUNCT, ")")
             elif self.accept(OP, "*"):
                 self.expect(PUNCT, ")")

@@ -18,24 +18,9 @@ remains of the rewrite is:
   paper's Postgres extension enforces.
 """
 
+from repro.core.operators import AGGREGATES, ROW_OPERATORS
 from repro.engine.sqlast import BoolExpr, SelectItem
 from repro.util.errors import PlanError
-
-#: Row-level probability-removing operators (per-row semantics).
-ROW_OPERATORS = frozenset({"conf", "aconf", "expectation"})
-
-#: Per-table aggregates (table-wide sampling semantics).
-TABLE_AGGREGATES = frozenset(
-    {
-        "expected_sum",
-        "expected_count",
-        "expected_avg",
-        "expected_max",
-        "expected_min",
-        "expected_sum_hist",
-        "expected_max_hist",
-    }
-)
 
 #: Combinatorial guard: WHERE clauses normalising to more disjuncts than
 #: this abort rather than silently exploding the plan.
@@ -124,9 +109,9 @@ def classify_targets(items):
         if item.expr is None and item.aggregate is None:
             star = True
             continue
-        if item.aggregate in ROW_OPERATORS:
+        if item.aggregate in ROW_OPERATORS:  # per-row semantics
             row_ops.append((index, item))
-        elif item.aggregate in TABLE_AGGREGATES:
+        elif item.aggregate in AGGREGATES:  # table-wide sampling semantics
             aggregates.append((index, item))
         elif item.aggregate is not None:
             raise PlanError("unknown aggregate %r" % (item.aggregate,))

@@ -15,9 +15,8 @@ from repro.util.errors import PlanError
 class SelectItem:
     """One SELECT target: expression + optional alias + aggregate tag.
 
-    ``aggregate`` is None for plain expressions, or one of
-    ``expected_sum/expected_count/expected_avg/expected_max/expected_min/
-    conf/aconf/expectation/expected_sum_hist/expected_max_hist`` — the
+    ``aggregate`` is None for plain expressions, or a name from
+    :mod:`repro.core.operators`' ``ROW_OPERATORS`` / ``AGGREGATES`` — the
     probability-removing functions of Section V-A.
     """
 

@@ -161,67 +161,28 @@ class ExpectationEngine:
         options = self._per_call_options(options, seed)
         expr = as_expression(expr)
         rng = self._lazy_rng(seed, "expectation", expr, condition)
-
-        if condition.is_false:
+        parts = self._decompose(expr, condition, options)
+        if parts is None:
             return _nan_result(0.0 if want_probability else None)
-
-        expr_vars = expr.variables()
-        consistency, groups = self._plan(condition, expr_vars)
-        if consistency.is_inconsistent:
-            # Strong proofs and measure-zero conditions alike: the row
-            # exists with probability zero, so the expectation is NAN.
-            return _nan_result(0.0 if want_probability else None)
-        if not options.use_independence and groups:
-            groups = self._merge_groups(groups)
-
-        expr_keys = frozenset(v.key for v in expr_vars)
-        sampled_groups = []
-        prob_only_groups = []
-        methods = {}
-        for group in groups:
-            if group.variable_keys & expr_keys:
-                sampled_groups.append(group)
-            elif group.atoms:
-                prob_only_groups.append(group)
-            # unconstrained groups without expression variables contribute
-            # nothing to either the mean or the probability.
+        consistency, groups, sampled_groups, exact = parts
 
         # -- mean --------------------------------------------------------
+        methods = {}
+        stats = None
+        samplers = {}
         if not sampled_groups:
-            # Expression is constant given the condition's consistency.
-            if expr.is_constant:
-                mean = float(expr.const_value())
-                stats = None
-                exact_mean = True
-                n_used = 0
-            else:
-                raise PIPError(
-                    "expression %r has variables but no sampling group" % (expr,)
-                )
+            mean = _constant_value(expr)
+        elif exact is not None:
+            mean, tag = exact
+            for group in sampled_groups:
+                methods[_group_tag(group)] = tag
         else:
-            exact = self._try_exact_linear(expr, sampled_groups, options)
-            tag = "exact-linear"
-            if exact is None:
-                exact = self._try_exact_truncated(
-                    expr, sampled_groups, consistency, options
-                )
-                tag = "exact-truncated"
-            if exact is not None:
-                mean = exact
-                stats = None
-                exact_mean = True
-                n_used = 0
-                for group in sampled_groups:
-                    methods[_group_tag(group)] = tag
-            else:
-                outcome = self._sample_mean(
-                    expr, condition, sampled_groups, consistency, rng, options, methods
-                )
-                if outcome is None:
-                    return _nan_result(0.0 if want_probability else None, methods)
-                mean, stats, samplers = outcome
-                exact_mean = False
-                n_used = stats.count
+            outcome = self._sample_mean(
+                expr, condition, sampled_groups, consistency, rng, options, methods
+            )
+            if outcome is None:
+                return _nan_result(0.0 if want_probability else None, methods)
+            mean, stats, samplers = outcome
 
         # -- probability ----------------------------------------------------
         probability = None
@@ -229,18 +190,17 @@ class ExpectationEngine:
         if want_probability:
             probability = 1.0
             exact_probability = True
-            all_prob_groups = [g for g in groups if g.atoms]
-            sampler_by_group = {}
-            if not exact_mean and sampled_groups and stats is not None:
-                sampler_by_group = {id(g): s for g, s in samplers.items()}
-            for group in all_prob_groups:
+            for group in groups:
+                if not group.atoms:
+                    # Unconstrained: contributes nothing to the probability.
+                    continue
                 p_group, exact_group = self._group_probability(
                     group,
                     condition,
                     consistency,
                     rng,
                     options,
-                    existing_sampler=sampler_by_group.get(id(group)),
+                    existing_sampler=samplers.get(group),
                     methods=methods,
                 )
                 probability *= p_group
@@ -248,24 +208,14 @@ class ExpectationEngine:
             if probability == 0.0:
                 return _nan_result(0.0, methods)
 
-        if stats is None:
-            return ExpectationResult(
-                mean,
-                probability=probability,
-                n_samples=0,
-                stderr=0.0,
-                variance=0.0,
-                exact_mean=exact_mean,
-                exact_probability=exact_probability,
-                methods=methods,
-            )
+        sampled = stats is not None
         return ExpectationResult(
             mean,
             probability=probability,
-            n_samples=n_used,
-            stderr=stats.stderr,
-            variance=stats.variance,
-            exact_mean=False,
+            n_samples=stats.count if sampled else 0,
+            stderr=stats.stderr if sampled else 0.0,
+            variance=stats.variance if sampled else 0.0,
+            exact_mean=not sampled,
             exact_probability=exact_probability,
             methods=methods,
         )
@@ -274,22 +224,15 @@ class ExpectationEngine:
         """P[condition] — the paper's ``conf()``.  Returns (value, exact)."""
         options = self._per_call_options(options, seed)
         rng = self._lazy_rng(seed, "conf", None, condition)
-        if condition.is_false:
+        parts = self._decompose(None, condition, options)
+        if parts is None:
             return 0.0, True
-        if condition.is_true:
-            return 1.0, True
-        consistency, groups = self._plan(condition, ())
-        if consistency.is_inconsistent:
-            return 0.0, True
-        groups = [g for g in groups if g.atoms]
-        if not options.use_independence and groups:
-            groups = self._merge_groups(groups)
+        consistency, groups, _sampled_groups, _exact = parts
         probability = 1.0
         exact = True
-        methods = {}
         for group in groups:
             p_group, exact_group = self._group_probability(
-                group, condition, consistency, rng, options, methods=methods
+                group, condition, consistency, rng, options
             )
             probability *= p_group
             exact = exact and exact_group
@@ -306,26 +249,59 @@ class ExpectationEngine:
         options = self._per_call_options(options, seed).replace(n_samples=n)
         expr = as_expression(expr)
         rng = self._lazy_rng(seed, "hist", expr, condition)
+        parts = self._decompose(expr, condition, options)
+        if parts is None:
+            return None
+        consistency, _groups, sampled_groups, _exact = parts
+        if not sampled_groups:
+            return np.full(n, _constant_value(expr))
+        samplers = self._samplers(sampled_groups, condition, consistency, rng, options)
+        arrays = self._draw(samplers, n, {})
+        if arrays is None:
+            return None
+        return np.asarray(expr.evaluate_batch(arrays), dtype=float).reshape(-1)
+
+    def _decompose(self, expr, condition, options):
+        """The front half of every call: what is integrated, and how.
+
+        ``None`` when the context is unsatisfiable — FALSE, a strong proof
+        or a measure-zero condition alike: the row exists with probability
+        zero, so its expectation is NAN.  Otherwise ``(consistency, groups,
+        sampled_groups, exact)``: the condition's independent groups (one
+        joint group under the ``use_independence=False`` ablation; those
+        with atoms carry the probability), the groups whose draws ``expr``
+        reads (``expr`` is ``None`` for ``conf``), and ``(mean, tag)`` when
+        a closed form answers the mean without sampling.
+
+        Every entry point and the dry run behind :meth:`prefetch` start
+        here, so a batch prefetches the groups its calls go on to sample.
+        """
         if condition.is_false:
             return None
-        expr_vars = expr.variables()
+        if expr is None and condition.is_true:
+            return None, (), (), None
+        expr_vars = expr.variables() if expr is not None else ()
         consistency, groups = self._plan(condition, expr_vars)
         if consistency.is_inconsistent:
             return None
+        if not options.use_independence and groups:
+            groups = self._merge_groups(groups)
         expr_keys = frozenset(v.key for v in expr_vars)
-        sampled_groups = [g for g in groups if g.variable_keys & expr_keys]
-        if not sampled_groups:
-            if expr.is_constant:
-                return np.full(n, float(expr.const_value()))
-            raise PIPError("expression %r has no sampling group" % (expr,))
-        arrays = {}
-        for group in sampled_groups:
-            sampler = self._make_sampler(group, condition, consistency, rng, options)
-            result = sampler.sample(n)
-            if result.impossible:
-                return None
-            arrays.update(result.arrays)
-        return np.asarray(expr.evaluate_batch(arrays), dtype=float).reshape(-1)
+        sampled_groups = []
+        if expr_keys:
+            sampled_groups = [g for g in groups if g.variable_keys & expr_keys]
+        exact = None
+        if sampled_groups:
+            mean = self._try_exact_linear(expr, sampled_groups, options)
+            tag = "exact-linear"
+            if mean is None:
+                mean = self._try_exact_truncated(
+                    expr, sampled_groups, consistency, options
+                )
+                tag = "exact-truncated"
+            if mean is not None:
+                exact = (mean, tag)
+        return consistency, groups, sampled_groups, exact
 
     # -- parallel prefetch ---------------------------------------------------------
 
@@ -349,13 +325,14 @@ class ExpectationEngine:
 
         ``tasks`` is an iterable of ``(expr, condition, want_probability)``
         triples — ``expr`` may be ``None`` for probability-only calls
-        (``conf``).  For each task this mirrors, without executing, the
-        branching of :meth:`expectation` / :meth:`probability`: groups that
-        an exact shortcut would handle are skipped, sampled groups get
+        (``conf``).  Each task is decomposed exactly as the call itself
+        will be (:meth:`_decompose`), without executing: groups that an
+        exact shortcut would handle are skipped, sampled groups get
         *fill* jobs sized like the serial first request, and inexact
         probability groups get *attempt-floor* jobs.  Jobs are planned in
-        task order (the serial touch order) and handed to the scheduler;
-        returns the number of bundles materialised.
+        task order (the serial touch order), the first job for a bundle
+        wins, and the batch is handed to the scheduler; returns the number
+        of bundles materialised.
 
         The subsequent serial calls then find every bundle warm — results
         are bit-identical to a serial run because each bundle is a pure
@@ -368,93 +345,51 @@ class ExpectationEngine:
         # groups would be evicted before the serial loop reads them,
         # doubling their sampling cost instead of parallelising it.
         limit = self.bank.prefetch_limit
-        jobs = []
-        seen = set()
+        jobs = {}
         for expr, condition, want_probability in tasks:
             if len(jobs) >= limit:
                 break
             try:
-                self._plan_prefetch(
-                    expr, condition, want_probability, options, jobs, seen
-                )
+                for job in self._first_jobs(expr, condition, want_probability, options):
+                    jobs.setdefault(job.key, job)
             except PIPError:
                 # The serial call will surface the real error with full
                 # context; prefetch must never mask or pre-empt it.
                 continue
         if not jobs:
             return 0
-        return self.scheduler.prefetch(jobs[:limit], options)
+        return self.scheduler.prefetch(list(jobs.values())[:limit], options)
 
-    def _plan_prefetch(self, expr, condition, want_probability, options, jobs, seen):
-        """Append the jobs one serial call would materialise first."""
-        if condition.is_false or (expr is None and condition.is_true):
-            return
-        expr_vars = ()
+    def _first_jobs(self, expr, condition, want_probability, options):
+        """The jobs one serial call would materialise first, in its order."""
         if expr is not None:
             expr = as_expression(expr)
-            expr_vars = expr.variables()
-        consistency, groups = self._plan(condition, expr_vars)
-        if consistency.is_inconsistent:
+        parts = self._decompose(expr, condition, options)
+        if parts is None:
             return
-
-        if expr is None:
-            # conf(): probability-only over every constrained group.
-            groups = [g for g in groups if g.atoms]
-            if not options.use_independence and groups:
-                groups = self._merge_groups(groups)
-            for group in groups:
-                self._plan_prob_job(group, condition, consistency, options, jobs, seen)
+        consistency, groups, sampled_groups, exact = parts
+        if exact is not None:
+            sampled_groups = ()
+        for group in sampled_groups:
+            job = self.bank.plan_group_job(
+                group, condition, consistency, options, fill_n=_first_round(options)
+            )
+            if job is not None:
+                yield job
+        if not (want_probability or expr is None):
             return
-
-        if not options.use_independence and groups:
-            groups = self._merge_groups(groups)
-        expr_keys = frozenset(v.key for v in expr_vars)
-        sampled_groups = [g for g in groups if g.variable_keys & expr_keys]
-
-        mean_sampled = False
-        if sampled_groups:
-            exact = self._try_exact_linear(expr, sampled_groups, options)
-            if exact is None:
-                exact = self._try_exact_truncated(
-                    expr, sampled_groups, consistency, options
+        for group in groups:
+            # A sampled group's probability comes free with the mean
+            # fill's rejection bookkeeping (Algorithm 4.3 line 29).
+            if not group.atoms or group in sampled_groups:
+                continue
+            if self._exact_group_probability(group, condition, consistency, options) is None:
+                job = self.bank.plan_group_job(
+                    group, condition, consistency, options,
+                    min_attempts=_attempt_floor(options),
                 )
-            if exact is None:
-                mean_sampled = True
-                round_size = options.n_samples or max(options.min_samples, 128)
-                for group in sampled_groups:
-                    self._plan_fill_job(
-                        group, condition, consistency, options, round_size, jobs, seen
-                    )
-
-        if want_probability:
-            for group in groups:
-                if not group.atoms:
-                    continue
-                if mean_sampled and group in sampled_groups:
-                    # The mean fill's rejection bookkeeping yields the
-                    # probability for free (Algorithm 4.3 line 29).
-                    continue
-                self._plan_prob_job(group, condition, consistency, options, jobs, seen)
-
-    def _plan_fill_job(self, group, condition, consistency, options, round_size, jobs, seen):
-        job = self.bank.plan_group_job(
-            group, condition, consistency, options, fill_n=round_size
-        )
-        if job is not None and job.key not in seen:
-            seen.add(job.key)
-            jobs.append(job)
-
-    def _plan_prob_job(self, group, condition, consistency, options, jobs, seen):
-        if options.use_exact_probability and not isinstance(condition, Disjunction):
-            if self._exact_group_probability(group, consistency) is not None:
-                return
-        minimum = max(4 * options.batch_size, 4096)
-        job = self.bank.plan_group_job(
-            group, condition, consistency, options, min_attempts=minimum
-        )
-        if job is not None and job.key not in seen:
-            seen.add(job.key)
-            jobs.append(job)
+                if job is not None:
+                    yield job
 
     # -- internals ----------------------------------------------------------------
 
@@ -569,6 +504,26 @@ class ExpectationEngine:
             rng(),
             options,
         )
+
+    def _samplers(self, groups, condition, consistency, rng, options):
+        return {
+            group: self._make_sampler(group, condition, consistency, rng, options)
+            for group in groups
+        }
+
+    def _draw(self, samplers, n, methods):
+        """``n`` joint conditional draws — each group's arrays, zipped
+        column-wise — or None when some group is impossible."""
+        arrays = {}
+        for group, sampler in samplers.items():
+            result = sampler.sample(n)
+            if result.impossible:
+                return None
+            arrays.update(result.arrays)
+            methods[_group_tag(group)] = (
+                "metropolis" if result.used_metropolis else _sampling_tag(sampler)
+            )
+        return arrays
 
     def _try_exact_linear(self, expr, sampled_groups, options):
         """Closed-form mean for affine expressions over *unconstrained*
@@ -702,30 +657,15 @@ class ExpectationEngine:
         Returns ``(mean, stats, samplers_by_group)`` or None when some
         group is impossible.
         """
-        samplers = {}
-        for group in sampled_groups:
-            samplers[group] = self._make_sampler(
-                group, condition, consistency, rng, options
-            )
-
+        samplers = self._samplers(sampled_groups, condition, consistency, rng, options)
         stats = RunningStats()
         fixed_n = options.n_samples
         target = None if fixed_n else z_for_confidence(options.epsilon)
-        round_size = fixed_n or max(options.min_samples, 128)
+        round_size = _first_round(options)
 
         while True:
-            arrays = {}
-            impossible = False
-            for group, sampler in samplers.items():
-                result = sampler.sample(round_size)
-                if result.impossible:
-                    impossible = True
-                    break
-                arrays.update(result.arrays)
-                methods[_group_tag(group)] = (
-                    "metropolis" if result.used_metropolis else _sampling_tag(sampler)
-                )
-            if impossible:
+            arrays = self._draw(samplers, round_size, methods)
+            if arrays is None:
                 return None
             values = np.asarray(expr.evaluate_batch(arrays), dtype=float).reshape(-1)
             if values.shape == (1,) and round_size > 1:
@@ -762,11 +702,10 @@ class ExpectationEngine:
         sampler's acceptance bookkeeping (Algorithm 4.3 lines 29-35)."""
         methods = methods if methods is not None else {}
         tag = _group_tag(group)
-        if options.use_exact_probability and not isinstance(condition, Disjunction):
-            exact = self._exact_group_probability(group, consistency)
-            if exact is not None:
-                methods[tag + ":prob"] = "exact-cdf"
-                return exact, True
+        exact = self._exact_group_probability(group, condition, consistency, options)
+        if exact is not None:
+            methods[tag + ":prob"] = "exact-cdf"
+            return exact, True
         sampler = existing_sampler
         if sampler is None or not sampler.can_estimate_probability:
             # Metropolis provides no rate: re-integrate without it (line 34).
@@ -785,18 +724,19 @@ class ExpectationEngine:
             else None
         )
         if estimate is None:
-            minimum = max(4 * options.batch_size, 4096)
-            estimate = sampler.estimate_probability(minimum)
+            estimate = sampler.estimate_probability(_attempt_floor(options))
         methods[tag + ":prob"] = "sampled"
         return estimate, False
 
-    def _exact_group_probability(self, group, consistency):
-        """Exact P[K] for single-variable groups.
+    def _exact_group_probability(self, group, condition, consistency, options):
+        """Exact P[K] for single-variable groups of a conjunction, or None.
 
         Continuous: all atoms linear in the one variable — the satisfying
         set is exactly the tightened interval, integrable with two CDF
         evaluations.  Discrete: enumerate the (finite/truncated) domain.
         """
+        if not options.use_exact_probability or isinstance(condition, Disjunction):
+            return None
         if len(group.variables) != 1:
             return None
         variable = group.variables[0]
@@ -821,6 +761,23 @@ class ExpectationEngine:
             return None
         interval = consistency.bound_for(variable.key)
         return dist.probability_in(params, interval)
+
+
+def _constant_value(expr):
+    """The float an expression with no sampling group folds to."""
+    if not expr.is_constant:
+        raise PIPError("expression %r has variables but no sampling group" % (expr,))
+    return float(expr.const_value())
+
+
+def _first_round(options):
+    """Draws the first sampling round of a mean asks each group for."""
+    return options.n_samples or max(options.min_samples, 128)
+
+
+def _attempt_floor(options):
+    """Trials a standalone probability estimate drives a group to."""
+    return max(4 * options.batch_size, 4096)
 
 
 def _group_tag(group):

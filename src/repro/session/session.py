@@ -84,36 +84,38 @@ class Cursor:
             elif isinstance(template, P.InsertRows):
                 total += len(template.rows)
                 counted = True
-        self._rows = []
-        self._position = 0
-        self._description = None
-        self._rowcount = total if counted else -1
-        self.result = None
+        self._reset(total if counted else -1)
         return self
 
     def _install(self, out, plan):
         from repro.engine import plan as P
         from repro.engine.results import ResultSet
 
+        if isinstance(out, ResultSet):
+            self._reset(result=out)
+        elif isinstance(out, int):
+            self._reset(out)  # DELETE / UPDATE affected-row count
+        elif isinstance(plan, P.InsertRows):
+            self._reset(len(plan.rows))
+        else:
+            self._reset()
+        return self
+
+    def _reset(self, rowcount=-1, result=None):
+        """Forget the last statement; install ``result`` (a ResultSet), or
+        just the affected-row count of a statement that returned none."""
         self._rows = []
         self._position = 0
         self._description = None
-        self._rowcount = -1
-        self.result = None
-        if isinstance(out, ResultSet):
-            self.result = out
-            self._rows = out.rows()
+        self._rowcount = rowcount
+        self.result = result
+        if result is not None:
+            self._rows = result.rows()
             self._rowcount = len(self._rows)
-            table = out.to_ctable()
             self._description = [
                 (column.name, column.ctype, None, None, None, None, None)
-                for column in table.schema.columns
+                for column in result.schema.columns
             ]
-        elif isinstance(out, int):
-            self._rowcount = out  # DELETE / UPDATE affected-row count
-        elif isinstance(plan, P.InsertRows):
-            self._rowcount = len(plan.rows)
-        return self
 
     # -- fetching ------------------------------------------------------------------
 
@@ -167,7 +169,7 @@ class Cursor:
 
     def __repr__(self):
         state = "closed" if self._closed else "%d rows" % (len(self._rows),)
-        return "<Cursor (%s)>" % (state,)
+        return "<%s (%s)>" % (type(self).__name__, state)
 
 
 class SessionStatement:

@@ -150,6 +150,25 @@ class TestBuilder:
         ny = result.rows[0]
         assert ny.values[-2] == pytest.approx(7 + 5.0, rel=0.1)  # memoryless
 
+    def test_expectation_with_confidence_is_the_sql_statement(self, db):
+        """``with_confidence`` is probability-removing, as ``conf()`` is:
+        the builder and SQL return the same deterministic rows."""
+        built = (
+            db.query("shipping")
+            .where(col("duration") >= 7)
+            .expectation(col("duration") * col("duration"), with_confidence=True)
+        )
+        sql = db.sql(
+            "SELECT dest, duration, expectation(duration * duration) AS expectation,"
+            " conf() AS conf FROM shipping WHERE duration >= 7"
+        ).to_ctable()
+        assert built.schema.names == sql.schema.names
+        assert len(built.rows) == len(sql.rows) == 2
+        for ours, theirs in zip(built.rows, sql.rows):
+            assert ours.values == theirs.values
+            assert ours.condition is theirs.condition
+            assert ours.condition.is_true
+
     def test_group_by_terminal(self, db):
         table = db.query("orders").group_by("cust").expected_sum("price")
         values = {row.values[0]: row.values[1] for row in table.rows}

@@ -228,6 +228,22 @@ class TestMethodTags:
         result = merged_engine.expectation(var(x) + var(y), condition)
         assert len(result.methods) == 1  # one joint group
 
+    def test_merged_groups_ablation_reaches_sample_expression(self, factory):
+        """The ``*_hist`` entry point decomposes as the other two do: under
+        the ablation it draws the one joint group, and so shares its bundle
+        with ``expectation`` instead of sampling each variable apart."""
+        x = factory.create("normal", (0.0, 1.0))
+        y = factory.create("normal", (0.0, 1.0))
+        condition = conjunction_of(var(x) > 0.0, var(y) > 0.0)
+        options = SamplingOptions(n_samples=500, use_independence=False)
+        bank = SampleBank.from_options(options, base_seed=0)
+        merged_engine = ExpectationEngine(options=options, bank=bank)
+        samples = merged_engine.sample_expression(var(x) + var(y), condition, 300)
+        assert samples.shape == (300,) and samples.min() > 0.0
+        assert bank.stats()["entries"] == 1
+        merged_engine.expectation(var(x) + var(y), condition)
+        assert bank.stats()["entries"] == 1 and bank.stats()["hits"] == 1
+
 
 class TestSampleExpression:
     def test_histogram_samples(self, factory, engine):

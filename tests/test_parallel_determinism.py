@@ -17,7 +17,10 @@ states.  These tests pin that contract on the paper's workload shapes:
   for (``docs/performance.md``, "Job plane");
 
 each cold (fresh bank) and warm (second run over the same bank), plus the
-bank-stats invariants and the pool plumbing units.
+bank-stats invariants and the pool plumbing units — and the seam itself:
+every fluent terminal against its SQL statement (same cells, same bank
+counters, serial and pooled), and a statement dry-planned for the pool no
+more often than it goes on to sample.
 """
 
 import math
@@ -294,6 +297,152 @@ def test_mixed_deterministic_and_symbolic_rows_bit_identical():
     assert dispatched and all(len(batch) <= n_symbolic for batch in dispatched)
     assert len({key for batch in dispatched for key in batch}) == n_symbolic
     assert serial_stats["entries"] == n_symbolic
+
+
+# ---------------------------------------------------------------------------
+# One road: fluent terminals and SQL statements run the same loops
+# ---------------------------------------------------------------------------
+
+
+def _grouped_copy(db, build, name="w"):
+    """``build``'s rows under three repeating group keys, registered."""
+    symbolic = build(db, 12)
+    table = CTable([("k", "int"), ("v", "any")], name=name)
+    for i, row in enumerate(symbolic.rows):
+        table.add_row((i % 3, row.values[1]), row.condition)
+    db.register(name, table)
+    return table
+
+
+def _cells(table):
+    return [
+        tuple(float(v).hex() if isinstance(v, float) else repr(v) for v in row.values)
+        + (repr(row.condition),)
+        for row in table.rows
+    ]
+
+
+_ROW_TERMINALS = [
+    ("conf", lambda q: q.conf(), "SELECT *, conf() AS conf FROM w"),
+    ("aconf", lambda q: q.aconf(), "SELECT *, aconf() AS aconf FROM w"),
+    (
+        "expectation",
+        lambda q: q.expectation("v"),
+        "SELECT *, expectation(v) AS expectation FROM w",
+    ),
+    (
+        "expectation+conf",
+        lambda q: q.expectation("v", with_confidence=True),
+        "SELECT *, expectation(v) AS expectation, conf() AS conf FROM w",
+    ),
+]
+_AGGREGATE_NAMES = [
+    "expected_sum", "expected_count", "expected_avg", "expected_max", "expected_min",
+]
+
+
+def _terminals():
+    for name, fluent, sql in _ROW_TERMINALS:
+        yield name, fluent, sql
+    for name in _AGGREGATE_NAMES:
+        args = () if name == "expected_count" else ("v",)
+        yield (
+            name,
+            lambda q, name=name, args=args: getattr(q, name)(*args),
+            "SELECT %s(%s) AS x FROM w" % (name, "v" if args else "*"),
+        )
+        yield (
+            name + "-grouped",
+            lambda q, name=name, args=args: getattr(q.group_by("k"), name)(*args),
+            "SELECT k, %s(%s) AS x FROM w GROUP BY k" % (name, "v" if args else "*"),
+        )
+
+
+@pytest.mark.parametrize(
+    "terminal,build",
+    [
+        pytest.param(terminal, build, id="%s-%s" % (terminal[0], shape))
+        for terminal in _terminals()
+        for shape, build in (("fig6", _fig6_workload), ("fig7", _fig7_workload))
+        # One engine call with want_probability reads P off the mean's
+        # rejection bookkeeping where SQL's separate conf() drives the
+        # trial count to its floor: the same cell only where P is exact.
+        if (terminal[0], shape) != ("expectation+conf", "fig7")
+    ],
+)
+def test_fluent_terminal_is_the_sql_statement(terminal, build):
+    """Every terminal, through the builder and through SQL, serial and
+    with two workers: the same cells and the same bank counters."""
+    _name, fluent, sql = terminal
+
+    def run(workers, use_sql):
+        db = PIPDatabase(seed=31, options=_options(workers))
+        _grouped_copy(db, build)
+        out = db.sql(sql).to_ctable() if use_sql else fluent(db.query("w"))
+        if isinstance(out, ops.AggregateResult):  # an ungrouped fluent aggregate
+            cells = [(float(out.value).hex(), "TRUE")]
+        else:
+            cells = _cells(out)
+        stats = db.sample_bank.stats()
+        db.close()
+        return cells, [stats[key] for key in STRICT_STATS]
+
+    reference = run(0, use_sql=False)
+    for workers in (0, 2):
+        assert run(workers, use_sql=True) == reference, workers
+    assert run(2, use_sql=False) == reference
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT k, expected_avg(v) AS x FROM w GROUP BY k",
+        "SELECT k, expectation(v) AS e, conf() AS p FROM w",
+    ],
+    ids=["grouped-avg", "expectation-conf"],
+)
+def test_a_statement_is_dry_planned_once(sql):
+    """Counted from outside: the tasks a statement hands the pool never
+    exceed the engine calls it goes on to make (32 rows: 64 and 64; the
+    grouped average used to hand over 128, over nine batches)."""
+
+    def run(workers):
+        db = PIPDatabase(seed=37, options=_options(workers, n_samples=200))
+        _grouped_copy(db, lambda db, _n: _fig7_workload(db, n_suppliers=32))
+        counts = {"dry": 0, "batches": 0, "calls": 0}
+        engine = db.engine
+        prefetch, expectation, probability = (
+            engine.prefetch, engine.expectation, engine.probability
+        )
+
+        def counting_prefetch(tasks, options=None):
+            tasks = list(tasks)
+            counts["dry"] += len(tasks)
+            counts["batches"] += 1
+            return prefetch(tasks, options=options)
+
+        def counting_expectation(*args, **kwargs):
+            counts["calls"] += 1
+            return expectation(*args, **kwargs)
+
+        def counting_probability(*args, **kwargs):
+            counts["calls"] += 1
+            return probability(*args, **kwargs)
+
+        engine.prefetch = counting_prefetch
+        engine.expectation = counting_expectation
+        engine.probability = counting_probability
+        rows = db.sql(sql).rows()
+        stats = db.sample_bank.stats()
+        db.close()
+        return rows, [stats[key] for key in STRICT_STATS], counts
+
+    serial_rows, serial_stats, serial_counts = run(0)
+    rows, stats, counts = run(2)
+    assert rows == serial_rows and stats == serial_stats
+    assert serial_counts == {"dry": 0, "batches": 0, "calls": 64}
+    assert counts["calls"] == 64 and counts["batches"] == 1
+    assert 0 < counts["dry"] <= counts["calls"]
 
 
 # ---------------------------------------------------------------------------
