@@ -36,6 +36,19 @@ from repro.symbolic.expression import Expression
 #: Deterministic rows per chunk (zone map / Bloom granularity).
 DEFAULT_CHUNK = 4096
 
+#: Ints up to here are float64-exact, and no ``+ - *`` tree over at most
+#: ``MAX_LEAVES`` of them outgrows a float (``2**(53 * 19) < 2**1024``):
+#: Python raises OverflowError when a larger int meets a float.
+SMALL_INT = 2**53
+MAX_LEAVES = 19
+
+
+def plain_number(value):
+    """A ``float`` or an ``int`` within ±:data:`SMALL_INT` — exact types,
+    so no bool, NumPy scalar or subclass with arithmetic of its own."""
+    kind = type(value)
+    return kind is float or (kind is int and -SMALL_INT <= value <= SMALL_INT)
+
 
 def _invalidate_store(table, _row):
     """CTable watcher hook: any mutation drops the cached column store."""
@@ -82,6 +95,7 @@ class ColumnStore:
         "_objects",
         "_det_clean",
         "_numeric",
+        "_total",
         "_zones",
         "_blooms",
     )
@@ -103,6 +117,7 @@ class ColumnStore:
         self._objects = {}
         self._det_clean = {}
         self._numeric = {}
+        self._total = {}
         self._zones = {}
         self._blooms = {}
 
@@ -222,6 +237,21 @@ class ColumnStore:
         result = (np.asarray(floats, dtype=np.float64), all_float)
         self._numeric[index] = result
         return result
+
+    def total(self, name):
+        """Whether binding and deciding a ``+ - *`` comparison over column
+        ``name`` can be skipped unseen on the deterministic partition: the
+        name resolves and every cell is a :func:`plain_number` or an
+        expression carrying a variable (its atom is never evaluated) —
+        no string, bool, ``None`` or variable-free expression to raise on."""
+        index = self.resolve(name)
+        if index is not None and index not in self._total:
+            self._total[index] = all(
+                plain_number(cell)
+                or (isinstance(cell, Expression) and bool(cell.variables()))
+                for cell in (row.values[index] for row in self.det_rows)
+            )
+        return self._total.get(index, False)
 
     # -- chunks / pruning --------------------------------------------------------
 

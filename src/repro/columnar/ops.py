@@ -13,8 +13,13 @@ purely to protect bit-identity:
   vectorize (ZeroDivision/complex semantics stay on the row path).
 * ``= <>`` additionally work over object columns of any type — NumPy
   object arrays apply Python ``==`` elementwise, which never raises.
-* Any unsupported atom falls the **whole conjunction** back, preserving
-  the row path's per-row short-circuit error behaviour.
+* An atom whose *shape* cannot compile (``/``, ``^``, functions, free
+  variables) sends the **whole conjunction** to the row path; one that
+  only the column *contents* refuse is **residual** — bound on the rows
+  the others' mask keeps, provided nothing skipped could have raised: it
+  stands after every mask atom, or :func:`_cannot_raise`.  Otherwise,
+  and when a row the split binds does raise, the conjunction falls back
+  whole (``docs/columnar.md``, "The fallback rule").
 
 Finding rows costs what it finds, not what the table holds:
 :func:`scan_mask` compiles a conjunction and scans the unpruned chunks
@@ -24,9 +29,9 @@ that looks for rows — ``Filter`` and ``Join`` through
 :func:`candidate_rows` — turns ``np.flatnonzero(mask)`` into table
 positions through the store's ``positions()`` and touches only those rows.
 Mixed tables split per row: deterministic rows (condition TRUE) take the
-mask, symbolic-remainder rows run the exact ``algebra.select`` row body
-one by one, and the two ascending halves merge on row index — so output
-order is the row path's order, row for row.
+mask and then the residual, symbolic-remainder rows run the exact
+``algebra.select`` row body one by one, and the two ascending halves
+merge on row index — so output order is the row path's order, row for row.
 """
 
 import operator
@@ -37,7 +42,7 @@ from repro.columnar import columns as C
 from repro.ctables import algebra
 from repro.ctables.schema import Schema
 from repro.ctables.table import CTable, CTRow
-from repro.symbolic.conditions import conjoin
+from repro.symbolic.conditions import conjoin, conjunction_of
 from repro.symbolic.expression import (
     BinOp,
     ColumnTerm,
@@ -287,24 +292,20 @@ def _compile_atom(atom, store):
 # ---------------------------------------------------------------------------
 
 
-def scan_mask(db, table, atoms, context=None):
-    """``(store, mask)`` for one conjunction of ``atoms`` over ``table`` —
-    ``mask[p]`` says whether the ``p``-th row of the store's deterministic
-    partition satisfies every atom — or ``None`` when any atom cannot
-    vectorize.  The one way SELECT, JOIN, UPDATE and DELETE find rows.
-    No store is built for a conjunction whose shape cannot compile."""
+def _compile(table, atoms):
+    """``(store, [compiled atom, or None where the column contents refuse])``
+    — or ``None``, before any store is built, when a shape cannot compile."""
     if not all(map(atom_statically_vectorizable, atoms)):
         return None
     store = C.store_for(table)
     if store is None:
         return None
-    compiled = []
-    for atom in atoms:
-        entry = _compile_atom(atom, store)
-        if entry is None:
-            return None
-        compiled.append(entry)
+    return store, [_compile_atom(atom, store) for atom in atoms]
 
+
+def _scan(db, store, compiled, context):
+    """The mask of the deterministic rows every ``compiled`` atom keeps:
+    zone/Bloom pruning per chunk, then one pass over the chunks left."""
     n_det = len(store.det_rows)
     mask = np.ones(n_det, dtype=bool)
     scanned = pruned_zone = pruned_bloom = 0
@@ -347,39 +348,88 @@ def scan_mask(db, table, atoms, context=None):
     telemetry = getattr(db, "telemetry", None)
     if telemetry is not None and (scanned or pruned_zone or pruned_bloom):
         telemetry.on_columnar_scan(scanned, pruned_zone, pruned_bloom)
-    return store, mask
+    return mask
+
+
+def scan_mask(db, table, atoms, context=None):
+    """``(store, mask)`` for one conjunction of ``atoms`` over ``table`` —
+    ``mask[p]`` says whether the ``p``-th row of the store's deterministic
+    partition satisfies every atom — or ``None`` when any atom cannot
+    vectorize.  The one way SELECT, JOIN, UPDATE and DELETE find rows."""
+    found = _compile(table, atoms)
+    if found is None or None in found[1]:
+        return None
+    store, compiled = found
+    return store, _scan(db, store, compiled, context)
+
+
+def _leaves(expr):
+    if isinstance(expr, BinOp):
+        return _leaves(expr.left) + _leaves(expr.right)
+    return _leaves(expr.operand) if isinstance(expr, UnaryOp) else [expr]
+
+
+def _cannot_raise(atom, store):
+    """Whether binding and deciding ``atom`` (its shape passed: ``+ - *``)
+    raises on no deterministic row: names resolve, what gets evaluated is
+    plain numbers, and too few of them for an int to outgrow a float."""
+    leaves = _leaves(atom.lhs) + _leaves(atom.rhs)
+    return len(leaves) <= C.MAX_LEAVES and all(
+        C.plain_number(leaf.value)
+        if isinstance(leaf, Constant)
+        else store.total(leaf.name)
+        for leaf in leaves
+    )
 
 
 def select_vectorized(db, table, atoms, condition, context=None):
-    """One conjunction of ``atoms`` over ``table``, or ``None`` when any
-    atom cannot vectorize.  ``condition`` is the row path's
-    ``conjunction_of(*atoms)`` — the symbolic remainder binds it exactly
-    as ``algebra.select`` would, and a deterministic row that passes the
-    mask keeps its own condition object (``conjoin(φ, TRUE) is φ``)."""
-    scanned = scan_mask(db, table, atoms, context)
-    if scanned is None:
+    """One conjunction of ``atoms`` over ``table``, or ``None`` when the
+    row path must run it whole (module docstring: the fallback rule).
+    ``condition`` is the row path's ``conjunction_of(*atoms)`` — the
+    symbolic remainder binds it exactly as ``algebra.select`` would; a
+    deterministic row the mask keeps binds only the residual atoms, and
+    keeps its own condition object when they all decide true.  Whatever
+    raises here, the row path raises at that row or an earlier one."""
+    found = _compile(table, atoms)
+    if found is None:
         return None
-    store, mask = scanned
+    store, compiled = found
+    last_mask = max((j for j, e in enumerate(compiled) if e is not None), default=0)
+    for atom, entry in zip(atoms[:last_mask], compiled):
+        if entry is None and not _cannot_raise(atom, store):
+            return None
+    residual = [atom for atom, entry in zip(atoms, compiled) if entry is None]
+    mask = _scan(db, store, [e for e in compiled if e is not None], context)
     rows = table.rows
-    det_index, sym_index = store.positions()
-    hits = det_index[np.flatnonzero(mask)]
-    # conjoin(φ, TRUE-bound) returns φ itself on the row path.
-    out_rows = [
-        CTRow(row.values, row.condition)
-        for row in map(rows.__getitem__, hits.tolist())
-    ]
-    survivors = []
-    for i in sym_index.tolist():
-        row = rows[i]
-        bound = condition.bind_columns(table.row_mapping(row))
-        combined = conjoin(row.condition, bound)
-        if not combined.is_false:
-            survivors.append(i)
-            out_rows.append(CTRow(row.values, combined))
-    if survivors:
+    det_index, remainder = store.positions()
+    kept = det_index[np.flatnonzero(mask)].tolist()
+    passes = [(remainder.tolist(), condition)]
+    if residual:
+        passes.insert(0, (kept, conjunction_of(*residual)))
+        kept, out_rows = [], []
+    else:
+        out_rows = [
+            CTRow(row.values, row.condition) for row in map(rows.__getitem__, kept)
+        ]
+    try:
+        for indices, predicate in passes:
+            for i in indices:
+                row = rows[i]
+                bound = predicate.bind_columns(table.row_mapping(row))
+                if predicate is condition:
+                    bound = conjoin(row.condition, bound)
+                elif bound.is_true:
+                    bound = row.condition  # as conjoin(φ, TRUE) is φ
+                if not bound.is_false:
+                    kept.append(i)
+                    out_rows.append(CTRow(row.values, bound))
+    except Exception:
+        return None
+    if context is not None:
+        context.rows_bound += sum(len(indices) for indices, _ in passes)
+    if len(remainder):
         # Both halves ascend by row index; merging on it is table order.
-        order = np.argsort(np.concatenate((hits, survivors)))
-        out_rows = [out_rows[j] for j in order.tolist()]
+        out_rows = [out_rows[j] for j in np.argsort(kept).tolist()]
     return table.with_rows(out_rows)
 
 

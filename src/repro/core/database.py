@@ -38,7 +38,7 @@ from repro.samplebank import SampleBank
 from repro.sampling.expectation import ExpectationEngine
 from repro.sampling.options import SamplingOptions
 from repro.storage import records
-from repro.symbolic.conditions import Condition, TRUE, conjunction_of
+from repro.symbolic.conditions import Condition, TRUE, conjunction_at
 from repro.symbolic.expression import Expression, var
 from repro.symbolic.variables import VariableFactory
 from repro.util.errors import PlanError, SchemaError, SessionError, StorageError
@@ -763,8 +763,10 @@ class PIPDatabase:
         still goes through :meth:`_predicate_matches`, which owns the
         verdict and the undecided-predicate error."""
         candidates = None
-        if self.columnar and where is not None and not callable(where):
-            candidates = candidate_rows(self, table, where)
+        if where is not None and not callable(where):
+            if self.columnar:
+                candidates = candidate_rows(self, table, where)
+            where = list(where)  # each disjunct's conjunction, once built
         if candidates is None:
             candidates = range(len(table.rows))
         rows = table.rows
@@ -782,8 +784,8 @@ class PIPDatabase:
             return bool(where(table.row_mapping(row)))
         mapping = table.row_mapping(row)
         undecided = None
-        for atoms in where:
-            bound = conjunction_of(*atoms).bind_columns(mapping)
+        for position in range(len(where)):
+            bound = conjunction_at(where, position).bind_columns(mapping)
             if bound.is_true:
                 # One true disjunct decides the whole OR; later (or
                 # earlier) symbolic disjuncts cannot retract it.

@@ -24,7 +24,7 @@ from repro.engine import plan as P
 from repro.engine.results import ExecContext, normal_interval
 from repro.engine.rewriter import to_dnf
 from repro.engine.sqlast import VarCreateTerm, contains_var_create, map_expr_tree
-from repro.symbolic.conditions import conjunction_of
+from repro.symbolic.conditions import conjunction_at, conjunction_of
 from repro.symbolic.expression import ColumnTerm, Expression, VarTerm
 from repro.util.errors import PlanError, SchemaError
 
@@ -141,11 +141,7 @@ def _execute_relational(db, plan, context):
         counters.misses,
         counters.topups,
     )
-    chunks_before = (
-        context.chunks_scanned,
-        context.chunks_pruned_zone,
-        context.chunks_pruned_bloom,
-    )
+    chunks_before = context.scan_counts()
     start = perf_counter()
     if traced:
         with telemetry.tracer.span(
@@ -161,11 +157,9 @@ def _execute_relational(db, plan, context):
             len(out.rows),
             counters,
             before,
-            chunks=(
-                context.chunks_scanned - chunks_before[0],
-                context.chunks_pruned_zone - chunks_before[1],
-                context.chunks_pruned_bloom - chunks_before[2],
-            ),
+            chunks=[
+                now - was for now, was in zip(context.scan_counts(), chunks_before)
+            ],
         )
     return out
 
@@ -384,16 +378,18 @@ def _apply_filter(db, table, plan, context):
 
 
 def _select_conjunction(db, table, atoms, context):
-    """σ of one conjunction: the mask-driven selection when the database
-    is columnar and every atom vectorizes.  ``select_vectorized`` returns
-    None when an atom's shape or the actual column contents can't be
-    compared bit-identically, and the whole conjunction then takes the
-    row path (preserving its per-row error short-circuits)."""
+    """σ of one conjunction: on a columnar database the atoms that compare
+    bit-identically as arrays mask the deterministic rows and the rest is
+    bound only on the rows the mask keeps.  ``select_vectorized`` returns
+    None when an atom's shape cannot compile, when skipping a row could
+    skip an error or when a row did raise, and the whole conjunction then
+    takes the row path (which owns the per-row error short-circuits)."""
     condition = conjunction_of(*atoms)
     if getattr(db, "columnar", False):
         out = cops.select_vectorized(db, table, atoms, condition, context)
         if out is not None:
             return out
+    context.rows_bound += len(table.rows)
     return algebra.select(table, condition)
 
 
@@ -405,13 +401,13 @@ def _apply_having(result, having):
     plain filter over the result rows.  A predicate that fails to decide
     (e.g. referencing a still-symbolic column) is an error.
     """
-    disjuncts = to_dnf(having)
+    disjuncts = list(to_dnf(having))
     kept = []
     for row in result.rows:
         mapping = result.row_mapping(row)
         satisfied = False
-        for atoms in disjuncts:
-            bound = conjunction_of(*atoms).bind_columns(mapping)
+        for position in range(len(disjuncts)):
+            bound = conjunction_at(disjuncts, position).bind_columns(mapping)
             if bound.is_true:
                 satisfied = True
                 break

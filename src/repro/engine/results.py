@@ -73,6 +73,7 @@ class OpStats:
         "chunks_scanned",
         "chunks_pruned_zone",
         "chunks_pruned_bloom",
+        "rows_bound",
     )
 
     def __init__(self):
@@ -87,6 +88,7 @@ class OpStats:
         self.chunks_scanned = 0
         self.chunks_pruned_zone = 0
         self.chunks_pruned_bloom = 0
+        self.rows_bound = 0
 
     def render(self):
         """The ``(actual: ...)`` annotation for one EXPLAIN ANALYZE line."""
@@ -103,14 +105,15 @@ class OpStats:
                 "bank hits=%d misses=%d topups=%d"
                 % (self.bank_hits, self.bank_misses, self.bank_topups)
             )
-        if self.chunks_scanned or self.chunks_pruned_zone or self.chunks_pruned_bloom:
+        scan = (
+            self.chunks_scanned,
+            self.chunks_pruned_zone,
+            self.chunks_pruned_bloom,
+            self.rows_bound,
+        )
+        if any(scan):
             parts.append(
-                "chunks scanned=%d pruned_zone=%d pruned_bloom=%d"
-                % (
-                    self.chunks_scanned,
-                    self.chunks_pruned_zone,
-                    self.chunks_pruned_bloom,
-                )
+                "chunks scanned=%d pruned_zone=%d pruned_bloom=%d rows bound=%d" % scan
             )
         return " ".join(parts)
 
@@ -129,13 +132,13 @@ class PlanProfile:
     def __init__(self):
         self.stats = {}
 
-    def record(self, node, wall, rows, counters, before, chunks=(0, 0, 0)):
+    def record(self, node, wall, rows, counters, before, chunks=(0, 0, 0, 0)):
         """Fold one node execution in.  ``counters`` is the live
         :class:`~repro.samplebank.bank.BankStats`; ``before`` its
         ``(samples_drawn, samples_served, hits, misses, topups)`` snapshot
         from just before the node ran.  ``chunks`` is the columnar scan
-        delta ``(scanned, pruned_zone, pruned_bloom)`` — inclusive of
-        children, like every other counter here."""
+        delta ``(scanned, pruned_zone, pruned_bloom, rows_bound)`` —
+        inclusive of children, like every other counter here."""
         entry = self.stats.get(id(node))
         if entry is None:
             entry = self.stats[id(node)] = OpStats()
@@ -150,6 +153,7 @@ class PlanProfile:
         entry.chunks_scanned += chunks[0]
         entry.chunks_pruned_zone += chunks[1]
         entry.chunks_pruned_bloom += chunks[2]
+        entry.rows_bound += chunks[3]
 
     def lookup(self, node):
         return self.stats.get(id(node))
@@ -230,16 +234,26 @@ class ExecContext:
         "chunks_scanned",
         "chunks_pruned_zone",
         "chunks_pruned_bloom",
+        "rows_bound",
     )
 
     def __init__(self):
         self.estimates = []
         self.profile = None
         # Columnar scan accounting (repro.columnar.ops.select_vectorized):
-        # chunks actually masked vs skipped by zone maps / Bloom filters.
+        # chunks masked vs pruned (zone maps / Bloom), rows σ bound a condition on.
         self.chunks_scanned = 0
         self.chunks_pruned_zone = 0
         self.chunks_pruned_bloom = 0
+        self.rows_bound = 0
+
+    def scan_counts(self):
+        return (
+            self.chunks_scanned,
+            self.chunks_pruned_zone,
+            self.chunks_pruned_bloom,
+            self.rows_bound,
+        )
 
     def record(self, column, row_index, method, n_samples, exact, interval=None):
         self.estimates.append(

@@ -135,8 +135,9 @@ class Conjunction(Condition):
         for atom in atoms:
             if not isinstance(atom, Atom):
                 raise PIPError("Conjunction expects Atom instances, got %r" % (atom,))
-            if atom.key() not in seen:
-                seen.add(atom.key())
+            key = atom.key()
+            if key not in seen:
+                seen.add(key)
                 unique.append(atom)
         object.__setattr__(self, "atoms", tuple(unique))
 
@@ -197,24 +198,14 @@ class Conjunction(Condition):
 
     def and_atom(self, atom):
         """Conjoin one atom, deciding it eagerly when deterministic."""
-        decided = atom.decided()
-        if decided is True:
-            return self
-        if decided is False:
-            return FALSE
-        return Conjunction(self.atoms + (atom,))
+        return _decide_atoms((atom,), self)
 
     def conjoin(self, other):
         """Conjoin with another condition (absorbing FALSE, distributing DNF)."""
         if isinstance(other, _FalseCondition):
             return FALSE
         if isinstance(other, Conjunction):
-            result = self
-            for atom in other.atoms:
-                result = result.and_atom(atom)
-                if result.is_false:
-                    return FALSE
-            return result
+            return _decide_atoms(other.atoms, self)
         if isinstance(other, Disjunction):
             return other.conjoin(self)
         raise PIPError("cannot conjoin with %r" % (other,))
@@ -235,17 +226,23 @@ class Conjunction(Condition):
         return _decide_atoms(atom.bind_columns(row) for atom in self.atoms)
 
 
-def _decide_atoms(atoms):
-    """Build a conjunction, deciding deterministic atoms eagerly."""
-    result = TRUE
-    for atom in atoms:
-        result = result.and_atom(atom)
-        if result.is_false:
-            return FALSE
-    return result
-
-
 TRUE = Conjunction(())
+
+
+def _decide_atoms(atoms, onto=TRUE):
+    """``onto`` AND ``atoms``, deciding deterministic atoms eagerly, left to
+    right (a false one ends the walk: a lazy ``atoms`` is read no further):
+    ``onto`` itself when all decide true, else one new conjunction."""
+    kept = []
+    for atom in atoms:
+        decided = atom.decided()
+        if decided is False:
+            return FALSE
+        if decided is None:
+            kept.append(atom)
+    if not kept:
+        return onto
+    return Conjunction(onto.atoms + tuple(kept))
 
 
 class Disjunction(Condition):
@@ -344,8 +341,6 @@ class Disjunction(Condition):
         """De Morgan then distribute back to DNF (exponential; small inputs)."""
         negated = [d.negate() for d in self.disjuncts]
         result = negated[0]
-        if isinstance(result, Conjunction):
-            pass
         for term in negated[1:]:
             if isinstance(result, _FalseCondition):
                 return FALSE
@@ -353,31 +348,24 @@ class Disjunction(Condition):
         return result
 
     def substitute(self, mapping):
-        new = [d.substitute(mapping) for d in self.disjuncts]
-        live = [d for d in new if not d.is_false]
-        if any(d.is_true for d in live):
-            return TRUE
-        if not live:
-            return FALSE
-        if len(live) == 1:
-            return live[0]
-        return Disjunction(live)
+        return disjoin([d.substitute(mapping) for d in self.disjuncts])
 
     def bind_columns(self, row):
-        new = [d.bind_columns(row) for d in self.disjuncts]
-        live = [d for d in new if not d.is_false]
-        if any(d.is_true for d in live):
-            return TRUE
-        if not live:
-            return FALSE
-        if len(live) == 1:
-            return live[0]
-        return Disjunction(live)
+        return disjoin([d.bind_columns(row) for d in self.disjuncts])
 
 
 def conjunction_of(*atoms):
     """Build a conjunction from atoms, deciding deterministic ones."""
     return _decide_atoms(atoms)
+
+
+def conjunction_at(disjuncts, position):
+    """``conjunction_of(*disjuncts[position])``, built on first use and left
+    in the list for the next row (a disjunct no row reaches never raises)."""
+    found = disjuncts[position]
+    if not isinstance(found, Condition):
+        found = disjuncts[position] = conjunction_of(*found)
+    return found
 
 
 def conjoin(first, second):

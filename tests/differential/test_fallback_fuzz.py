@@ -115,6 +115,121 @@ def test_filter_fuzz_tiny_chunks(table_name):
     assert vectorized_runs > 50  # the fuzz actually exercised the fast path
 
 
+def _seam_table():
+    """Deterministic rows carrying symbolic cells (``u`` always, ``m`` on
+    every third row), NaN / ±0.0 / huge-int cells, a column mixing numbers
+    and strings (``x``), and a symbolic-remainder row after every fourth."""
+    from repro.symbolic.expression import var
+
+    db = PIPDatabase(seed=13)
+    db.create_table(
+        "seam",
+        [("id", "int"), ("v", "float"), ("n", "any"), ("s", "str"),
+         ("u", "any"), ("m", "any"), ("x", "any")],
+    )
+    rng = random.Random(41)
+    for i in range(41):
+        y = var(db.create_variable("normal", (0.0, 1.0)))
+        v = rng.choice([float("nan"), -0.0, 0.0, round(rng.uniform(-9.0, 9.0), 2)])
+        n = rng.choice([0, rng.randint(-4, 4), 2**53 + 1, 10**400])
+        m = y * 2.0 if i % 3 == 0 else round(rng.uniform(-3.0, 3.0), 1)
+        x = "w" if i % 7 == 5 else rng.randint(0, 5)
+        values = (i, v, n, rng.choice(["x", "y"]), v + y, m, x)
+        if i % 5 == 4:
+            db.insert("seam", values, conjunction_of(Atom(y, ">", 0.25)))
+        else:
+            db.insert("seam", values)
+    return db
+
+
+_SEAM_ATOMS = {
+    "mask": [
+        Atom(col("id"), ">=", 7), Atom(col("id"), "<", 30),
+        Atom(col("v"), ">", -1.0), Atom(col("s"), "=", "y"), Atom(2.5, ">=", col("v")),
+    ],
+    "all_symbolic": [
+        Atom(col("u"), ">", 0.5), Atom(col("u") + col("v"), "<", 3.0),
+        Atom(col("u") * col("id"), ">", col("v")),
+    ],
+    "mixed_cells": [
+        Atom(col("m"), ">", 0.0), Atom(col("m") - 1.0, "<=", col("u")),
+        Atom(col("m"), "<>", col("v")),
+    ],
+    "raises": [
+        Atom(col("v") / col("n"), ">", 0.0), Atom(col("x"), "<", 3),
+        Atom(col("s"), ">=", 1.0), Atom(col("n") * 1.5, ">", 0.0),
+        Atom(col("nope"), "=", 1),
+    ],
+    "odd_constant": [
+        Atom(col("m"), "=", "y"), Atom(col("u"), "<", 2**53 + 1),
+        Atom(col("n"), "<", 2**53 + 1), Atom(col("m"), ">", "a"),
+    ],
+}
+
+
+@pytest.mark.parametrize("chunk_size", [None, 3])
+def test_mask_and_residual_seam_fuzz(chunk_size):
+    """Mask atoms beside atoms that must be bound row by row, in every
+    order: a table back means ``algebra.select``'s rows, order and
+    conditions; where the row path raises, ``None`` or the same error."""
+    import itertools
+
+    db = _seam_table()
+    table = db.tables["seam"]
+    C.store_for(table, chunk_size=chunk_size)
+    rng = random.Random(103)
+    kinds = sorted(_SEAM_ATOMS) + ["mask", "mask", "all_symbolic", "mixed_cells"]
+    split = whole = raised = 0
+    for _ in range(90):
+        drawn = [
+            rng.choice(_SEAM_ATOMS[rng.choice(kinds)])
+            for _a in range(rng.choice([2, 3, 3, 4]))
+        ]
+        for atoms in set(itertools.permutations(drawn)):
+            condition = conjunction_of(*atoms)
+            row_out = _run_select(lambda: algebra.select(table, condition))
+            try:
+                vec_table = cops.select_vectorized(db, table, list(atoms), condition)
+            except Exception as exc:
+                assert ("error", type(exc).__name__, str(exc)) == row_out, atoms
+                continue
+            raised += row_out[0] == "error"
+            if vec_table is None:
+                whole += 1
+                continue
+            split += 1
+            assert ("ok", _canon_table(vec_table)) == row_out, (
+                "divergence for %r" % (atoms,)
+            )
+    assert split > 200 and whole > 200 and raised > 100, (split, whole, raised)
+
+
+def test_int_product_that_outgrows_a_float_is_not_skipped():
+    """``k * k * … * 1.5`` over float64-exact ints raises OverflowError
+    once the int product passes the largest float: ahead of a mask atom
+    the split takes such a tree only while it is too small for that."""
+    import functools
+    import operator
+
+    db = PIPDatabase(seed=2)
+    db.sql("CREATE TABLE p (id int, k int)")
+    # Only rows the mask drops hold the large factor.
+    db.insert_many("p", [(i, 1 if i == 3 else 2**53) for i in range(6)])
+    table = db.tables["p"]
+    for factors, outcome in ((17, "ok"), (20, "error")):
+        product = functools.reduce(operator.mul, [col("k")] * factors)
+        atoms = [Atom(product * 1.5, ">", 0.0), Atom(col("id"), "=", 3)]
+        condition = conjunction_of(*atoms)
+        row_out = _run_select(lambda: algebra.select(table, condition))
+        assert row_out[0] == outcome
+        vec_table = cops.select_vectorized(db, table, atoms, condition)
+        if outcome == "ok":
+            assert ("ok", _canon_table(vec_table)) == row_out
+            assert [row.values[0] for row in vec_table.rows] == [3]
+        else:
+            assert row_out[1] == "OverflowError" and vec_table is None
+
+
 def test_unsupported_atom_falls_back_whole_conjunction():
     db = _mixed_db()
     table = db.tables["det"]
@@ -127,15 +242,17 @@ def test_unsupported_atom_falls_back_whole_conjunction():
     )
 
 
-def test_symbolic_cell_in_referenced_column_falls_back():
+def test_symbolic_cell_in_referenced_column_is_bound_not_compared():
     """An Expression cell makes the row path treat the atom as symbolic;
-    the column must refuse to vectorize rather than compare the object."""
+    the column must refuse to vectorize rather than compare the object,
+    and the atom is bound row by row as ``algebra.select`` binds it."""
     db = _mixed_db()
     table = db.tables["seeded"]  # u column holds expressions on det rows
     atoms = [Atom(col("u"), "=", 1.0)]
-    assert (
-        cops.select_vectorized(db, table, atoms, conjunction_of(*atoms)) is None
-    )
+    condition = conjunction_of(*atoms)
+    assert _canon_table(
+        cops.select_vectorized(db, table, atoms, condition)
+    ) == _canon_table(algebra.select(table, condition))
     store = C.store_for(table)
     assert store.det_objects(store.resolve("u")) is None
     assert store.numeric(store.resolve("u")) is None

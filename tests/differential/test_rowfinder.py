@@ -19,7 +19,9 @@ import pytest
 
 from repro import PIPDatabase
 from repro.columnar import columns as C
-from repro.symbolic.expression import Constant
+from repro.symbolic.atoms import Atom
+from repro.symbolic.conditions import conjunction_of
+from repro.symbolic.expression import Constant, var
 from repro.util.errors import PlanError, SchemaError
 
 from tests.differential.generator import canon_value
@@ -80,6 +82,22 @@ def _load(db, seed):
     )
     db.register("mixed", _interleaved(db.table("mixed")))
     db.register("symcell", db.sql("SELECT id, v, u FROM noisy"))
+    # Drawn after the older inputs, which stand: deterministic rows whose
+    # ``u`` is symbolic and whose ``m`` is on every third, between rows
+    # under symbolic conditions, with a number-or-string column ``x``.
+    db.create_table(
+        "blend", [("id", "int"), ("grp", "int"), ("v", "float"), ("u", "any"),
+                  ("m", "any"), ("x", "any")]
+    )
+    for i in range(N_DET // 2):
+        y = var(db.create_variable("normal", (0.0, 1.5)))
+        v = rng.choice([float("nan"), -0.0, round(rng.uniform(-30, 30), 2)])
+        m = y * 2.0 if i % 3 == 0 else round(rng.uniform(-3, 3), 1)
+        values = (i, rng.randint(0, 4), v, v + y, m, "w" if i % 7 == 5 else i % 4)
+        if i % 5 == 4:
+            db.insert("blend", values, conjunction_of(Atom(y, ">", 0.25)))
+        else:
+            db.insert("blend", values)
 
 
 def _interleaved(table):
@@ -153,6 +171,48 @@ def test_alias_and_join(seed, chunk):
         expected = _outcome(lambda: db_row.sql(query))
         assert expected[0] == "ok", (query, expected)
         assert _outcome(lambda: db_col.sql(query)) == expected, query
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mixed_where_and_on(seed, chunk):
+    """Deterministic atoms beside atoms over symbolic cells, in a WHERE
+    and in a join's ON, in either order — the mask keeps the rows, the
+    rest is bound on them — and beside atoms that raise on some rows,
+    where both executors fail alike or neither does."""
+    db_row, db_col = _pair(seed)
+    queries = []
+    for c in _constants(seed):
+        window = "id >= %d AND id < %d" % (abs(int(c)), abs(int(c)) + 9)
+        for symbolic in ("u > %s" % c, "u > v", "m > 0.5", "m - 1.0 <= u",
+                         "u * 2.0 + m < %s" % c, "m = 'oak'",
+                         "u < 9007199254740993"):
+            queries += [
+                "SELECT id, u FROM blend WHERE %s AND %s" % (symbolic, window),
+                "SELECT id, m FROM blend WHERE %s AND %s" % (window, symbolic),
+                "SELECT id FROM blend WHERE id >= 3 AND %s AND grp = 2" % symbolic,
+                "SELECT o.label, b.id FROM other o JOIN blend b"
+                " ON %s AND o.grp = b.grp WHERE b.id < 30"
+                % symbolic.replace("u", "b.u").replace("m ", "b.m ").replace(" v", " o.factor"),
+                "SELECT o.label, b.u FROM other o JOIN blend b"
+                " ON o.grp = b.grp AND b.id < 12 AND %s"
+                % symbolic.replace("u", "b.u").replace("m ", "b.m ").replace(" v", " b.v"),
+            ]
+        for raising in ("x < 3", "v / x > %s" % c, "u > nope", "x * 1.5 > %s" % c):
+            queries += [
+                "SELECT id FROM blend WHERE %s AND %s" % (raising, window),
+                "SELECT id FROM blend WHERE %s AND %s" % (window, raising),
+                "SELECT id FROM blend WHERE id = 5 AND %s" % raising,
+                "SELECT id FROM blend WHERE id = 4 AND %s" % raising,
+                "SELECT id FROM blend WHERE id = -1 AND %s" % raising,
+                "SELECT o.label FROM other o JOIN blend b ON o.grp = b.grp AND %s"
+                % raising.replace("x", "b.x").replace("u ", "b.u ").replace("v ", "b.v "),
+            ]
+    results = set()
+    for query in queries:
+        expected = _outcome(lambda: db_row.sql(query))
+        results.add(expected[0])
+        assert _outcome(lambda: db_col.sql(query)) == expected, query
+    assert results == {"ok", "error"}
 
 
 @pytest.mark.parametrize("seed", SEEDS[:1])

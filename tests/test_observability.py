@@ -344,6 +344,63 @@ def test_explain_analyze_does_not_change_later_results():
     db.close()
 
 
+def _monitoring_model(columnar=True):
+    """warm_monitoring's model: 8 regions x 24 sites, two Normals a row."""
+    db = PIPDatabase(
+        seed=5, options=SamplingOptions(n_samples=50), columnar=columnar
+    )
+    db.sql("CREATE TABLE sites (site int, region int, mu float)")
+    db.insert_many("sites", [(i, i % 8, 5.0 + i % 3) for i in range(192)])
+    db.register("model", db.sql(
+        "SELECT site, region, create_variable('normal', mu, 1.0) AS a,"
+        " create_variable('normal', mu, 2.0) AS b FROM sites"))
+    return db
+
+
+def test_explain_analyze_reads_rows_bound_by_a_mixed_where():
+    """σ binds a condition on the rows its deterministic atoms keep — 48 of
+    192 — and the Filter line says so; the row executor binds them all."""
+    query = ("EXPLAIN ANALYZE SELECT site, conf() FROM model"
+             " WHERE a > b AND region >= 2 AND region < 4")
+    for columnar, bound in ((True, 48), (False, 192)):
+        db = _monitoring_model(columnar)
+        assert len(db.table("model").rows) == 192
+        line = next(l for l in db.sql(query).splitlines() if "Filter" in l)
+        assert "rows=48 " in line
+        assert "rows bound=%d" % bound in line
+        db.close()
+
+
+def test_filter_constructs_one_conjunction_per_surviving_row(monkeypatch):
+    """Counted from outside: widening the window by 48 rows costs 48 more
+    ``Conjunction`` constructions, not 48 x (one per atom, and again)."""
+    from repro.symbolic.conditions import Conjunction
+
+    db = _monitoring_model()
+    statement = db.prepare(
+        "SELECT site, a FROM model WHERE a > b AND region >= :lo AND region < :hi"
+    )
+    statement.run(lo=0, hi=1).rows()  # plan, store and mask arrays exist
+    built = []
+    original = Conjunction.__init__
+
+    def counted(self, atoms=()):
+        built.append(1)
+        original(self, atoms)
+
+    monkeypatch.setattr(Conjunction, "__init__", counted)
+    counts = []
+    for hi in (4, 6):
+        del built[:]
+        table = statement.run(lo=2, hi=hi).to_ctable()
+        assert len(table.rows) == 24 * (hi - 2)
+        assert all(repr(row.condition).count(" > ") == 1 for row in table.rows)
+        counts.append(len(built))
+    assert counts[1] - counts[0] == 48
+    assert counts[0] < 48 + 8  # the rows, and a handful for the statement
+    db.close()
+
+
 def test_plan_memo_counts_sit_beside_the_bank_counts():
     """A repeated prepared statement plans nothing the second time, and the
     span tree says so where it says the bank was warm."""
