@@ -9,6 +9,10 @@ The checker serves two masters:
    ``[CDF(a), CDF(b)]`` guarantees every draw lands in ``[a, b]``
    (Section IV-A(b)).
 
+Tightening runs per minimal independent subset (line 4); that partition is
+handed on with the result (:attr:`ConsistencyResult.groups`) wherever it is
+the condition's own, and the expectation engine plans from it.
+
 Verdicts are *strong* or *weak*, mirroring the paper's bold/italic
 annotations:
 
@@ -30,9 +34,10 @@ annotations:
 import math
 
 from repro.constraints.independence import groups_for_condition
+from repro.constraints.polynomials import tighten_polynomial
 from repro.symbolic.conditions import Conjunction, Disjunction
 from repro.symbolic.expression import Constant, VarTerm, is_numeric
-from repro.util.intervals import Interval
+from repro.util.intervals import EMPTY_INTERVAL, FULL_INTERVAL, Interval
 
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
@@ -44,16 +49,23 @@ _MAX_TIGHTEN_ROUNDS = 50
 
 
 class ConsistencyResult:
-    """Outcome of a consistency check."""
+    """Outcome of a consistency check.  ``skipped_atoms``: atoms not captured
+    exactly (skipped or hulled).  ``groups``: the partition tightening ran
+    over, as a tuple, where it is ``groups_for_condition(condition)``'s (a
+    consistent conjunction, no atom set aside); ``None`` otherwise."""
 
-    __slots__ = ("verdict", "strong", "bounds", "zero_probability", "skipped_atoms")
+    __slots__ = (
+        "verdict", "strong", "bounds", "zero_probability", "skipped_atoms", "groups",
+    )
 
-    def __init__(self, verdict, strong, bounds, zero_probability=False, skipped_atoms=0):
+    def __init__(self, verdict, strong, bounds, zero_probability=False,
+                 skipped_atoms=0, groups=None):
         self.verdict = verdict
         self.strong = strong
         self.bounds = bounds
         self.zero_probability = zero_probability
         self.skipped_atoms = skipped_atoms
+        self.groups = groups
 
     @property
     def is_inconsistent(self):
@@ -65,7 +77,7 @@ class ConsistencyResult:
 
     def bound_for(self, variable_key):
         """Tightened interval for a variable (full interval by default)."""
-        return self.bounds.get(variable_key, Interval())
+        return self.bounds.get(variable_key, FULL_INTERVAL)
 
     def __repr__(self):
         strength = "strong" if self.strong else "weak"
@@ -141,7 +153,7 @@ def tighten1(target_key, linear, bounds):
     for var_key, coeff in coeffs.items():
         if var_key == target_key:
             continue
-        rest = rest + bounds.get(var_key, Interval()).scale(coeff)
+        rest = rest + bounds.get(var_key, FULL_INTERVAL).scale(coeff)
     if rest.is_empty:
         return Interval.empty()
     # a * x + rest  op  0, for some rest in [rest.lo, rest.hi]
@@ -160,7 +172,7 @@ def tighten1(target_key, linear, bounds):
         solution = (-rest).scale(1.0 / a)
         return solution
     # "<>" prunes a measure-zero set; no interval tightening possible.
-    return Interval()
+    return FULL_INTERVAL
 
 
 def _div(value, divisor):
@@ -187,38 +199,31 @@ def _tighten_group(atoms, variable_keys):
         if linear_form is None or degree is None or degree > 1 or not linear_form[0]:
             # Degree > 1: try the polynomial tightener (the paper's
             # tightenN) for single-variable atoms before giving up.
-            from repro.constraints.polynomials import tighten_polynomial
-
             atom_vars = atom.variables()
-            handled = False
             if len(atom_vars) == 1:
                 target_key = next(iter(atom_vars)).key
                 hull = tighten_polynomial(atom, target_key)
                 if hull is not None:
-                    current = bounds.get(target_key, Interval())
-                    bounds[target_key] = current.intersect(hull)
+                    bounds[target_key] = bounds.get(target_key, FULL_INTERVAL).intersect(hull)
                     if bounds[target_key].is_empty:
                         return bounds, True, weakenings
-                    handled = True
             # Whether hulled or skipped, the atom was not captured exactly.
             weakenings += 1
-            if handled:
-                continue
             continue
-        coeffs, constant = linear_form
-        prepared.append((coeffs, constant, atom.op))
+        prepared.append((*linear_form, atom.op))
 
     for _round in range(_MAX_TIGHTEN_ROUNDS):
         changed = False
-        for coeffs, constant, op in prepared:
-            unbounded = [k for k in coeffs if bounds.get(k, Interval()).is_full]
+        for linear in prepared:
+            coeffs = linear[0]
+            unbounded = [k for k in coeffs if bounds.get(k, FULL_INTERVAL).is_full]
             if len(unbounded) > 1:
                 # "if at most 1 variable in E is unbounded" — else wait for
                 # other atoms to bound them first.
                 continue
             for target_key in coeffs:
-                tightened = tighten1(target_key, (coeffs, constant, op), bounds)
-                current = bounds.get(target_key, Interval())
+                tightened = tighten1(target_key, linear, bounds)
+                current = bounds.get(target_key, FULL_INTERVAL)
                 new = current.intersect(tightened)
                 if new != current:
                     bounds[target_key] = new
@@ -227,6 +232,10 @@ def _tighten_group(atoms, variable_keys):
                     return bounds, True, weakenings
         if not changed:
             break
+        if _round == 0:
+            # A one-variable atom reads no other bound: its interval is the
+            # same every round and was intersected in this one.
+            prepared = [linear for linear in prepared if len(linear[0]) > 1]
     return bounds, False, weakenings
 
 
@@ -250,7 +259,7 @@ def check_consistency(condition):
         merged = {}
         for result in live:
             for key, interval in result.bounds.items():
-                merged[key] = merged.get(key, Interval.empty()).hull(interval)
+                merged[key] = merged.get(key, EMPTY_INTERVAL).hull(interval)
         all_zero = all(r.zero_probability for r in live)
         if all_zero:
             return _inconsistent(strong=False, zero_probability=True)
@@ -262,8 +271,10 @@ def check_consistency(condition):
 
     # Rule 1/2: deterministic atoms are already decided at construction
     # time; discrete equality contradictions checked here.
+    equalities = [a for a in condition.atoms if a.op == "="]
+    disequalities = [a for a in condition.atoms if a.op == "<>"]
     fixed = {}
-    for atom in condition.atoms:
+    for atom in equalities:
         pinned = _split_equality_on_discrete(atom)
         if pinned is None:
             continue
@@ -273,9 +284,7 @@ def check_consistency(condition):
             return _inconsistent(strong=True)
         fixed[variable.key] = value
     # X = c clashing with X <> c (rule 4: cheap extra detection).
-    for atom in condition.atoms:
-        if atom.op != "<>":
-            continue
+    for atom in disequalities:
         lhs, rhs = atom.lhs, atom.rhs
         if isinstance(lhs, Constant):
             lhs, rhs = rhs, lhs
@@ -289,15 +298,15 @@ def check_consistency(condition):
             return _inconsistent(strong=True)
 
     # Rule 3: continuous equalities are measure-zero.
-    zero_probability = any(_is_continuous_equality(a) for a in condition.atoms)
+    zero_probability = any(_is_continuous_equality(a) for a in equalities)
 
-    # Bounds tightening per independent group (Alg 3.2 line 4).
+    # Bounds tightening per independent group (Alg 3.2 line 4).  With no
+    # atom set aside the partition is the condition's own: hand it on.
     considered = [
-        a
-        for a in condition.atoms
-        if not _is_trivial_disequality(a)
+        a for a in condition.atoms if a.op != "<>" or not _is_trivial_disequality(a)
     ]
-    groups = groups_for_condition(Conjunction(considered))
+    whole = len(considered) == len(condition.atoms)
+    groups = groups_for_condition(condition if whole else Conjunction(considered))
     bounds = {}
     total_skipped = 0
     multivar_atom_seen = False
@@ -315,14 +324,14 @@ def check_consistency(condition):
 
     # Pin discrete equalities into the bounds map too (they are exact).
     for key, value in fixed.items():
-        bounds[key] = bounds.get(key, Interval()).intersect(Interval.point(value))
+        bounds[key] = bounds.get(key, FULL_INTERVAL).intersect(Interval.point(value))
         if bounds[key].is_empty:
             return _inconsistent(strong=True)
 
     # Rule 4 extension: intersect with distribution supports.  A bound
     # entirely outside a variable's support is a sound proof of
     # unsatisfiability (no possible world assigns such a value).
-    by_key = {v.key: v for v in condition.variables()}
+    by_key = {v.key: v for group in groups for v in group.variables}
     for key, interval in list(bounds.items()):
         variable = by_key.get(key)
         if variable is None:
@@ -338,10 +347,11 @@ def check_consistency(condition):
 
     if zero_probability:
         return ConsistencyResult(
-            INCONSISTENT, False, bounds, zero_probability=True
+            INCONSISTENT, False, bounds, zero_probability=True, skipped_atoms=total_skipped
         )
     strong = total_skipped == 0 and not multivar_atom_seen
-    return ConsistencyResult(CONSISTENT, strong, bounds)
+    shared = tuple(groups) if whole else None
+    return ConsistencyResult(CONSISTENT, strong, bounds, skipped_atoms=total_skipped, groups=shared)
 
 
 def prune_inconsistent_rows(table):

@@ -10,7 +10,13 @@ where all components of one multivariate family count as a single vertex.
 Variables that appear in the measured expression but in no constraint atom
 form unconstrained singleton groups, so the expectation operator can sample
 them without any rejection at all.
+
+A condition is partitioned once per plan: ``check_consistency`` asks for
+the split and passes it on; the engine asks again only for an atom that
+check set aside or an expression variable the split does not hold.
 """
+
+from operator import attrgetter
 
 from repro.util.unionfind import UnionFind
 
@@ -27,16 +33,21 @@ class VariableGroup:
     so a racing or repeated write stores the same number.
     """
 
-    __slots__ = ("variables", "atoms", "bundle_keys")
+    __slots__ = ("variables", "atoms", "bundle_keys", "variable_keys")
 
     def __init__(self, variables, atoms):
-        self.variables = tuple(sorted(variables, key=lambda v: v.key))
+        self.variables = tuple(sorted(variables, key=_by_key))
         self.atoms = tuple(atoms)
         self.bundle_keys = {}
+        self.variable_keys = frozenset([v.key for v in self.variables])
 
-    @property
-    def variable_keys(self):
-        return frozenset(v.key for v in self.variables)
+    # ``variable_keys`` is derived: not in a pool payload, worked out again.
+    def __getstate__(self):
+        return None, {n: getattr(self, n) for n in ("variables", "atoms", "bundle_keys")}
+
+    def __setstate__(self, state):
+        self.__init__(state[1]["variables"], state[1]["atoms"])
+        self.bundle_keys = state[1]["bundle_keys"]
 
     @property
     def is_unconstrained(self):
@@ -51,6 +62,9 @@ class VariableGroup:
             [repr(v) for v in self.variables],
             len(self.atoms),
         )
+
+
+_by_key = attrgetter("key")
 
 
 def _family_token(variable):
@@ -78,36 +92,39 @@ def partition_atoms(atoms, extra_variables=()):
 
     Returns a list of :class:`VariableGroup`, deterministic in order.
     """
-    atoms = [a for a in atoms if a.variables()]
     uf = UnionFind()
-    atom_vars = []
     all_variables = {}
+    tokens = {}  # variable key -> union-find vertex, worked out once
+
+    def vertex(variable):
+        key = variable.key
+        if key not in tokens:
+            all_variables[key] = variable
+            tokens[key] = _family_token(variable)
+            uf.add(tokens[key])
+        return tokens[key]
+
+    first_vertices = []  # one per atom that mentions a variable
     for atom in atoms:
-        variables = sorted(atom.variables(), key=lambda v: v.key)
-        atom_vars.append(variables)
-        tokens = [_family_token(v) for v in variables]
-        for variable, token in zip(variables, tokens):
-            uf.add(token)
-            all_variables.setdefault(variable.key, variable)
-        for token in tokens[1:]:
-            uf.union(tokens[0], token)
+        variables = atom.variables()
+        if not variables:
+            continue
+        first, *rest = [vertex(v) for v in sorted(variables, key=_by_key)]
+        for token in rest:
+            uf.union(first, token)
+        first_vertices.append((atom, first))
     for variable in extra_variables:
-        uf.add(_family_token(variable))
-        all_variables.setdefault(variable.key, variable)
+        vertex(variable)
 
     # Map each union-find root to its variables and atoms.
     members = {}
-    for variable in all_variables.values():
-        root = uf.find(_family_token(variable))
-        members.setdefault(root, ([], []))[0].append(variable)
-    for atom, variables in zip(atoms, atom_vars):
-        root = uf.find(_family_token(variables[0]))
-        members[root][1].append(atom)
+    for key, variable in all_variables.items():
+        members.setdefault(uf.find(tokens[key]), ([], []))[0].append(variable)
+    for atom, first in first_vertices:
+        members[uf.find(first)][1].append(atom)
 
-    groups = []
-    for root in sorted(members, key=lambda r: min(v.key for v in members[r][0])):
-        variables, group_atoms = members[root]
-        groups.append(VariableGroup(variables, group_atoms))
+    groups = [VariableGroup(*found) for found in members.values()]
+    groups.sort(key=lambda group: group.variables[0].key)
     return groups
 
 

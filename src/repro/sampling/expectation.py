@@ -410,8 +410,10 @@ class ExpectationEngine:
         The single place the engine runs Algorithm 3.2 and the
         independence split; everything else asks here.  ``groups`` is a
         tuple (empty when the condition is inconsistent: no caller reads
-        it then).  Both halves may come out of the memo and are shared
-        with other calls and threads — read, never modify.
+        it then): the partition Algorithm 3.2 tightened over wherever that
+        is the whole condition's and holds every expression variable, a
+        second split only otherwise.  Both halves may come out of the memo
+        and are shared with other calls and threads — read, never modify.
         """
         key = plan_key(condition, expr_variables)
         plan = self._plans.get(key)
@@ -420,9 +422,13 @@ class ExpectationEngine:
             consistency = check_consistency(condition)
             groups = ()
             if not consistency.is_inconsistent:
-                groups = tuple(
-                    groups_for_condition(condition, extra_variables=expr_variables)
-                )
+                groups = consistency.groups
+                if groups is None or not all(
+                    any(v.key in g.variable_keys for g in groups) for v in expr_variables
+                ):
+                    groups = tuple(
+                        groups_for_condition(condition, extra_variables=expr_variables)
+                    )
             plan = (consistency, groups)
             if key is not None:
                 self._plans.put(key, plan)
@@ -700,11 +706,10 @@ class ExpectationEngine:
     ):
         """P[K] for one group: exact via CDF/domain when possible, else the
         sampler's acceptance bookkeeping (Algorithm 4.3 lines 29-35)."""
-        methods = methods if methods is not None else {}
-        tag = _group_tag(group)
         exact = self._exact_group_probability(group, condition, consistency, options)
         if exact is not None:
-            methods[tag + ":prob"] = "exact-cdf"
+            if methods is not None:
+                methods[_group_tag(group) + ":prob"] = "exact-cdf"
             return exact, True
         sampler = existing_sampler
         if sampler is None or not sampler.can_estimate_probability:
@@ -725,7 +730,8 @@ class ExpectationEngine:
         )
         if estimate is None:
             estimate = sampler.estimate_probability(_attempt_floor(options))
-        methods[tag + ":prob"] = "sampled"
+        if methods is not None:
+            methods[_group_tag(group) + ":prob"] = "sampled"
         return estimate, False
 
     def _exact_group_probability(self, group, condition, consistency, options):

@@ -2,13 +2,15 @@
 
 A *group plan* is what the paper computes "prior to sampling": the
 Algorithm 3.2 bounds map and verdict (``check_consistency``) and the
-minimal independent subsets of Section IV-A(c) (``groups_for_condition``).
-Both are pure functions of the condition, the measured expression's
-variables and the registered distribution classes, so a monitoring loop
-that re-derives the same row conditions statement after statement can
-keep the answer — provided the memo is keyed on *everything* those two
-functions read, and as finely as anything derived from the plan is hashed
-(:func:`~repro.util.hashing.exact_key`).
+minimal independent subsets of Section IV-A(c) — the partition that check
+tightened over, or ``groups_for_condition`` where the expression adds a
+variable to it.  Both are pure functions of the condition, the measured
+expression's variables and the registered distribution classes, so a
+monitoring loop that re-derives the same row conditions statement after
+statement can keep the answer — provided the memo is keyed on
+*everything* those two functions read, and as finely as anything derived
+from the plan is hashed (:func:`~repro.util.hashing.exact_key`).
+A stored plan's atoms keep the linear form and degree they derived.
 """
 
 import threading
@@ -18,12 +20,12 @@ from repro.symbolic.conditions import Disjunction
 from repro.symbolic.expression import BinOp, Constant, FuncTerm, UnaryOp, VarTerm
 from repro.util.hashing import exact_key
 
-#: Entries one engine keeps, about 2 kB each for a four-atom condition.
+#: Entries one engine keeps, about 4 kB each for a four-atom condition.
 #: Of perfbench's working sets ``warm_monitoring`` re-plans 384 conditions
 #: for ever and ``cold_sampling`` cycles through ~1.5 k, which fit;
 #: ``exact_iceberg`` plans ~550 new conditions a cycle that never repeat,
-#: so there the memo is pure memory: +2.7 % peak RSS at 2048 entries,
-#: +6.2 % at 4096 (docs/performance.md, "Group-plan memo").
+#: so there the memo is pure memory: +4.4 % peak RSS at 2048 entries
+#: (docs/performance.md, "Planning in one pass").
 PLAN_MEMO_CAP = 2048
 
 #: Leaf types :func:`exact_key` tells apart by value *and* type.  It would

@@ -5,9 +5,14 @@ An atomic condition compares two equations with one of ``=, <>, <, <=, >,
 negated exactly (the comparison set is closed under negation), and can be
 *normalised* to ``lhs - rhs  op  0`` for the consistency checker's linear
 analysis.
+
+An atom's variable set (in ``__init__``: every atom is asked), linear form and
+degree (on first ask) are derived once, into private slots that are not
+state: never pickled, keyed, hashed or printed.
 """
 
 import operator
+from types import MappingProxyType
 
 import numpy as np
 
@@ -39,7 +44,7 @@ _MIRROR = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 class Atom:
     """One comparison between two equations.  Immutable."""
 
-    __slots__ = ("lhs", "op", "rhs")
+    __slots__ = ("lhs", "op", "rhs", "_variables", "_linear", "_degree")
 
     def __init__(self, lhs, op, rhs):
         if op == "!=":
@@ -48,9 +53,14 @@ class Atom:
             op = "="
         if op not in _OPS:
             raise PIPError("unknown comparison operator %r" % (op,))
-        object.__setattr__(self, "lhs", as_expression(lhs))
+        lhs, rhs = as_expression(lhs), as_expression(rhs)
+        object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "op", op)
-        object.__setattr__(self, "rhs", as_expression(rhs))
+        object.__setattr__(self, "rhs", rhs)
+        # Asked of every atom (``decided``); a side without variables
+        # shares the other side's frozenset.
+        left, right = lhs.variables(), rhs.variables()
+        object.__setattr__(self, "_variables", left | right if left and right else left or right)
 
     def __setattr__(self, name, value):
         raise AttributeError("Atom is immutable")
@@ -63,9 +73,7 @@ class Atom:
         return slot_state(self)
 
     def __setstate__(self, state):
-        from repro.util.slotstate import restore_slot_state
-
-        restore_slot_state(self, state)
+        self.__init__(state["lhs"], state["op"], state["rhs"])
 
     # -- structure ------------------------------------------------------------
 
@@ -84,7 +92,7 @@ class Atom:
         return "%r %s %r" % (self.lhs, self.op, self.rhs)
 
     def variables(self):
-        return self.lhs.variables() | self.rhs.variables()
+        return self._variables
 
     def column_refs(self):
         return self.lhs.column_refs() | self.rhs.column_refs()
@@ -148,15 +156,28 @@ class Atom:
         return (binop("-", self.lhs, self.rhs), self.op)
 
     def linear_form(self):
-        """Affine form of ``lhs - rhs`` (coeffs, constant), or ``None``."""
-        normal = self.normalized()
-        if normal is None:
-            return None
-        return normal[0].linear_form()
+        """Affine form of ``lhs - rhs`` (coeffs, constant), or ``None``: one
+        pair shared by every caller, ``coeffs`` a read-only view."""
+        try:
+            return self._linear
+        except AttributeError:
+            return self._derive_forms()[0]
 
     def degree(self):
         """Polynomial degree of ``lhs - rhs`` or ``None``."""
+        try:
+            return self._degree
+        except AttributeError:
+            return self._derive_forms()[1]
+
+    def _derive_forms(self):
+        """Fill both slots from one normalised tree, which is not kept."""
         normal = self.normalized()
-        if normal is None:
-            return None
-        return normal[0].degree()
+        linear = degree = None
+        if normal is not None:
+            linear, degree = normal[0].linear_form(), normal[0].degree()
+            if linear is not None:
+                linear = (MappingProxyType(linear[0]), linear[1])
+        object.__setattr__(self, "_linear", linear)
+        object.__setattr__(self, "_degree", degree)
+        return linear, degree

@@ -230,7 +230,7 @@ class Constant(Expression):
 class VarTerm(Expression):
     """A random-variable leaf."""
 
-    __slots__ = ("var",)
+    __slots__ = ("var", "_variables")
 
     def __init__(self, var):
         if not isinstance(var, RandomVariable):
@@ -244,7 +244,11 @@ class VarTerm(Expression):
         return ("var",) + self.var.key
 
     def variables(self):
-        return frozenset((self.var,))
+        try:  # derived slot (util.slotstate): a stored cell is asked every tick
+            return self._variables
+        except AttributeError:
+            object.__setattr__(self, "_variables", frozenset((self.var,)))
+            return self._variables
 
     def column_refs(self):
         return frozenset()

@@ -12,7 +12,7 @@ makes repeated occurrences within a query sample-consistent.
 
 import threading
 
-from repro.distributions import get_distribution
+from repro.distributions import MultivariateDistribution, get_distribution
 
 
 class RandomVariable:
@@ -72,8 +72,6 @@ class RandomVariable:
 
     @property
     def is_multivariate(self):
-        from repro.distributions import MultivariateDistribution
-
         return isinstance(self.distribution, MultivariateDistribution)
 
     def component(self, subscript):
@@ -88,7 +86,7 @@ class RandomVariable:
         it, else ``None``.
         """
         dist = self.distribution
-        if not self.is_multivariate:
+        if not isinstance(dist, MultivariateDistribution):
             return (dist, dist.validate_params(self.params))
         described = dist.marginal(dist.validate_params(self.params), self.subscript)
         if described is None:
@@ -128,8 +126,6 @@ class VariableFactory:
         with self._lock:
             vid = self._next_vid
             self._next_vid += 1
-        from repro.distributions import MultivariateDistribution
-
         if isinstance(dist, MultivariateDistribution):
             n = dist.dimension_of(canonical)
             return [

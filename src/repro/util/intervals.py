@@ -129,8 +129,6 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def __sub__(self, other):
-        if isinstance(other, Interval):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):

@@ -8,15 +8,18 @@ by pickle, so those classes install the two hooks below: state capture
 walks the MRO's ``__slots__``, restoration writes through
 ``object.__setattr__`` (bypassing the immutability guard exactly once,
 during unpickling — the object is not yet visible to anyone else).
+
+A slot named ``_…`` holds a *derived* form (an atom's linear form), not
+state: a node's pickle does not depend on what it was asked first.
 """
 
 
 def slot_state(obj):
-    """All slot values of ``obj`` (across the MRO) as a plain dict."""
+    """All non-derived slot values of ``obj`` (across the MRO) as a dict."""
     state = {}
     for cls in type(obj).__mro__:
         for name in getattr(cls, "__slots__", ()):
-            if hasattr(obj, name):
+            if name[0] != "_" and hasattr(obj, name):
                 state[name] = getattr(obj, name)
     return state
 
