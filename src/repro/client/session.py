@@ -11,10 +11,11 @@ exception classes (:class:`TransactionError` on a commit conflict,
 :class:`SchemaError` on an unknown table, …) via their stable wire codes.
 
 Results stream in: large ``SELECT``s arrive as chunked ``rows`` frames
-that the cursor accumulates, and ``cursor.result`` is a full
-:class:`~repro.engine.results.ResultSet` — rows, estimate metadata,
-confidence intervals and :class:`QueryStats` bit-identical to what the
-same statement returns in-process.
+whose columns the session appends to one another, and ``cursor.result``
+is a full :class:`~repro.engine.results.ResultSet` — rows, estimate
+metadata, confidence intervals and :class:`QueryStats` bit-identical to
+what the same statement returns in-process.  The cells stay in their
+columns until somebody fetches: ``fetchall()`` zips them into tuples.
 
 Reconnection: with a :class:`~repro.client.reconnect.ReconnectPolicy`
 (on by default), a dropped connection is re-dialed with exponential
@@ -54,7 +55,7 @@ class RemoteCursor(Cursor):
     def execute(self, text, params=None):
         """Run one SQL statement on the server; returns the cursor."""
         self._check_open()
-        done, rows, conditions, chunks = self.session._call(
+        done, cells, conditions, chunks = self.session._call(
             "execute", sql=text, params=params
         )
         self.chunks_received = chunks
@@ -62,7 +63,8 @@ class RemoteCursor(Cursor):
             self._reset(done.get("rowcount", -1))
             return self
         payload = dict(done["result"])
-        payload["rows"] = rows
+        if chunks:
+            payload["cells"] = cells
         if conditions:
             payload["conditions"] = conditions
         self._reset(result=ResultSet.from_payload(payload))
@@ -79,7 +81,7 @@ class RemoteCursor(Cursor):
     def executemany(self, text, param_seq):
         """Run one statement once per parameter mapping (server-prepared)."""
         self._check_open()
-        done, _rows, _conditions, _chunks = self.session._call(
+        done, _cells, _conditions, _chunks = self.session._call(
             "executemany", sql=text, paramseq=list(param_seq)
         )
         self._reset(done.get("rowcount", -1))
@@ -178,7 +180,7 @@ class RemoteSession:
             raise ProtocolError("expected a hello frame, got %r" % (hello,))
         if hello.get("version") != protocol.PROTOCOL_VERSION:
             ws.close()
-            raise WireFormatError(
+            raise ProtocolError(
                 "server speaks protocol version %r, this client speaks %d"
                 % (hello.get("version"), protocol.PROTOCOL_VERSION))
         self._hello = hello
@@ -238,10 +240,11 @@ class RemoteSession:
     # -- the request/response engine ----------------------------------------------
 
     def _call(self, op, **fields):
-        """One request → ``(done_message, rows, conditions, chunk_count)``.
+        """One request → ``(done_message, cells, conditions, chunk_count)``.
 
-        Streamed ``rows`` frames are folded into one row list (chunk-local
-        condition indices re-based to global row indices).  A wire error
+        Streamed ``rows`` frames are folded column by column into one
+        list per column (chunk-local condition indices re-based to global
+        row indices).  A wire error
         re-raises as the matching :class:`PIPError` subclass.  A dropped
         connection triggers the reconnect path (autocommit only).
 
@@ -310,7 +313,7 @@ class RemoteSession:
     def _roundtrip(self, request_id, text):
         ws = self._ws
         ws.send_text(text)
-        rows, conditions, chunks = [], {}, 0
+        cells, conditions, chunks = [], {}, 0
         while True:
             _opcode, payload = ws.recv_message()
             frame = protocol.loads(payload)
@@ -318,8 +321,7 @@ class RemoteSession:
                 continue  # stale frames from an abandoned request
             kind = frame.get("type")
             if kind == "rows":
-                base = len(rows)
-                rows.extend(frame.get("rows", ()))
+                base = protocol.extend_columns(cells, frame.get("cells"))
                 for offset, condition in (frame.get("conditions") or {}).items():
                     conditions[str(base + int(offset))] = condition
                 chunks += 1
@@ -328,7 +330,7 @@ class RemoteSession:
                 self._in_transaction = bool(frame.get("in_transaction"))
                 if not frame.get("ok"):
                     protocol.raise_wire_error(frame.get("error", {}))
-                return frame, rows, conditions, chunks
+                return frame, cells, conditions, chunks
             raise ProtocolError("unexpected frame type %r" % (kind,))
 
     # -- transactions ---------------------------------------------------------------
@@ -403,7 +405,7 @@ class RemoteSession:
 
     def ping(self):
         """Round-trip liveness probe; returns True when the server answered."""
-        done, _rows, _conditions, _chunks = self._call("ping")
+        done, _cells, _conditions, _chunks = self._call("ping")
         return bool(done.get("ok"))
 
     def __repr__(self):

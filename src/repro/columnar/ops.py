@@ -32,6 +32,11 @@ Mixed tables split per row: deterministic rows (condition TRUE) take the
 mask and then the residual, symbolic-remainder rows run the exact
 ``algebra.select`` row body one by one, and the two ascending halves
 merge on row index — so output order is the row path's order, row for row.
+
+A filter that kept only deterministic rows, as they are (no residual, no
+symbolic remainder), and a projection passing such a result's columns
+through build no ``CTRow``: the cells, gathered from the rows kept, go on
+as a column-held table (``docs/columnar.md``, "Column-held results").
 """
 
 import operator
@@ -40,8 +45,8 @@ import numpy as np
 
 from repro.columnar import columns as C
 from repro.ctables import algebra
-from repro.ctables.schema import Schema
-from repro.ctables.table import CTable, CTRow
+from repro.ctables.schema import PLAIN, Schema
+from repro.ctables.table import CTable, CTRow, columns_of
 from repro.symbolic.conditions import conjoin, conjunction_of
 from repro.symbolic.expression import (
     BinOp,
@@ -64,10 +69,6 @@ _ORDERED = ("<", "<=", ">", ">=")
 #: a op b  <=>  b mirror(op) a — for pruning when the constant is on the left.
 _MIRROR = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 _VEC_ARITH = ("+", "-", "*")
-#: Cell types a projected column reference hands through untouched
-#: (exact types: whatever else ``as_expression`` may wrap — expressions,
-#: random variables, NumPy scalars — is the row path's to bind).
-_PLAIN = frozenset((int, float, str, bool, type(None)))
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +404,14 @@ def select_vectorized(db, table, atoms, condition, context=None):
     rows = table.rows
     det_index, remainder = store.positions()
     kept = det_index[np.flatnonzero(mask)].tolist()
+    if not (residual or len(remainder)) and table.schema.columns:
+        # TRUE-condition rows carried as they are: their cells, no CTRow
+        # (a table of no columns has no cells to count its rows by).
+        return CTable.from_columns(
+            table.schema,
+            columns_of(map(rows.__getitem__, kept), len(table.schema)),
+            name=table.name,
+        )
     passes = [(remainder.tolist(), condition)]
     if residual:
         passes.insert(0, (kept, conjunction_of(*residual)))
@@ -477,14 +486,12 @@ def _project_vectorized(table, items):
     if not items:
         return None
     schema = table.schema
-    cells = [row.values for row in table.rows]
     out_columns = []
-    columns = []
+    picks, plain = [], []  # source column positions; those asked by reference
     for item in items:
         if isinstance(item, str):
             index = schema.index_of(item)  # same error as row path
             out_columns.append(schema.columns[index])
-            column = map(operator.itemgetter(index), cells)
         else:
             name, expr = item
             if not isinstance(expr, ColumnTerm):
@@ -496,13 +503,19 @@ def _project_vectorized(table, items):
                 index = schema.index_of(expr.name)
             except SchemaError:
                 return None
-            # The row path hands back const_value() of the bound cell: the
-            # cell itself only when it is one of the plain types.
-            column = list(map(operator.itemgetter(index), cells))
-            if not _PLAIN.issuperset(map(type, column)):
-                return None
             out_columns.append((name, "any"))
-        columns.append(column)
+            plain.append(index)
+        picks.append(index)
+    cells = table.cell_columns()
+    # The row path hands back const_value() of the bound cell: the cell
+    # itself only when it is one of the plain types (exact: whatever else
+    # ``as_expression`` may wrap — expressions, random variables, NumPy
+    # scalars — is the row path's to bind).
+    if not all(PLAIN.issuperset(map(type, cells[index])) for index in plain):
+        return None
+    columns = [cells[index] for index in picks]
+    if table.held:
+        return CTable.from_columns(Schema(out_columns), columns, name=table.name)
     out = CTable(Schema(out_columns), name=table.name)
     out.rows = [
         CTRow(values, row.condition)

@@ -20,6 +20,10 @@ ANY = "any"
 
 _TYPES = (INT, FLOAT, STR, BOOL, EXPR, ANY)
 
+#: The exact cell types JSON and ``as_expression`` carry untouched: a
+#: column holding only these needs no per-cell look (projection, the wire).
+PLAIN = frozenset((int, float, str, bool, type(None)))
+
 
 class Column:
     """One named, typed column."""
@@ -55,6 +59,17 @@ class Column:
         if self.ctype == EXPR:
             return is_numeric(value)
         return False
+
+    def accepts_all(self, cells):
+        """Whether :meth:`accepts` takes every cell.  Of a :data:`PLAIN`
+        type it takes all values or none, so such cells are asked once per
+        type; anything else (an expression, a NumPy scalar) cell by cell."""
+        if self.ctype == ANY:
+            return True
+        kinds = set(map(type, cells))
+        if kinds <= PLAIN:
+            return all(self.accepts(kind()) for kind in kinds)
+        return all(map(self.accepts, cells))
 
     def __eq__(self, other):
         if not isinstance(other, Column):

@@ -10,7 +10,9 @@ lives in :mod:`repro.ctables.algebra`, and all probability machinery in
 :mod:`repro.sampling`.
 """
 
-from repro.ctables.schema import Schema
+from operator import itemgetter
+
+from repro.ctables.schema import Column, Schema
 from repro.symbolic.conditions import Condition, TRUE
 from repro.symbolic.expression import Expression, as_expression
 from repro.util.errors import SchemaError
@@ -64,9 +66,16 @@ class CTable:
     after every :meth:`add_row` append.  The database registers one per
     stored table so mutations can invalidate dependent sample-bank entries;
     derived tables (copies, algebra results) start with no watchers.
+
+    A result whose conditions are all TRUE can be **column-held**
+    (:meth:`from_columns`): one list of cells per column and no
+    :class:`CTRow` until :attr:`rows` is first read — which builds them,
+    once, so whatever reads ``rows`` sees what it always saw.
     """
 
-    __slots__ = ("schema", "rows", "name", "watchers", "version", "colstore")
+    __slots__ = (
+        "schema", "_rows", "_columns", "name", "watchers", "version", "colstore"
+    )
 
     def __init__(self, schema, rows=(), name=None):
         if not isinstance(schema, Schema):
@@ -87,6 +96,41 @@ class CTable:
             else:
                 self.add_row(row)
 
+    @classmethod
+    def from_columns(cls, schema, columns, name=None):
+        """A column-held table, every condition TRUE: ``columns`` is one
+        equally long list of cells per schema column (:meth:`check_columns`
+        validates), kept as it is — nobody may change it afterwards."""
+        table = cls(schema, name=name)
+        if columns:  # no columns, no cells to hold: the empty table
+            table._rows = None
+            table._columns = columns
+        return table
+
+    @property
+    def rows(self):
+        """The row list; a column-held table builds it on first read."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = [CTRow(values) for values in zip(*self._columns)]
+            self._columns = None
+        return rows
+
+    @rows.setter
+    def rows(self, rows):
+        self._rows = rows
+        self._columns = None
+
+    @property
+    def held(self):
+        """Whether the cells are still held as columns (no row built)."""
+        return self._rows is None
+
+    def materialize(self):
+        """This table, its rows built: what a statement hands out."""
+        _ = self.rows
+        return self
+
     def _check_arity(self, values):
         if len(values) != len(self.schema):
             raise SchemaError(
@@ -106,6 +150,16 @@ class CTable:
                 )
         if not isinstance(condition, Condition):
             raise SchemaError("row condition must be a Condition, got %r" % (condition,))
+
+    def check_columns(self, columns):
+        """:meth:`check_row` for every row of ``columns`` (one list of
+        cells per column), without a walk over rows unless one fails."""
+        self._check_arity(columns)
+        if len(set(map(len, columns))) > 1:
+            raise SchemaError("columns of unequal length")
+        if not all(map(Column.accepts_all, self.schema.columns, columns)):
+            for values in zip(*columns):
+                self.check_row(values)
 
     def add_row(self, values, condition=TRUE):
         """Append a row; values are validated against declared column types."""
@@ -185,7 +239,9 @@ class CTable:
         return self.schema.names
 
     def __len__(self):
-        return len(self.rows)
+        if self._rows is None:
+            return len(self._columns[0])
+        return len(self._rows)
 
     def __iter__(self):
         return iter(self.rows)
@@ -193,7 +249,22 @@ class CTable:
     def column_values(self, name):
         """All values in column ``name`` (one per row, conditions ignored)."""
         idx = self.schema.index_of(name)
-        return [row.values[idx] for row in self.rows]
+        if self._rows is None:
+            return list(self._columns[idx])
+        return [row.values[idx] for row in self._rows]
+
+    def value_tuples(self):
+        """Every row's value tuple, in row order (conditions ignored)."""
+        if self._rows is None:
+            return list(zip(*self._columns))
+        return [row.values for row in self._rows]
+
+    def cell_columns(self, start=0, stop=None):
+        """The cells of ``rows[start:stop]``, one sequence per schema
+        column: slices of the held columns, else gathered from the rows."""
+        if self._rows is None:
+            return [column[start:stop] for column in self._columns]
+        return columns_of(self._rows[start:stop], len(self.schema))
 
     def cell(self, row_index, column_name):
         return self.rows[row_index].values[self.schema.index_of(column_name)]
@@ -251,8 +322,15 @@ class CTable:
         return "<CTable %s: %d cols, %d rows>" % (
             self.name or "?",
             len(self.schema),
-            len(self.rows),
+            len(self),
         )
+
+
+def columns_of(rows, arity):
+    """The cells of ``rows``, one list per column (not ``zip(*values)``:
+    an iterator per row is as many tracked allocations as a scan has rows)."""
+    values = [row.values for row in rows]
+    return [list(map(itemgetter(i), values)) for i in range(arity)]
 
 
 def _show(value):

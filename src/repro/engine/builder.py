@@ -96,7 +96,7 @@ class QueryBuilder:
                 else nullcontext()
             )
             with activation, self.db.statement_scope(plan):
-                self._cached = execute_plan(self.db, plan)
+                self._cached = execute_plan(self.db, plan).materialize()
         return self._cached
 
     def explain(self):

@@ -154,7 +154,7 @@ def _execute_relational(db, plan, context):
         profile.record(
             plan,
             perf_counter() - start,
-            len(out.rows),
+            len(out),
             counters,
             before,
             chunks=[
@@ -352,7 +352,7 @@ def _execute_filter(db, plan, context):
     # equal counts — attribution is never safe there.
     if len(context.estimates) > mark and (
         (plan.disjuncts is not None and len(plan.disjuncts) != 1)
-        or len(out.rows) != len(table.rows)
+        or len(out) != len(table)
     ):
         del context.estimates[mark:]
     return out

@@ -195,7 +195,7 @@ class PreparedStatement:
             served = counters.samples_served - before[3]
             stats = QueryStats(
                 elapsed,
-                len(out.rows),
+                len(out),
                 bank_hits=counters.hits - before[0],
                 bank_misses=counters.misses - before[1],
                 samples_drawn=drawn,

@@ -315,7 +315,7 @@ class ResultSet:
         >>> db.sql("SELECT k, v FROM t").rows()
         [('a', 1.0), ('b', 2.0)]
         """
-        return [row.values for row in self._table.rows]
+        return self._table.value_tuples()
 
     def scalar(self):
         """The single cell of a one-row, one-column result.
@@ -332,22 +332,23 @@ class ResultSet:
         >>> db.sql("SELECT expected_sum(v) FROM t").scalar()
         3.0
         """
-        rows = self._table.rows
-        if len(rows) != 1 or len(rows[0].values) != 1:
+        table = self._table
+        if len(table) != 1 or len(table.schema) != 1:
             raise ValueError(
                 "scalar() needs a 1x1 result, have %d row(s) x %d column(s)"
-                % (len(rows), len(self._table.schema))
+                % (len(table), len(table.schema))
             )
-        return rows[0].values[0]
+        return table.value_tuples()[0][0]
 
     def to_ctable(self):
         """The underlying c-table, row conditions intact.
 
         Use this to keep working symbolically: ``db.register(name,
         result)`` and ``db.materialize(name, result)`` accept the
-        ResultSet directly and unwrap it through this method.
+        ResultSet directly and unwrap it through this method.  (A result
+        whose cells are still held as columns builds its rows here.)
         """
-        return self._table
+        return self._table.materialize()
 
     @property
     def schema(self):
@@ -449,21 +450,22 @@ class ResultSet:
         database objects); :meth:`from_payload` results render
         ``explain()`` as unrecorded.
 
-        With ``include_rows=False`` the envelope omits the ``rows`` and
-        ``conditions`` entries — the server sends those separately, in
-        chunks, so a large result is never materialised as one message.
+        ``cells`` is one JSON array per output column; ``conditions`` maps
+        a row index to its non-TRUE condition.  ``include_rows=False`` omits
+        both — the server sends those separately, in chunks, so a large
+        result is never materialised as one message.
 
         Example
         -------
         >>> from repro import PIPDatabase
         >>> db = PIPDatabase()
         >>> _ = db.sql("CREATE TABLE t (k str, v float)")
-        >>> _ = db.sql("INSERT INTO t VALUES ('a', 1.0)")
+        >>> _ = db.sql("INSERT INTO t VALUES ('a', 1.0), ('b', 2.5)")
         >>> payload = db.sql("SELECT k, v FROM t").to_payload()
-        >>> payload["version"], payload["rows"]
-        (1, [['a', 1.0]])
+        >>> payload["version"], payload["cells"]
+        (2, [['a', 'b'], [1.0, 2.5]])
         >>> ResultSet.from_payload(payload).rows()
-        [('a', 1.0)]
+        [('a', 1.0), ('b', 2.5)]
         """
         from repro.engine import wire
 
@@ -477,48 +479,47 @@ class ResultSet:
             "stats": wire.encode_stats(self.stats),
         }
         if include_rows:
-            payload["rows"] = [
-                wire.encode_row(row.values) for row in self._table.rows
-            ]
-            conditions = {
-                str(index): wire.encode_value(row.condition)
-                for index, row in enumerate(self._table.rows)
-                if not row.condition.is_true
-            }
+            payload["cells"], conditions = self._chunk(0, len(self._table))
             if conditions:
                 payload["conditions"] = conditions
         return payload
 
-    def iter_row_chunks(self, chunk_size=512):
-        """Yield ``(rows, conditions)`` wire chunks of at most
-        ``chunk_size`` rows — the streaming half of :meth:`to_payload`.
-
-        ``rows`` is a list of encoded rows; ``conditions`` maps the
-        *chunk-local* row index (as a string, JSON keys) to the encoded
-        non-TRUE row condition, or is ``None`` when the chunk is fully
-        deterministic.
-        """
+    def _chunk(self, start, stop):
+        """Rows ``[start, stop)`` in wire form (:meth:`iter_row_chunks`)."""
         from repro.engine import wire
 
+        table = self._table
+        cells = list(map(wire.encode_column, table.cell_columns(start, stop)))
+        if table.held:
+            return cells, None
+        conditions = {
+            str(offset): wire.encode_value(row.condition)
+            for offset, row in enumerate(table.rows[start:stop])
+            if not row.condition.is_true
+        }
+        return cells, conditions or None
+
+    def iter_row_chunks(self, chunk_size=512):
+        """Yield ``(cells, conditions)`` wire chunks of at most
+        ``chunk_size`` rows — the streaming half of :meth:`to_payload`.
+
+        ``cells`` is one encoded list per column; ``conditions`` maps the
+        *chunk-local* row index (as a string, JSON keys) to the encoded
+        non-TRUE row condition, or is ``None`` when all are TRUE.
+        """
         chunk_size = max(1, int(chunk_size))
-        table_rows = self._table.rows
-        for start in range(0, len(table_rows), chunk_size):
-            block = table_rows[start : start + chunk_size]
-            rows = [wire.encode_row(row.values) for row in block]
-            conditions = {
-                str(offset): wire.encode_value(row.condition)
-                for offset, row in enumerate(block)
-                if not row.condition.is_true
-            }
-            yield rows, conditions or None
+        for start in range(0, len(self._table), chunk_size):
+            yield self._chunk(start, start + chunk_size)
 
     @classmethod
     def from_payload(cls, payload):
         """Rebuild a :class:`ResultSet` from :meth:`to_payload` output.
 
         Raises :class:`~repro.util.errors.WireFormatError` on an
-        unsupported envelope version.  Only decode payloads from a
-        trusted peer (symbolic cells travel as pickle blobs).
+        unsupported envelope version or cells that are not one array per
+        column, ``SchemaError`` where adding the rows one by one would.
+        Only decode payloads from a trusted peer (symbolic cells travel as
+        pickle blobs).
         """
         from repro.ctables.schema import Schema
         from repro.ctables.table import CTable
@@ -526,15 +527,20 @@ class ResultSet:
         from repro.symbolic.conditions import TRUE
 
         wire.check_version(payload)
-        schema = Schema([tuple(pair) for pair in payload["columns"]])
-        table = CTable(schema)
-        conditions = payload.get("conditions") or {}
-        for index, row in enumerate(payload.get("rows", ())):
-            condition = conditions.get(str(index))
-            table.add_row(
-                wire.decode_row(row),
-                TRUE if condition is None else wire.decode_value(condition),
-            )
+        table = CTable(Schema([tuple(pair) for pair in payload["columns"]]))
+        columns = wire.decode_columns(
+            payload.get("cells", [[] for _ in table.schema.columns])
+        )
+        table.check_columns(columns)
+        conditions = payload.get("conditions")
+        if conditions:
+            for index, values in enumerate(zip(*columns)):
+                condition = conditions.get(str(index))
+                table.add_row(
+                    values, TRUE if condition is None else wire.decode_value(condition)
+                )
+        else:
+            table = CTable.from_columns(table.schema, columns)
         return cls(
             table,
             plan=None,

@@ -8,6 +8,11 @@ statement's :class:`~repro.engine.results.QueryStats`.  The codec lives
 here — not in the server — because the envelope is useful standalone
 (dump a result to a file, diff two runs, feed a dashboard).
 
+Cells travel column-major — ``"cells"`` is one JSON array per column (per
+chunk, when streamed) — and a column of exact ``int``/``float``/``str``/
+``bool``/``None`` cells goes to ``json`` as the list it is: one test on
+the set of its types, no call per cell.
+
 Fidelity contract: a payload round-trip is **bit-identical** for every
 value the engine produces.
 
@@ -31,10 +36,12 @@ from a different major version raises
 import base64
 import pickle
 
+from repro.ctables.schema import PLAIN
 from repro.util.errors import WireFormatError
 
-#: Envelope version.  Bump on any change a current decoder cannot read.
-WIRE_VERSION = 1
+#: Envelope version.  Bump on any change a current decoder cannot read
+#: (2: cells column-major under ``"cells"``; 1 carried ``"rows"``).
+WIRE_VERSION = 2
 
 #: Tag key marking a non-JSON-native encoded value.
 _TAG = "$pip"
@@ -83,13 +90,22 @@ def decode_value(value):
     return value
 
 
-def encode_row(values):
-    """One result row (tuple of cells) → a JSON list."""
-    return [encode_value(v) for v in values]
+def encode_column(cells):
+    """One column's cells (a list) → a JSON list: the very list when all
+    are of the plain types, else each through :func:`encode_value`."""
+    if PLAIN.issuperset(map(type, cells)):
+        return cells
+    return list(map(encode_value, cells))
 
 
-def decode_row(values):
-    return tuple(decode_value(v) for v in values)
+def decode_columns(cells):
+    """A parsed ``"cells"`` entry → one list of decoded cells per column."""
+    if not isinstance(cells, list) or not all(isinstance(c, list) for c in cells):
+        raise WireFormatError("cells must be one JSON array per column")
+    return [
+        c if PLAIN.issuperset(map(type, c)) else list(map(decode_value, c))
+        for c in cells
+    ]
 
 
 def check_version(payload):

@@ -650,12 +650,12 @@ class PIPServer:
                 self._executor, work)
             timing = {"total": elapsed}
             if result is not None:
-                for rows, conditions in result.iter_row_chunks(self.chunk_rows):
+                for cells, conditions in result.iter_row_chunks(self.chunk_rows):
                     # One chunk per frame, drained per frame: the full
                     # result never exists as a single wire message, and a
                     # slow client backpressures the stream.
                     await self._send(conn, protocol.rows_frame(
-                        request_id, rows, conditions))
+                        request_id, cells, conditions))
                 await self._send(conn, protocol.done_ok(
                     request_id, "resultset", rowcount,
                     result=result.to_payload(include_rows=False),

@@ -20,8 +20,8 @@ the server's request span).  Both are optional and ignorable.
 
 Server → client::
 
-    {"type": "hello", "version": 1, "db": "...", "session": n}
-    {"id": 1, "type": "rows", "rows": [...], "conditions": {...}|null}
+    {"type": "hello", "version": 2, "db": "...", "session": n}
+    {"id": 1, "type": "rows", "cells": [[...], ...], "conditions": {...}|null}
     {"id": 1, "type": "done", "ok": true,  "kind": "resultset" | "count"
                 | "none", "rowcount": n, "result": {envelope w/o rows},
                 "in_transaction": bool, "trace_id": "...",
@@ -33,18 +33,20 @@ Server → client::
 when the server resolved a trace context for the request.
 
 ``rows`` frames stream *before* the ``done`` frame, so a large result
-never exists on the server as one message.  Errors always arrive as a
-``done`` frame — after an error there are no further frames for that id.
+never exists on the server as one message; ``cells`` is one array per
+output column holding the chunk's cells (:mod:`repro.engine.wire`).
+Errors always arrive as a ``done`` frame — after an error there are no
+further frames for that id.
 """
 
 import json
 
-from repro.util.errors import error_code, error_from_code
+from repro.util.errors import ProtocolError, error_code, error_from_code
 
 #: Session protocol version, sent in the hello frame.  Matches the
 #: :data:`repro.engine.wire.WIRE_VERSION` envelope major on purpose:
-#: results travel inside protocol messages.
-PROTOCOL_VERSION = 1
+#: results travel inside protocol messages (2: column-major ``cells``).
+PROTOCOL_VERSION = 2
 
 #: Operations a client may request.
 OPS = ("execute", "executemany", "begin", "commit", "rollback", "ping", "close")
@@ -109,10 +111,27 @@ def done_error(request_id, exc, in_transaction=False):
     }
 
 
-def rows_frame(request_id, rows, conditions=None):
+def rows_frame(request_id, cells, conditions=None):
     return {
         "id": request_id,
         "type": "rows",
-        "rows": rows,
+        "cells": cells,
         "conditions": conditions,
     }
+
+
+def extend_columns(columns, cells):
+    """Client side: append one ``rows`` frame's ``cells`` to the columns
+    received so far (in place); returns how many rows those held."""
+    if (
+        not isinstance(cells, list)
+        or not all(isinstance(column, list) for column in cells)
+        or len(cells) != len(columns or cells)
+    ):
+        raise ProtocolError("a rows frame needs one array per result column")
+    base = len(columns[0]) if columns else 0
+    for column, more in zip(columns, cells):
+        column.extend(more)
+    if not columns:
+        columns.extend(cells)
+    return base

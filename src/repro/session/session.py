@@ -41,7 +41,7 @@ class Cursor:
 
     def __init__(self, session):
         self.session = session
-        self._rows = []
+        self._fetched = None  # the result's row tuples, built by the first fetch
         self._position = 0
         self._description = None
         self._rowcount = -1
@@ -104,20 +104,27 @@ class Cursor:
     def _reset(self, rowcount=-1, result=None):
         """Forget the last statement; install ``result`` (a ResultSet), or
         just the affected-row count of a statement that returned none."""
-        self._rows = []
+        self._fetched = None
         self._position = 0
         self._description = None
         self._rowcount = rowcount
         self.result = result
         if result is not None:
-            self._rows = result.rows()
-            self._rowcount = len(self._rows)
+            self._rowcount = len(result)
             self._description = [
                 (column.name, column.ctype, None, None, None, None, None)
                 for column in result.schema.columns
             ]
 
     # -- fetching ------------------------------------------------------------------
+
+    @property
+    def _rows(self):
+        """The last result's rows as tuples — built when first fetched, so
+        a statement whose rows are streamed or never read builds none."""
+        if self._fetched is None:
+            self._fetched = [] if self.result is None else self.result.rows()
+        return self._fetched
 
     @property
     def description(self):
@@ -164,11 +171,13 @@ class Cursor:
     def close(self):
         """Release the cursor (idempotent; the session stays open)."""
         self._closed = True
-        self._rows = []
+        self._fetched = None
         self.result = None
 
     def __repr__(self):
-        state = "closed" if self._closed else "%d rows" % (len(self._rows),)
+        state = "closed" if self._closed else "%d rows" % (
+            0 if self.result is None else len(self.result),
+        )
         return "<%s (%s)>" % (type(self).__name__, state)
 
 

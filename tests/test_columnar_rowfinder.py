@@ -14,9 +14,9 @@ from repro.columnar import BloomFilter
 from repro.columnar import columns as C
 from repro.columnar import ops as cops
 from repro.ctables import algebra
-from repro.ctables.table import CTable
+from repro.ctables.table import CTable, CTRow
 from repro.symbolic.atoms import Atom
-from repro.symbolic.conditions import conjunction_of
+from repro.symbolic.conditions import TRUE, conjunction_of
 from repro.symbolic.expression import col
 
 N = 500
@@ -53,13 +53,24 @@ def test_point_select_touches_only_its_row(db, monkeypatch):
 
 @pytest.mark.parametrize("lo,hi", [(7, 8), (100, 140), (0, N), (N, N + 5)])
 def test_filter_constructs_one_row_per_hit(db, monkeypatch, lo, hi):
-    built = _count_calls(monkeypatch, cops, "CTRow")
+    """A deterministic scan stays column-held through filter and projection
+    (no ``CTRow``); the first read of ``.rows`` wraps each hit once."""
+    built = _count_calls(monkeypatch, CTRow, "__init__")
     atoms = [Atom(col("k"), ">=", lo), Atom(col("k"), "<", hi)]
-    out = cops.select_vectorized(
+    kept = cops.select_vectorized(
         db, db.table("items"), atoms, conjunction_of(*atoms)
     )
-    assert [row.values[0] for row in out.rows] == list(range(lo, min(hi, N)))
-    assert len(built) == len(out.rows)
+    out = cops.project(db, kept, [("key", col("k")), "price"])
+    hits = list(range(lo, min(hi, N)))
+    assert kept.held and out.held and len(kept) == len(out) == len(hits)
+    assert out.value_tuples() == [(k, k * 0.25) for k in hits]
+    assert out.column_values("key") == hits
+    assert built == []
+    assert [row.values for row in out.rows] == [(k, k * 0.25) for k in hits]
+    assert len(built) == len(hits) and not out.held
+    assert all(row.condition is TRUE for row in out.rows)
+    assert len(built) == len(hits)  # the second read builds nothing
+    assert kept.held  # the projection's rows are not the filter's
 
 
 def test_keyed_update_and_delete_decide_one_row(db, monkeypatch):

@@ -16,6 +16,7 @@ from repro.core.database import PIPDatabase
 from repro.engine import wire
 from repro.engine.results import CellEstimate, QueryStats, ResultSet
 from repro.sampling.options import SamplingOptions
+from repro.server import protocol
 from repro.util.errors import WireFormatError
 
 
@@ -171,7 +172,7 @@ class TestEnvelope:
         db.sql("CREATE TABLE t (k str, v float)")
         db.sql("INSERT INTO t VALUES ('a', 1.0)")
         payload = db.sql("SELECT k, v FROM t").to_payload(include_rows=False)
-        assert "rows" not in payload and "conditions" not in payload
+        assert "cells" not in payload and "conditions" not in payload
         assert ResultSet.from_payload(payload).rows() == []
 
 
@@ -182,8 +183,11 @@ class TestRowChunks:
         db.insert_many("t", [(i, float(i)) for i in range(23)])
         result = db.sql("SELECT k, v FROM t")
         chunks = list(result.iter_row_chunks(chunk_size=5))
-        assert [len(rows) for rows, _conds in chunks] == [5, 5, 5, 5, 3]
-        merged = [wire.decode_row(row) for rows, _c in chunks for row in rows]
+        # One array per column per chunk, each as long as the chunk.
+        assert [[len(column) for column in cells] for cells, _c in chunks] == [
+            [5, 5], [5, 5], [5, 5], [5, 5], [3, 3]
+        ]
+        merged = [row for cells, _c in chunks for row in zip(*cells)]
         assert merged == result.rows()
 
     def test_chunk_local_conditions_rebase(self):
@@ -195,14 +199,13 @@ class TestRowChunks:
         db.insert("s", (x,))
         result = db.sql("SELECT v FROM s WHERE v > 100")  # all-symbolic survivors
         # Reassemble via chunks exactly the way the client does.
-        rows, conditions = [], {}
-        for chunk_rows, chunk_conditions in result.iter_row_chunks(chunk_size=2):
-            base = len(rows)
-            rows.extend(chunk_rows)
+        cells, conditions = [], {}
+        for chunk_cells, chunk_conditions in result.iter_row_chunks(chunk_size=2):
+            base = protocol.extend_columns(cells, chunk_cells)
             for offset, condition in (chunk_conditions or {}).items():
                 conditions[str(base + int(offset))] = condition
         payload = result.to_payload(include_rows=False)
-        payload["rows"] = rows
+        payload["cells"] = cells
         if conditions:
             payload["conditions"] = conditions
         back = ResultSet.from_payload(_json_round_trip(payload))
