@@ -18,6 +18,7 @@ check set aside or an expression variable the split does not hold.
 
 from operator import attrgetter
 
+from repro.symbolic.conditions import Conjunction, Disjunction
 from repro.util.unionfind import UnionFind
 
 
@@ -30,10 +31,15 @@ class VariableGroup:
     ``bundle_keys`` is the one part that grows — the sample-bank keys
     :func:`repro.samplebank.keys.bundle_key` has computed for this group,
     each a pure function of the group and of the entry it is stored under,
-    so a racing or repeated write stores the same number.
+    so a racing or repeated write stores the same number.  The ``_…`` slots
+    follow the same rule: what every call on a planned group would derive
+    again — its acceptance predicate, its ``methods`` tag and (the engine's
+    ``_exact_group_probability``) its exact ``P[K]`` under its plan's
+    bounds — filled on first ask, equal whoever fills them, never pickled.
     """
 
-    __slots__ = ("variables", "atoms", "bundle_keys", "variable_keys")
+    __slots__ = ("variables", "atoms", "bundle_keys", "variable_keys",
+                 "_predicate", "_tag", "_exact_probability")
 
     def __init__(self, variables, atoms):
         self.variables = tuple(sorted(variables, key=_by_key))
@@ -41,7 +47,8 @@ class VariableGroup:
         self.bundle_keys = {}
         self.variable_keys = frozenset([v.key for v in self.variables])
 
-    # ``variable_keys`` is derived: not in a pool payload, worked out again.
+    # ``variable_keys`` and the ``_…`` slots are derived: not in a pool
+    # payload, worked out again.
     def __getstate__(self):
         return None, {n: getattr(self, n) for n in ("variables", "atoms", "bundle_keys")}
 
@@ -52,6 +59,26 @@ class VariableGroup:
     @property
     def is_unconstrained(self):
         return not self.atoms
+
+    @property
+    def predicate(self):
+        """The acceptance test candidates of a conjunction's group must
+        pass: this group's atoms over the batch (a DNF's one joint group is
+        tested against the whole disjunction instead)."""
+        try:
+            return self._predicate
+        except AttributeError:
+            self._predicate = Conjunction(self.atoms).evaluate_batch
+            return self._predicate
+
+    @property
+    def tag(self):
+        """The group's name in a result's ``methods``."""
+        try:
+            return self._tag
+        except AttributeError:
+            self._tag = "+".join([repr(v) for v in self.variables])
+            return self._tag
 
     def mentions_any(self, variable_keys):
         """Whether the group contains any of the given variable keys."""
@@ -135,8 +162,6 @@ def groups_for_condition(condition, extra_variables=()):
     factorisation P[C] = Π P[K] no longer holds across disjuncts, so all
     variables are kept in one joint group (sound, just less efficient).
     """
-    from repro.symbolic.conditions import Conjunction, Disjunction
-
     if isinstance(condition, Conjunction):
         return partition_atoms(condition.atoms, extra_variables)
     if isinstance(condition, Disjunction):

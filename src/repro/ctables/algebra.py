@@ -249,5 +249,9 @@ def partition(table, group_columns):
 
 
 def limit(table, count, offset=0):
-    """LIMIT/OFFSET over the current row order."""
+    """LIMIT/OFFSET over the current row order; a column-held table is
+    sliced by column and stays held (no row built to keep ``count``)."""
+    if table.held:
+        columns = table.cell_columns(offset, offset + count)
+        return CTable.from_columns(table.schema, columns, name=table.name)
     return table.with_rows(table.rows[offset : offset + count])

@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.distributions import rng_from_seed
 from repro.sampling.samplers import GroupSampler
-from repro.symbolic.conditions import Conjunction
 from repro.util.hashing import derive_seed
 
 
@@ -141,16 +140,11 @@ class BundlePayload:
 
 
 def _predicate_for(job):
-    """Rebuild the acceptance predicate the bank would use (see
-    ``ExpectationEngine._group_predicate``)."""
+    """The acceptance predicate the bank would use (see
+    ``ExpectationEngine._make_sampler``)."""
     if job.dnf_condition is not None:
-        condition = job.dnf_condition
-        return lambda arrays: condition.evaluate_batch(arrays)
-    atoms = job.group.atoms
-    if not atoms:
-        return lambda arrays: np.asarray(True)
-    conjunction = Conjunction(atoms)
-    return lambda arrays: conjunction.evaluate_batch(arrays)
+        return job.dnf_condition.evaluate_batch
+    return job.group.predicate
 
 
 def run_group_job(job):

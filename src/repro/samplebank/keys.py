@@ -39,8 +39,14 @@ STRATEGY_FIELDS = (
 
 
 def strategy_fingerprint(options):
-    """The draw-shaping slice of a :class:`SamplingOptions`."""
-    return tuple(getattr(options, name) for name in STRATEGY_FIELDS)
+    """The draw-shaping slice of a :class:`SamplingOptions`, read off the
+    (immutable) options object once and kept on it."""
+    try:
+        return options._fingerprint
+    except AttributeError:
+        fingerprint = tuple([getattr(options, name) for name in STRATEGY_FIELDS])
+        object.__setattr__(options, "_fingerprint", fingerprint)
+        return fingerprint
 
 
 #: Field types, for round-tripping a fingerprint through float storage
@@ -60,6 +66,10 @@ def variable_signature(variable):
     )
 
 
+#: ``_bundle_entry`` of an options object never asked: matches no seed.
+_NO_ENTRY = (object(), None)
+
+
 def bundle_key(group, condition, options, base_seed):
     """64-bit cache key for ``group`` sampled under ``condition``.
 
@@ -75,13 +85,20 @@ def bundle_key(group, condition, options, base_seed):
     bundle up.  The entry is typed (:func:`~repro.util.hashing.exact_key`):
     ``metropolis_threshold=1`` and ``1.0`` compare equal and hash apart.
     """
-    fingerprint = strategy_fingerprint(options)
     dnf = condition.key() if isinstance(condition, Disjunction) else None
-    entry = exact_key((base_seed, fingerprint, dnf))
+    # A conjunction's entry is a pure function of the options object and
+    # the seed: kept on the options beside the seed *object* it was built
+    # for (a bank passes its own every time; shared defaults recompute when
+    # another bank asks, and racing threads store whole pairs).
+    seed, entry = getattr(options, "_bundle_entry", _NO_ENTRY)
+    if dnf is not None or seed is not base_seed:
+        entry = exact_key((base_seed, strategy_fingerprint(options), dnf))
+        if dnf is None:
+            object.__setattr__(options, "_bundle_entry", (base_seed, entry))
     key = group.bundle_keys.get(entry)
     if key is not None:
         return key
-    parts = ["samplebank", base_seed, fingerprint]
+    parts = ["samplebank", base_seed, strategy_fingerprint(options)]
     for variable in group.variables:
         parts.append(variable_signature(variable))
     if dnf is not None:

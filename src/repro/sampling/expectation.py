@@ -31,9 +31,9 @@ from repro.constraints.consistency import check_consistency
 from repro.constraints.independence import groups_for_condition
 from repro.distributions import rng_from_seed
 from repro.sampling.options import DEFAULT_OPTIONS
-from repro.sampling.plans import PlanMemo, plan_key
+from repro.sampling.plans import GroupPlan, PlanMemo, groups_read_by, plan_key
 from repro.sampling.samplers import GroupSampler
-from repro.symbolic.conditions import Conjunction, Disjunction
+from repro.symbolic.conditions import Disjunction
 from repro.symbolic.expression import as_expression
 from repro.util.errors import PIPError
 from repro.util.hashing import stable_hash64
@@ -111,8 +111,13 @@ class ExpectationEngine:
     the condition, the measured expression's variables and the registered
     distributions, and on a warm bank it used to be most of a statement;
     :meth:`_plan` therefore does it once per distinct condition and hands
-    the same :class:`ConsistencyResult` and :class:`VariableGroup` objects
-    to every later call.  Results cannot depend on the memo: its key covers
+    the same :class:`~repro.sampling.plans.GroupPlan` — the
+    :class:`ConsistencyResult`, the :class:`VariableGroup` objects and the
+    ones of them the expression samples — to every later call; a planned
+    group in turn keeps its acceptance predicate, its ``methods`` tag and
+    its exact ``P[K]``, so a call the bank answers derives nothing
+    symbolic.  Only pure functions of the plan's key are kept, never what
+    reads a bundle.  Results cannot depend on the memo: its key covers
     every input the planning functions read, a hit returns exactly what a
     miss computes, nothing downstream mutates a plan, and so neither the
     memo's contents, its eviction nor the order of calls can change an
@@ -175,7 +180,7 @@ class ExpectationEngine:
         elif exact is not None:
             mean, tag = exact
             for group in sampled_groups:
-                methods[_group_tag(group)] = tag
+                methods[group.tag] = tag
         else:
             outcome = self._sample_mean(
                 expr, condition, sampled_groups, consistency, rng, options, methods
@@ -281,15 +286,14 @@ class ExpectationEngine:
         if expr is None and condition.is_true:
             return None, (), (), None
         expr_vars = expr.variables() if expr is not None else ()
-        consistency, groups = self._plan(condition, expr_vars)
+        plan = self._plan(condition, expr_vars)
+        consistency = plan.consistency
         if consistency.is_inconsistent:
             return None
+        groups, sampled_groups = plan.groups, plan.sampled_groups
         if not options.use_independence and groups:
             groups = self._merge_groups(groups)
-        expr_keys = frozenset(v.key for v in expr_vars)
-        sampled_groups = []
-        if expr_keys:
-            sampled_groups = [g for g in groups if g.variable_keys & expr_keys]
+            sampled_groups = groups_read_by(expr_vars, groups)
         exact = None
         if sampled_groups:
             mean = self._try_exact_linear(expr, sampled_groups, options)
@@ -405,15 +409,15 @@ class ExpectationEngine:
         return options
 
     def _plan(self, condition, expr_variables):
-        """``(ConsistencyResult, groups)`` for one non-FALSE condition.
+        """The :class:`GroupPlan` of one non-FALSE condition.
 
         The single place the engine runs Algorithm 3.2 and the
         independence split; everything else asks here.  ``groups`` is a
         tuple (empty when the condition is inconsistent: no caller reads
         it then): the partition Algorithm 3.2 tightened over wherever that
         is the whole condition's and holds every expression variable, a
-        second split only otherwise.  Both halves may come out of the memo
-        and are shared with other calls and threads — read, never modify.
+        second split only otherwise.  The plan may come out of the memo
+        and is shared with other calls and threads — read, never modify.
         """
         key = plan_key(condition, expr_variables)
         plan = self._plans.get(key)
@@ -429,7 +433,7 @@ class ExpectationEngine:
                     groups = tuple(
                         groups_for_condition(condition, extra_variables=expr_variables)
                     )
-            plan = (consistency, groups)
+            plan = GroupPlan(consistency, groups, groups_read_by(expr_variables, groups))
             if key is not None:
                 self._plans.put(key, plan)
         else:
@@ -479,28 +483,18 @@ class ExpectationEngine:
             atoms.extend(group.atoms)
         return [VariableGroup(variables.values(), atoms)]
 
-    @staticmethod
-    def _group_predicate(group, condition):
-        """The acceptance test a group's candidates must pass.
-
-        Conjunctions: just this group's atoms.  DNF: the full condition
-        (there is only one group in that case).
-        """
-        if isinstance(condition, Disjunction):
-            return lambda arrays: condition.evaluate_batch(arrays)
-        atoms = group.atoms
-        if not atoms:
-            return lambda arrays: np.asarray(True)
-        conjunction = Conjunction(atoms)
-        return lambda arrays: conjunction.evaluate_batch(arrays)
-
     def _bank_active(self, options):
         return (
             self.bank is not None and self.bank.enabled and options.use_sample_bank
         )
 
     def _make_sampler(self, group, condition, consistency, rng, options):
-        predicate = self._group_predicate(group, condition)
+        # The acceptance test a group's candidates must pass.  Conjunctions:
+        # just this group's atoms.  DNF: the full condition (one joint group).
+        predicate = (
+            condition.evaluate_batch if isinstance(condition, Disjunction)
+            else group.predicate
+        )
         if self._bank_active(options):
             return self.bank.source(group, condition, consistency, predicate, options)
         return GroupSampler(
@@ -526,7 +520,7 @@ class ExpectationEngine:
             if result.impossible:
                 return None
             arrays.update(result.arrays)
-            methods[_group_tag(group)] = (
+            methods[group.tag] = (
                 "metropolis" if result.used_metropolis else _sampling_tag(sampler)
             )
         return arrays
@@ -709,7 +703,7 @@ class ExpectationEngine:
         exact = self._exact_group_probability(group, condition, consistency, options)
         if exact is not None:
             if methods is not None:
-                methods[_group_tag(group) + ":prob"] = "exact-cdf"
+                methods[group.tag + ":prob"] = "exact-cdf"
             return exact, True
         sampler = existing_sampler
         if sampler is None or not sampler.can_estimate_probability:
@@ -731,7 +725,7 @@ class ExpectationEngine:
         if estimate is None:
             estimate = sampler.estimate_probability(_attempt_floor(options))
         if methods is not None:
-            methods[_group_tag(group) + ":prob"] = "sampled"
+            methods[group.tag + ":prob"] = "sampled"
         return estimate, False
 
     def _exact_group_probability(self, group, condition, consistency, options):
@@ -740,9 +734,19 @@ class ExpectationEngine:
         Continuous: all atoms linear in the one variable — the satisfying
         set is exactly the tightened interval, integrable with two CDF
         evaluations.  Discrete: enumerate the (finite/truncated) domain.
+        A pure function of the group and its plan's bounds, kept on the
+        group (a derived slot: racing fills store equal verdicts).
         """
         if not options.use_exact_probability or isinstance(condition, Disjunction):
             return None
+        try:
+            return group._exact_probability
+        except AttributeError:
+            exact = group._exact_probability = self._integrate_group(group, consistency)
+            return exact
+
+    def _integrate_group(self, group, consistency):
+        """:meth:`_exact_group_probability` of a conjunction's group."""
         if len(group.variables) != 1:
             return None
         variable = group.variables[0]
@@ -784,10 +788,6 @@ def _first_round(options):
 def _attempt_floor(options):
     """Trials a standalone probability estimate drives a group to."""
     return max(4 * options.batch_size, 4096)
-
-
-def _group_tag(group):
-    return "+".join(repr(v) for v in group.variables)
 
 
 def _sampling_tag(sampler):

@@ -6,6 +6,8 @@ for the ablation benchmarks: each disables one of the paper's
 optimisations so its contribution can be measured (DESIGN.md §4).
 """
 
+from repro.util.slotstate import restore_slot_state, slot_state
+
 
 class SamplingOptions:
     """Knobs for Algorithm 4.3 and friends.
@@ -101,6 +103,11 @@ class SamplingOptions:
         "bank_capacity",
         "bank_spill_dir",
         "parallel_workers",
+        # Derived (util.slotstate), filled by repro.samplebank.keys on first
+        # ask and never pickled: the strategy fingerprint and the bundle-key
+        # entry it gives under the last base seed asked.
+        "_fingerprint",
+        "_bundle_entry",
     )
 
     def __init__(
@@ -128,33 +135,45 @@ class SamplingOptions:
         bank_spill_dir=None,
         parallel_workers=0,
     ):
-        self.epsilon = epsilon
-        self.delta = delta
-        self.n_samples = n_samples
-        self.min_samples = min_samples
-        self.max_samples = max_samples
-        self.batch_size = batch_size
-        self.metropolis_threshold = metropolis_threshold
-        self.metropolis_burn_in = metropolis_burn_in
-        self.metropolis_thin = metropolis_thin
-        self.metropolis_start_tries = metropolis_start_tries
-        self.max_attempts_per_group = max_attempts_per_group
-        self.use_cdf_inversion = use_cdf_inversion
-        self.use_independence = use_independence
-        self.use_consistency_bounds = use_consistency_bounds
-        self.use_exact_probability = use_exact_probability
-        self.use_exact_linear = use_exact_linear
-        self.use_exact_truncated = use_exact_truncated
-        self.use_metropolis = use_metropolis
-        self.use_sample_bank = use_sample_bank
-        self.bank_capacity = bank_capacity
-        self.bank_spill_dir = bank_spill_dir
-        self.parallel_workers = parallel_workers
+        restore_slot_state(self, {
+            "epsilon": epsilon,
+            "delta": delta,
+            "n_samples": n_samples,
+            "min_samples": min_samples,
+            "max_samples": max_samples,
+            "batch_size": batch_size,
+            "metropolis_threshold": metropolis_threshold,
+            "metropolis_burn_in": metropolis_burn_in,
+            "metropolis_thin": metropolis_thin,
+            "metropolis_start_tries": metropolis_start_tries,
+            "max_attempts_per_group": max_attempts_per_group,
+            "use_cdf_inversion": use_cdf_inversion,
+            "use_independence": use_independence,
+            "use_consistency_bounds": use_consistency_bounds,
+            "use_exact_probability": use_exact_probability,
+            "use_exact_linear": use_exact_linear,
+            "use_exact_truncated": use_exact_truncated,
+            "use_metropolis": use_metropolis,
+            "use_sample_bank": use_sample_bank,
+            "bank_capacity": bank_capacity,
+            "bank_spill_dir": bank_spill_dir,
+            "parallel_workers": parallel_workers,
+        })
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SamplingOptions is immutable; use replace()")
+
+    # The state object.__getstate__ would build, minus the derived slots.
+    def __getstate__(self):
+        return None, slot_state(self)
+
+    def __setstate__(self, state):
+        restore_slot_state(self, state[1])
 
     def replace(self, **overrides):
         """A copy with the given fields changed (the original is never
         mutated — one options object may be shared by many operators)."""
-        kwargs = {name: getattr(self, name) for name in self.__slots__}
+        kwargs = slot_state(self)
         kwargs.update(overrides)
         return SamplingOptions(**kwargs)
 

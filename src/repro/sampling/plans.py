@@ -1,19 +1,27 @@
 """The memo behind ``ExpectationEngine._plan``: plan a condition once.
 
-A *group plan* is what the paper computes "prior to sampling": the
-Algorithm 3.2 bounds map and verdict (``check_consistency``) and the
-minimal independent subsets of Section IV-A(c) — the partition that check
-tightened over, or ``groups_for_condition`` where the expression adds a
-variable to it.  Both are pure functions of the condition, the measured
-expression's variables and the registered distribution classes, so a
-monitoring loop that re-derives the same row conditions statement after
-statement can keep the answer — provided the memo is keyed on
-*everything* those two functions read, and as finely as anything derived
-from the plan is hashed (:func:`~repro.util.hashing.exact_key`).
-A stored plan's atoms keep the linear form and degree they derived.
+A *group plan* is what the paper computes "prior to sampling", the whole
+front half of a call: the Algorithm 3.2 bounds map and verdict
+(``check_consistency``), the minimal independent subsets of Section
+IV-A(c) — the partition that check tightened over, or
+``groups_for_condition`` where the expression adds a variable to it — and
+the subsets the expression reads.  All are pure functions of the
+condition, the measured expression's variables and the registered
+distribution classes, so a monitoring loop that re-derives the same row
+conditions statement after statement can keep the answer — provided the
+memo is keyed on *everything* those functions read, and as finely as
+anything derived from the plan is hashed
+(:func:`~repro.util.hashing.exact_key`).
+
+The rule for what a plan, its groups (predicate, tag, exact ``P[K]``), a
+variable (its signature here) or an options object (its fingerprint) may
+keep: a pure function of the key, in a derived slot filled on first ask —
+nothing that reads a bundle (counters, mass, arrays), no estimate, no
+result.  A stored plan's atoms likewise keep the forms they derived.
 """
 
 import threading
+from collections import namedtuple
 
 from repro.distributions.base import registry_version
 from repro.symbolic.conditions import Disjunction
@@ -45,14 +53,18 @@ def _variable_signature(variable):
     for value in params:
         if type(value) not in _PLAIN:
             raise _NotPlain
-    return (variable.vid, variable.subscript, variable.dist_name, params)
+    signature = (variable.vid, variable.subscript, variable.dist_name, params)
+    # A bound atom is new every tick, its leaves are the table's own cells:
+    # the (immutable) variable keeps what is a pure function of it.
+    object.__setattr__(variable, "_plan_signature", signature)
+    return signature
 
 
 def _expression_signature(node):
     """``node.key()``, with each variable's distribution beside its id."""
     cls = type(node)
     if cls is VarTerm:
-        return _variable_signature(node.var)
+        return getattr(node.var, "_plan_signature", None) or _variable_signature(node.var)
     if cls is Constant:
         if type(node.value) not in _PLAIN:
             raise _NotPlain
@@ -99,12 +111,26 @@ def plan_key(condition, expr_variables):
         else:
             structure = _atoms_signature(condition.atoms)
         extra = [
-            _variable_signature(v)
+            getattr(v, "_plan_signature", None) or _variable_signature(v)
             for v in sorted(expr_variables, key=lambda v: v.key)
         ]
     except _NotPlain:
         return None
     return exact_key((dnf, structure, extra, registry_version()))
+
+
+#: What :class:`PlanMemo` stores, the front half of a call: Algorithm 3.2's
+#: result, the condition's independent subsets (a tuple, empty when
+#: inconsistent) and those of them the expression's variables select — the
+#: ones a mean draws from.  Shared by every call and thread that plans an
+#: equal condition: read, never modify.
+GroupPlan = namedtuple("GroupPlan", "consistency groups sampled_groups")
+
+
+def groups_read_by(expr_variables, groups):
+    """The groups whose draws an expression over ``expr_variables`` reads."""
+    expr_keys = frozenset([v.key for v in expr_variables])
+    return tuple([g for g in groups if g.variable_keys & expr_keys])
 
 
 class PlanMemo:

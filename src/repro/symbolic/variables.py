@@ -22,7 +22,9 @@ class RandomVariable:
     family, for multivariate classes); ``subscript`` selects the component.
     """
 
-    __slots__ = ("vid", "subscript", "dist_name", "params")
+    # ``_plan_signature`` is derived (filled by repro.sampling.plans on first
+    # ask); ``__reduce__`` keeps it out of every pickle.
+    __slots__ = ("vid", "subscript", "dist_name", "params", "_plan_signature")
 
     def __init__(self, vid, dist_name, params, subscript=0):
         object.__setattr__(self, "vid", int(vid))

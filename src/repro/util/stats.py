@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+_sum = np.add.reduce  # what ``ndarray.sum`` and ``ndarray.mean`` call
+
 
 class RunningStats:
     """Welford online mean/variance accumulator.
@@ -38,8 +40,12 @@ class RunningStats:
         n_b = values.size
         if n_b == 0:
             return
-        mean_b = float(values.mean())
-        m2_b = float(((values - mean_b) ** 2).sum())
+        # ``values.mean()`` and ``((values - mean) ** 2).sum()`` bit for bit
+        # (the same pairwise ``add.reduce``, the same division) without
+        # their Python-level numpy wrappers: this runs once per result row.
+        mean_b = float(_sum(values, None) / n_b)
+        deviations = values - mean_b
+        m2_b = float(_sum(deviations * deviations, None))
         if self.count == 0:
             self.count = n_b
             self._mean = mean_b

@@ -87,6 +87,37 @@ class TestNoRowUntilAsked:
         assert len(built) == len(rows) and not table.held
         assert cursor.result.to_ctable() is table and len(built) == len(rows)
 
+    def test_limit_slices_the_columns(self, monkeypatch):
+        """``LIMIT n`` keeps n cells per column; it used to build a
+        ``CTRow`` for every row of the scan to keep n of them."""
+        db = _items_db()
+        db.sql("SELECT k FROM items WHERE k >= 0 LIMIT 1")  # warm the store
+        built = _count(monkeypatch, CTRow, "__init__")
+        result = db.sql("SELECT k, qty FROM items WHERE k >= 100 LIMIT 5")
+        assert result.rows() == [(k, k % 9) for k in range(100, 105)]
+        assert result._table.held and built == []
+        paged = db.sql("SELECT k, qty FROM items WHERE k >= 100 LIMIT 5 OFFSET 7")
+        assert paged.rows() == [(k, k % 9) for k in range(107, 112)]
+        assert paged._table.held and built == []
+        beyond = db.sql("SELECT k, qty FROM items WHERE k >= 100 LIMIT 5 OFFSET %d" % N)
+        assert beyond.rows() == [] and len(beyond) == 0 and built == []
+        assert len(beyond.to_ctable().rows) == 0
+        # Counts below one slice as a Python list does, held or not.
+        table = db.sql("SELECT k, qty FROM items WHERE k >= 100")._table
+        assert table.held
+        rows = list(table.value_tuples())
+        from repro.ctables import algebra
+
+        for count, offset in ((0, 0), (0, 3), (-2, 0), (-2, 4), (3, 0), (N, 1)):
+            held = algebra.limit(table, count, offset)
+            assert held.held and held.value_tuples() == rows[offset : offset + count]
+        assert built == []
+        table.materialize()
+        for count, offset in ((0, 3), (-2, 4), (3, 0)):
+            kept = algebra.limit(table, count, offset)
+            assert not kept.held
+            assert [r.values for r in kept.rows] == rows[offset : offset + count]
+
     def test_cursor_builds_tuples_on_first_fetch_only(self, monkeypatch):
         db = _items_db()
         session = db.connect()

@@ -348,7 +348,7 @@ def assert_plan_is_direct(plan, condition, extra=(), options=None):
     """``plan`` equals what the planning functions return when called
     directly — down to the types of constants and the bank keys."""
     options = options or SamplingOptions()
-    consistency, groups = plan
+    consistency, groups = plan.consistency, plan.groups
     direct = check_consistency(condition)
     assert (consistency.verdict, consistency.strong, consistency.zero_probability) == (
         direct.verdict, direct.strong, direct.zero_probability)
@@ -364,6 +364,8 @@ def assert_plan_is_direct(plan, condition, extra=(), options=None):
         return
     direct_groups = groups_for_condition(condition, extra_variables=extra)
     assert len(groups) == len(direct_groups)
+    extra_keys = frozenset(v.key for v in extra)
+    assert plan.sampled_groups == tuple(g for g in groups if g.variable_keys & extra_keys)
     for group, reference in zip(groups, direct_groups):
         assert variable_signatures(group.variables) == variable_signatures(
             reference.variables)
@@ -403,11 +405,11 @@ class TestPlanMemo:
         for plan, condition in zip(plans_seen, conditions):
             assert_plan_is_direct(plan, condition)
         options = SamplingOptions()
-        keys = [bundle_key(p[1][0], c, options, PLAN_SEED)
+        keys = [bundle_key(p.groups[0], c, options, PLAN_SEED)
                 for p, c in zip(plans_seen, conditions)]
         # Recorded at the commit before the memo existed.
         assert keys == [0xA3534B608FE753F0, 0xBACC657299D4C240, 0xA3534B608FE753F0]
-        assert plans_seen[0][0].strong and not plans_seen[2][0].strong
+        assert plans_seen[0].consistency.strong and not plans_seen[2].consistency.strong
 
     def test_signed_zeros_plan_apart(self):
         x, y = POOL[0], POOL[1]
@@ -417,7 +419,7 @@ class TestPlanMemo:
         first, second = (engine._plan(c, ()) for c in conditions)
         assert first is not second
         options = SamplingOptions()
-        assert [bundle_key(p[1][0], c, options, PLAN_SEED)
+        assert [bundle_key(p.groups[0], c, options, PLAN_SEED)
                 for p, c in zip((first, second), conditions)] == [
             0x9890F8A2179723DC, 0x53511FDFB0432EFE]  # recorded before the memo
 
@@ -430,7 +432,7 @@ class TestPlanMemo:
                             conjunction_of(var(x) * var(y) > 1)])
 
         engine._plan(build(), ())
-        _, (group,) = engine._plan(build(), ())
+        (group,) = engine._plan(build(), ()).groups
         options = SamplingOptions()
         assert bundle_key(group, build(), options, PLAN_SEED) == 0xB38A82596C87BF36
         # One group object under two disjunctions: the kept key is per
@@ -452,8 +454,8 @@ class TestPlanMemo:
             condition = conjunction_of(var(variable) > 0.5)
             plan = engine._plan(condition, ())
             assert_plan_is_direct(plan, condition)
-            assert plan[1][0].variables[0].params == variable.params
-        assert engine._plan(conjunction_of(var(wide) > 0.5), ())[0].bound_for(
+            assert plan.groups[0].variables[0].params == variable.params
+        assert engine._plan(conjunction_of(var(wide) > 0.5), ()).consistency.bound_for(
             wide.key).hi == 10.0
 
     def test_expression_variables_are_part_of_the_key(self):
@@ -464,7 +466,7 @@ class TestPlanMemo:
         for extra in ((), (y,), (y, z), (z, y), ()):
             plan = engine._plan(conjunction_of(var(x) > 0.5), frozenset(extra))
             assert_plan_is_direct(plan, condition, frozenset(extra))
-            sizes.append(len(plan[1]))
+            sizes.append(len(plan.groups))
         assert sizes == [1, 2, 3, 3, 1]
         assert len(engine._plans) == 3
 
@@ -479,15 +481,16 @@ class TestPlanMemo:
         u = RandomVariable(9, "uniform", (0.0, 8.0))
         engine = ExpectationEngine(base_seed=PLAN_SEED)
         condition = conjunction_of(var(u) > 1.0)
-        assert engine._plan(condition, ())[0].bound_for(u.key).hi == 8.0
+        assert engine._plan(condition, ()).consistency.bound_for(u.key).hi == 8.0
         try:
             register_distribution(HalfUniform, replace=True)
             plan = engine._plan(conjunction_of(var(u) > 1.0), ())
-            assert plan[0].bound_for(u.key).hi == 4.0
+            assert plan.consistency.bound_for(u.key).hi == 4.0
             assert_plan_is_direct(plan, condition)
         finally:
             register_distribution(original, replace=True)
-        assert engine._plan(conjunction_of(var(u) > 1.0), ())[0].bound_for(u.key).hi == 8.0
+        assert engine._plan(
+            conjunction_of(var(u) > 1.0), ()).consistency.bound_for(u.key).hi == 8.0
 
     def test_merged_groups_after_a_hit(self):
         """``use_independence=False`` merges what the memo returned, per
@@ -505,7 +508,7 @@ class TestPlanMemo:
         assert len(first.methods) == 2  # one joint group: its mean and its P
         assert (second.mean, second.probability) == (first.mean, first.probability)
         assert bank.stats()["misses"] == 1 and bank.stats()["hits"] == 1
-        _, groups = engine._plan(condition(), frozenset((x, y)))
+        groups = engine._plan(condition(), frozenset((x, y))).groups
         assert [len(g.variables) for g in groups] == [1, 1]
         split = ExpectationEngine(
             options=options.replace(use_independence=True), base_seed=PLAN_SEED,
@@ -518,7 +521,7 @@ class TestPlanMemo:
         x = POOL[0]
         engine = ExpectationEngine(base_seed=PLAN_SEED)
         condition = conjunction_of(var(x) > 1)
-        _, (group,) = engine._plan(condition, ())
+        (group,) = engine._plan(condition, ()).groups
         as_int = SamplingOptions(metropolis_threshold=1)
         as_float = SamplingOptions(metropolis_threshold=1.0)
         for _ in range(2):
@@ -568,16 +571,16 @@ class TestPlanMemo:
                         condition = build_condition(specs[index])
                         plan = engine._plan(condition, ())
                         reference = expected[index]
-                        assert plan[0].bounds == reference[0].bounds
-                        assert plan[0].verdict == reference[0].verdict
-                        assert [variable_signatures(g.variables) for g in plan[1]] == [
-                            variable_signatures(g.variables) for g in reference[1]]
+                        assert plan.consistency.bounds == reference.consistency.bounds
+                        assert plan.consistency.verdict == reference.consistency.verdict
+                        assert [variable_signatures(g.variables) for g in plan.groups] == [
+                            variable_signatures(g.variables) for g in reference.groups]
                         assert [
                             bundle_key(g, condition, SamplingOptions(), PLAN_SEED)
-                            for g in plan[1]
+                            for g in plan.groups
                         ] == [
                             bundle_key(g, condition, SamplingOptions(), PLAN_SEED)
-                            for g in reference[1]
+                            for g in reference.groups
                         ]
             except BaseException as error:  # noqa: BLE001 - reported below
                 failures.append(error)
@@ -601,7 +604,7 @@ class TestPlanMemo:
         x, y = POOL[0], POOL[1]
         engine = ExpectationEngine(base_seed=PLAN_SEED)
         condition = conjunction_of(var(x) > var(y), var(x) < 3)
-        _, (group,) = engine._plan(condition, ())
+        (group,) = engine._plan(condition, ()).groups
         options = SamplingOptions()
         key = bundle_key(group, condition, options, PLAN_SEED)
         blob = pickle.dumps(group, protocol=pickle.HIGHEST_PROTOCOL)

@@ -109,16 +109,23 @@ class TestSamePlan:
         for condition, expression_variable_sets in cases:
             for expr_variables in expression_variable_sets:
                 expr_variables = frozenset(expr_variables)
-                result, groups = ExpectationEngine()._plan(condition, expr_variables)
+                plan = ExpectationEngine()._plan(condition, expr_variables)
+                result, groups = plan.consistency, plan.groups
                 assert _snapshot(result, groups) == _reference(condition, expr_variables), (
                     condition, expr_variables,
                 )
+                # The groups the expression reads, as the engine used to
+                # filter them on every call.
+                keys = frozenset(v.key for v in expr_variables)
+                assert plan.sampled_groups == tuple(
+                    g for g in groups if g.variable_keys & keys)
 
     def test_partition_is_shared_only_where_it_is_the_answer(self, factory):
         cases = _hand_written(factory)
 
         def plan(name, expr_variables=()):
-            return ExpectationEngine()._plan(cases[name][0], frozenset(expr_variables))
+            found = ExpectationEngine()._plan(cases[name][0], frozenset(expr_variables))
+            return found.consistency, found.groups
 
         result, groups = plan("box")
         assert groups is result.groups

@@ -102,6 +102,48 @@ class TestRunningStats:
         assert left.mean == pytest.approx(whole.mean, rel=1e-12)
         assert left.variance == pytest.approx(whole.variance, rel=1e-9)
 
+    def test_first_batch_is_the_numpy_methods_bit_for_bit(self):
+        """``update_batch`` calls ``add.reduce`` where it used to call
+        ``values.mean()`` and ``((values - m) ** 2).sum()``: same bits,
+        over contiguous arrays, strided views and non-finite cells."""
+        rng = np.random.default_rng(24)
+        checked = 0
+        for size in (1, 2, 7, 128, 2000, 50000):
+            for trial in range(200 // 6 + 1):
+                base = rng.normal(rng.uniform(-5, 5), rng.uniform(0.1, 100.0), 2 * size + 3)
+                values = (base[:size], base[1::2][:size], base[::-1][:size])[trial % 3]
+                if trial % 7 == 5:
+                    values = values.copy()
+                    values[int(rng.integers(size))] = (math.inf, -math.inf, math.nan)[trial % 3]
+                assert values.size == size
+                with np.errstate(invalid="ignore"):
+                    mean = float(values.mean())
+                    m2 = float(((values - mean) ** 2).sum())
+                    stats = RunningStats()
+                    stats.update_batch(values)
+                reference = RunningStats()
+                reference.count, reference._mean, reference._m2 = size, mean, m2
+                for name in ("mean", "variance", "stderr"):
+                    got, want = getattr(stats, name), getattr(reference, name)
+                    assert float(got).hex() == float(want).hex(), (size, trial, name)
+                checked += 1
+        assert checked >= 200
+
+    def test_second_batch_merges_by_welford(self):
+        values = np.random.default_rng(3).normal(2.0, 3.0, 900)
+        stats = RunningStats()
+        stats.update_batch(values[:600])
+        stats.update_batch(values[600:])
+        first, second = values[:600], values[600:]
+        delta = float(second.mean()) - float(first.mean())
+        mean = float(first.mean()) + delta * 300 / 900
+        m2 = (float(((first - float(first.mean())) ** 2).sum())
+              + float(((second - float(second.mean())) ** 2).sum())
+              + delta * delta * 600 * 300 / 900)
+        assert stats.count == 900
+        assert stats.mean.hex() == mean.hex()
+        assert stats.variance.hex() == (m2 / 900).hex()
+
     def test_single_value(self):
         stats = RunningStats()
         stats.update(42.0)
