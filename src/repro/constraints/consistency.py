@@ -13,6 +13,11 @@ Tightening runs per minimal independent subset (line 4); that partition is
 handed on with the result (:attr:`ConsistencyResult.groups`) wherever it is
 the condition's own, and the expectation engine plans from it.
 
+Floats inside the loop, ``Interval`` objects at the edge: the fixpoint keeps
+each bound as two floats and does ``Interval``'s arithmetic on them, so the
+bounds are the interval loop's floats; one ``Interval`` per variable is
+built when a group is done.
+
 Verdicts are *strong* or *weak*, mirroring the paper's bold/italic
 annotations:
 
@@ -37,7 +42,7 @@ from repro.constraints.independence import groups_for_condition
 from repro.constraints.polynomials import tighten_polynomial
 from repro.symbolic.conditions import Conjunction, Disjunction
 from repro.symbolic.expression import Constant, VarTerm, is_numeric
-from repro.util.intervals import EMPTY_INTERVAL, FULL_INTERVAL, Interval
+from repro.util.intervals import EMPTY_INTERVAL, FULL_INTERVAL, Interval, _safe_add, _safe_mul
 
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
@@ -97,7 +102,8 @@ def _inconsistent(strong, zero_probability=False):
 def _split_equality_on_discrete(atom):
     """Recognise ``X = c`` / ``c = X`` over a discrete variable.
 
-    Returns ``(variable, constant)`` or None.
+    Returns ``(variable, constant)`` or None (also for a NaN constant, which
+    no value equals: that atom is left to :func:`exact_form`).
     """
     if atom.op != "=":
         return None
@@ -108,7 +114,7 @@ def _split_equality_on_discrete(atom):
         return None
     if not lhs.var.is_discrete:
         return None
-    if not is_numeric(rhs.value):
+    if not is_numeric(rhs.value) or rhs.value != rhs.value:
         return None
     return (lhs.var, float(rhs.value))
 
@@ -137,6 +143,14 @@ def _is_trivial_disequality(atom):
     return bool(continuous) and not any(v.is_discrete for v in atom.variables())
 
 
+def exact_form(linear):
+    """Whether an atom with affine form ``(coeffs, constant)`` is solvable:
+    no NaN constant, no NaN or infinite coefficient (``x * inf > 1`` has
+    both).  One that is not is skipped, never hulled: the sampler decides."""
+    coeffs, constant = linear
+    return constant == constant and all(map(math.isfinite, coeffs.values()))
+
+
 def tighten1(target_key, linear, bounds):
     """Bound ``target`` from a degree-1 atom (Algorithm 3.2's tighten1).
 
@@ -148,31 +162,43 @@ def tighten1(target_key, linear, bounds):
     closed ones, which is measure-preserving for continuous variables.
     """
     coeffs, constant, op = linear
-    a = coeffs[target_key]
-    rest = Interval.point(constant)
-    for var_key, coeff in coeffs.items():
-        if var_key == target_key:
+    lo, hi = {}, {}
+    for key in coeffs:
+        bound = bounds.get(key, FULL_INTERVAL)
+        if bound.is_empty and key != target_key:
+            return Interval.empty()
+        lo[key], hi[key] = bound.lo, bound.hi
+    return Interval(*_tighten1(target_key, coeffs, constant, op, lo, hi))
+
+
+def _tighten1(target_key, coeffs, constant, op, lo, hi):
+    """:func:`tighten1` on floats, the other variables' bounds in ``lo`` /
+    ``hi``: ``Interval.scale`` then ``+`` per variable, in the same steps."""
+    rest_lo = rest_hi = constant
+    for key, coeff in coeffs.items():
+        if key == target_key:
             continue
-        rest = rest + bounds.get(var_key, FULL_INTERVAL).scale(coeff)
-    if rest.is_empty:
-        return Interval.empty()
-    # a * x + rest  op  0, for some rest in [rest.lo, rest.hi]
+        scaled_lo, scaled_hi = _safe_mul(lo[key], coeff), _safe_mul(hi[key], coeff)
+        if coeff < 0:
+            scaled_lo, scaled_hi = scaled_hi, scaled_lo
+        rest_lo, rest_hi = _safe_add(rest_lo, scaled_lo), _safe_add(rest_hi, scaled_hi)
+    a = coeffs[target_key]
+    # a * x + rest  op  0, for some rest in [rest_lo, rest_hi]
     if op in (">", ">="):
-        # feasible iff a*x >= -rest.hi
-        if a > 0:
-            return Interval.at_least(_div(-rest.hi, a))
-        return Interval.at_most(_div(-rest.hi, a))
+        # feasible iff a*x >= -rest_hi
+        edge = _div(-rest_hi, a)
+        return (edge, math.inf) if a > 0 else (-math.inf, edge)
     if op in ("<", "<="):
-        # feasible iff a*x <= -rest.lo
-        if a > 0:
-            return Interval.at_most(_div(-rest.lo, a))
-        return Interval.at_least(_div(-rest.lo, a))
+        # feasible iff a*x <= -rest_lo
+        edge = _div(-rest_lo, a)
+        return (-math.inf, edge) if a > 0 else (edge, math.inf)
     if op == "=":
         # x = -rest / a for some rest
-        solution = (-rest).scale(1.0 / a)
-        return solution
+        factor = 1.0 / a
+        low, high = _safe_mul(-rest_hi, factor), _safe_mul(-rest_lo, factor)
+        return (high, low) if factor < 0 else (low, high)
     # "<>" prunes a measure-zero set; no interval tightening possible.
-    return FULL_INTERVAL
+    return (-math.inf, math.inf)
 
 
 def _div(value, divisor):
@@ -184,18 +210,22 @@ def _div(value, divisor):
 def _tighten_group(atoms, variable_keys):
     """Fixpoint bounds tightening over one independent group.
 
-    Returns ``(bounds, empty_found, weakenings)`` where ``weakenings``
-    counts atoms that could not be handled *exactly*: skipped equations
-    (Alg 3.2 line 11) plus polynomial hulls, whose satisfying set may be
-    non-convex and therefore over-approximated.  Any weakening demotes a
-    Consistent verdict to weak.
+    Returns ``(bounds, weakenings)`` (``bounds`` is ``None`` when an
+    interval came out empty) where ``weakenings`` counts atoms that could
+    not be handled *exactly*: skipped equations (Alg 3.2 line 11) plus
+    polynomial hulls, whose satisfying set may be non-convex and therefore
+    over-approximated.  Any weakening demotes a Consistent verdict to weak.
     """
-    bounds = {key: Interval() for key in variable_keys}
+    lo = dict.fromkeys(variable_keys, -math.inf)
+    hi = dict.fromkeys(variable_keys, math.inf)
     prepared = []
     weakenings = 0
     for atom in atoms:
         linear_form = atom.linear_form()
         degree = atom.degree()
+        if linear_form is not None and not exact_form(linear_form):
+            weakenings += 1
+            continue
         if linear_form is None or degree is None or degree > 1 or not linear_form[0]:
             # Degree > 1: try the polynomial tightener (the paper's
             # tightenN) for single-variable atoms before giving up.
@@ -204,39 +234,42 @@ def _tighten_group(atoms, variable_keys):
                 target_key = next(iter(atom_vars)).key
                 hull = tighten_polynomial(atom, target_key)
                 if hull is not None:
-                    bounds[target_key] = bounds.get(target_key, FULL_INTERVAL).intersect(hull)
-                    if bounds[target_key].is_empty:
-                        return bounds, True, weakenings
+                    hull = Interval(lo[target_key], hi[target_key]).intersect(hull)
+                    if hull.is_empty:
+                        return None, weakenings
+                    lo[target_key], hi[target_key] = hull.lo, hull.hi
             # Whether hulled or skipped, the atom was not captured exactly.
             weakenings += 1
             continue
-        prepared.append((*linear_form, atom.op))
+        prepared.append((linear_form[0], linear_form[1], atom.op))
 
     for _round in range(_MAX_TIGHTEN_ROUNDS):
         changed = False
-        for linear in prepared:
-            coeffs = linear[0]
-            unbounded = [k for k in coeffs if bounds.get(k, FULL_INTERVAL).is_full]
-            if len(unbounded) > 1:
-                # "if at most 1 variable in E is unbounded" — else wait for
-                # other atoms to bound them first.
+        for coeffs, constant, op in prepared:
+            # "if at most 1 variable in E is unbounded" — else wait for
+            # other atoms to bound them first.
+            if len(coeffs) > 1 and sum(
+                [lo[k] == -math.inf and hi[k] == math.inf for k in coeffs]
+            ) > 1:
                 continue
             for target_key in coeffs:
-                tightened = tighten1(target_key, linear, bounds)
-                current = bounds.get(target_key, FULL_INTERVAL)
-                new = current.intersect(tightened)
-                if new != current:
-                    bounds[target_key] = new
+                low, high = _tighten1(target_key, coeffs, constant, op, lo, hi)
+                # Interval.intersect's argument order: an equal edge keeps
+                # the current float (a -0.0 keeps its sign).
+                current_lo, current_hi = lo[target_key], hi[target_key]
+                new_lo, new_hi = max(current_lo, low), min(current_hi, high)
+                if new_lo > new_hi:
+                    return None, weakenings
+                if new_lo != current_lo or new_hi != current_hi:
+                    lo[target_key], hi[target_key] = new_lo, new_hi
                     changed = True
-                if new.is_empty:
-                    return bounds, True, weakenings
         if not changed:
             break
         if _round == 0:
             # A one-variable atom reads no other bound: its interval is the
             # same every round and was intersected in this one.
             prepared = [linear for linear in prepared if len(linear[0]) > 1]
-    return bounds, False, weakenings
+    return {key: Interval(lo[key], hi[key]) for key in lo}, weakenings
 
 
 def check_consistency(condition):
@@ -269,20 +302,37 @@ def check_consistency(condition):
     if condition.is_true:
         return ConsistencyResult(CONSISTENT, True, {})
 
-    # Rule 1/2: deterministic atoms are already decided at construction
-    # time; discrete equality contradictions checked here.
-    equalities = [a for a in condition.atoms if a.op == "="]
-    disequalities = [a for a in condition.atoms if a.op == "<>"]
+    # One pass over the atoms.  Rule 1/2: deterministic atoms are already
+    # decided at construction time; discrete equality contradictions are
+    # checked here.  Rule 3: continuous equalities are measure-zero, and
+    # a continuous ``X <> c`` is set aside (a.s. true).
+    atoms = condition.atoms
     fixed = {}
-    for atom in equalities:
-        pinned = _split_equality_on_discrete(atom)
-        if pinned is None:
-            continue
-        variable, value = pinned
-        previous = fixed.get(variable.key)
-        if previous is not None and previous != value:
-            return _inconsistent(strong=True)
-        fixed[variable.key] = value
+    disequalities = []
+    zero_probability = multivar_atom_seen = False
+    considered = None  # built once an atom is set aside
+    for index, atom in enumerate(atoms):
+        op = atom.op
+        if op == "=":
+            pinned = _split_equality_on_discrete(atom)
+            if pinned is not None:
+                variable, value = pinned
+                previous = fixed.get(variable.key)
+                if previous is not None and previous != value:
+                    return _inconsistent(strong=True)
+                fixed[variable.key] = value
+            elif _is_continuous_equality(atom):
+                zero_probability = True
+        elif op == "<>":
+            if _is_trivial_disequality(atom):
+                if considered is None:
+                    considered = list(atoms[:index])
+                continue
+            disequalities.append(atom)
+        if considered is not None:
+            considered.append(atom)
+        if len(atom.variables()) > 1:
+            multivar_atom_seen = True
     # X = c clashing with X <> c (rule 4: cheap extra detection).
     for atom in disequalities:
         lhs, rhs = atom.lhs, atom.rhs
@@ -297,29 +347,17 @@ def check_consistency(condition):
         ):
             return _inconsistent(strong=True)
 
-    # Rule 3: continuous equalities are measure-zero.
-    zero_probability = any(_is_continuous_equality(a) for a in equalities)
-
     # Bounds tightening per independent group (Alg 3.2 line 4).  With no
     # atom set aside the partition is the condition's own: hand it on.
-    considered = [
-        a for a in condition.atoms if a.op != "<>" or not _is_trivial_disequality(a)
-    ]
-    whole = len(considered) == len(condition.atoms)
+    whole = considered is None
     groups = groups_for_condition(condition if whole else Conjunction(considered))
     bounds = {}
     total_skipped = 0
-    multivar_atom_seen = False
     for group in groups:
-        group_bounds, empty, skipped = _tighten_group(
-            group.atoms, group.variable_keys
-        )
-        total_skipped += skipped
-        if empty:
+        group_bounds, skipped = _tighten_group(group.atoms, group.variable_keys)
+        if group_bounds is None:
             return _inconsistent(strong=True)
-        for atom in group.atoms:
-            if len(atom.variables()) > 1:
-                multivar_atom_seen = True
+        total_skipped += skipped
         bounds.update(group_bounds)
 
     # Pin discrete equalities into the bounds map too (they are exact).
@@ -330,20 +368,21 @@ def check_consistency(condition):
 
     # Rule 4 extension: intersect with distribution supports.  A bound
     # entirely outside a variable's support is a sound proof of
-    # unsatisfiability (no possible world assigns such a value).
-    by_key = {v.key: v for group in groups for v in group.variables}
-    for key, interval in list(bounds.items()):
-        variable = by_key.get(key)
-        if variable is None:
-            continue
-        marginal = variable.marginal()
-        if marginal is None:
-            continue
-        dist, params = marginal
-        narrowed = interval.intersect(dist.support(params))
-        bounds[key] = narrowed
-        if narrowed.is_empty:
-            return _inconsistent(strong=True)
+    # unsatisfiability (no possible world assigns such a value).  Every
+    # grouped variable has a bound; a full support leaves it as it is.
+    for group in groups:
+        for variable in group.variables:
+            marginal = variable.marginal()
+            if marginal is None:
+                continue
+            dist, params = marginal
+            support = dist.support(params)
+            if support.is_full:
+                continue
+            narrowed = bounds[variable.key].intersect(support)
+            bounds[variable.key] = narrowed
+            if narrowed.is_empty:
+                return _inconsistent(strong=True)
 
     if zero_probability:
         return ConsistencyResult(

@@ -21,6 +21,9 @@ from operator import attrgetter
 from repro.symbolic.conditions import Conjunction, Disjunction
 from repro.util.unionfind import UnionFind
 
+#: ``_exact_probability`` of a group not integrated yet (``None`` is an answer).
+NOT_INTEGRATED = object()
+
 
 class VariableGroup:
     """One minimal independent subset: variables plus the atoms touching them.
@@ -35,7 +38,8 @@ class VariableGroup:
     follow the same rule: what every call on a planned group would derive
     again — its acceptance predicate, its ``methods`` tag and (the engine's
     ``_exact_group_probability``) its exact ``P[K]`` under its plan's
-    bounds — filled on first ask, equal whoever fills them, never pickled.
+    bounds (:data:`NOT_INTEGRATED` until then) — filled on first ask, equal
+    whoever fills them, never pickled.
     """
 
     __slots__ = ("variables", "atoms", "bundle_keys", "variable_keys",
@@ -45,7 +49,8 @@ class VariableGroup:
         self.variables = tuple(sorted(variables, key=_by_key))
         self.atoms = tuple(atoms)
         self.bundle_keys = {}
-        self.variable_keys = frozenset([v.key for v in self.variables])
+        self.variable_keys = frozenset(map(_by_key, self.variables))
+        self._exact_probability = NOT_INTEGRATED
 
     # ``variable_keys`` and the ``_…`` slots are derived: not in a pool
     # payload, worked out again.
@@ -94,19 +99,19 @@ class VariableGroup:
 _by_key = attrgetter("key")
 
 
-def _family_token(variable):
-    """Union-find vertex for a variable.
+def _vertex(variable, key):
+    """Union-find vertex for the variable with key ``key``: the key itself.
 
     Components of a multivariate family are only separable when the
     distribution certifies they are mutually independent; otherwise the
-    whole family is one vertex, as the paper requires.
+    whole family is one vertex, ``("fam", vid)``, as the paper requires.
     """
     if variable.is_multivariate:
         dist = variable.distribution
         params = dist.validate_params(variable.params)
         if not dist.components_independent(params):
             return ("fam", variable.vid)
-    return ("var", variable.vid, variable.subscript)
+    return key
 
 
 def partition_atoms(atoms, extra_variables=()):
@@ -119,36 +124,37 @@ def partition_atoms(atoms, extra_variables=()):
 
     Returns a list of :class:`VariableGroup`, deterministic in order.
     """
-    uf = UnionFind()
-    all_variables = {}
-    tokens = {}  # variable key -> union-find vertex, worked out once
-
-    def vertex(variable):
-        key = variable.key
-        if key not in tokens:
-            all_variables[key] = variable
-            tokens[key] = _family_token(variable)
-            uf.add(tokens[key])
-        return tokens[key]
-
-    first_vertices = []  # one per atom that mentions a variable
+    all_variables = {}  # variable key -> variable, first seen
+    first_keys = []  # (atom, the key of one of its variables), if it has any
+    joins = []  # the variable keys of each atom over several variables
     for atom in atoms:
-        variables = atom.variables()
-        if not variables:
-            continue
-        first, *rest = [vertex(v) for v in sorted(variables, key=_by_key)]
-        for token in rest:
-            uf.union(first, token)
-        first_vertices.append((atom, first))
+        keys = []
+        for variable in atom.variables():
+            key = variable.key
+            all_variables.setdefault(key, variable)
+            keys.append(key)
+        if keys:
+            first_keys.append((atom, keys[0]))
+        if len(keys) > 1:
+            joins.append(keys)
     for variable in extra_variables:
-        vertex(variable)
+        all_variables.setdefault(variable.key, variable)
 
-    # Map each union-find root to its variables and atoms.
+    # A union-find only where an atom joins variables.
+    roots = {key: _vertex(variable, key) for key, variable in all_variables.items()}
+    if joins:
+        uf = UnionFind()
+        for first, *rest in joins:
+            for key in rest:
+                uf.union(roots[first], roots[key])
+        roots = {key: uf.find(vertex) for key, vertex in roots.items()}
+
+    # Map each root to its variables and atoms.
     members = {}
     for key, variable in all_variables.items():
-        members.setdefault(uf.find(tokens[key]), ([], []))[0].append(variable)
-    for atom, first in first_vertices:
-        members[uf.find(first)][1].append(atom)
+        members.setdefault(roots[key], ([], []))[0].append(variable)
+    for atom, key in first_keys:
+        members[roots[key]][1].append(atom)
 
     groups = [VariableGroup(*found) for found in members.values()]
     groups.sort(key=lambda group: group.variables[0].key)

@@ -41,10 +41,11 @@ MAX_DEGREE = 8
 def poly_coefficients(expr, target_key):
     """Coefficients ``[c0, c1, …]`` of ``expr`` as a polynomial in the
     target variable, or ``None`` when the expression is not a polynomial
-    in that single variable with constant coefficients.
+    in that single variable with constant, finite coefficients (a NaN or
+    infinite one leaves the atom to the sampler, as the linear case does).
     """
     coeffs = _poly(expr, target_key)
-    if coeffs is None:
+    if coeffs is None or not all(map(math.isfinite, coeffs)):
         return None
     while len(coeffs) > 1 and coeffs[-1] == 0.0:
         coeffs.pop()

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from repro.util.errors import DistributionError
-from repro.util.intervals import Interval
+from repro.util.intervals import FULL_INTERVAL
 
 
 class Distribution:
@@ -89,7 +89,7 @@ class Distribution:
 
     def support(self, params):
         """Interval outside which the density/mass is zero."""
-        return Interval()
+        return FULL_INTERVAL
 
     # -- capability discovery ------------------------------------------------
 
@@ -129,23 +129,34 @@ class Distribution:
             )
         if interval.is_empty:
             return 0.0
-        hi = self.cdf(params, interval.hi) if math.isfinite(interval.hi) else 1.0
-        lo = self.cdf(params, interval.lo) if math.isfinite(interval.lo) else 0.0
+        hi = cdf_at(self.cdf, params, interval.hi)
+        lo = cdf_at(self.cdf, params, interval.lo)
         if self.is_discrete and math.isfinite(interval.lo):
             # Closed interval: include the mass at the lower endpoint.
             lo -= self.pmf_at(params, interval.lo) if self.has("pdf") else 0.0
         return max(0.0, min(1.0, float(hi) - float(lo)))
 
     def pmf_at(self, params, x):
-        """Point mass at ``x`` for discrete distributions (0 off-domain)."""
+        """Point mass at ``x`` for discrete distributions (0 off-domain,
+        which includes ±inf)."""
         if not self.is_discrete or not self.has("pdf"):
             return 0.0
-        if x != int(x):
+        if not math.isfinite(x) or x != int(x):
             return 0.0
         return float(self.pdf(params, x))
 
     def __repr__(self):
         return "<distribution class %s>" % (self.name,)
+
+
+def cdf_at(cdf, params, x):
+    """``cdf(params, x)``, or at an infinite edge (without a call) the limit
+    its sign gives: 0.0 at -inf, 1.0 at +inf — so ``[inf, inf]`` has no mass."""
+    if x == math.inf:
+        return 1.0
+    if x == -math.inf:
+        return 0.0
+    return cdf(params, x)
 
 
 class DiscreteDistribution(Distribution):

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import special
 from scipy import stats as sps
 
-from repro.distributions.base import Distribution, register_distribution
+from repro.distributions.base import Distribution, cdf_at, register_distribution
 from repro.util.errors import DistributionError
 from repro.util.intervals import Interval
 
@@ -28,6 +28,10 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def _standard_normal_pdf(z):
     return np.exp(-(z * z) / 2.0) / _SQRT_2PI
+
+
+def _standard_normal_cdf(_params, z):
+    return special.ndtr(z)
 
 
 class NormalDistribution(Distribution):
@@ -62,7 +66,8 @@ class NormalDistribution(Distribution):
 
     def cdf(self, params, x):
         mu, sigma = params
-        x = np.asarray(x, dtype=float)
+        if type(x) is not float:  # a Python float takes the same IEEE steps
+            x = np.asarray(x, dtype=float)
         return special.ndtr((x - mu) / sigma)
 
     def inverse_cdf(self, params, u):
@@ -81,12 +86,12 @@ class NormalDistribution(Distribution):
         mu, sigma = params
         if interval.is_empty:
             return math.nan
-        a = (interval.lo - mu) / sigma if math.isfinite(interval.lo) else -math.inf
-        b = (interval.hi - mu) / sigma if math.isfinite(interval.hi) else math.inf
+        a = (interval.lo - mu) / sigma  # an infinite edge keeps its sign
+        b = (interval.hi - mu) / sigma
         phi_a = _standard_normal_pdf(a) if math.isfinite(a) else 0.0
         phi_b = _standard_normal_pdf(b) if math.isfinite(b) else 0.0
-        cdf_a = special.ndtr(a) if math.isfinite(a) else 0.0
-        cdf_b = special.ndtr(b) if math.isfinite(b) else 1.0
+        cdf_a = cdf_at(_standard_normal_cdf, None, a)
+        cdf_b = cdf_at(_standard_normal_cdf, None, b)
         mass = cdf_b - cdf_a
         if mass <= 0.0:
             return math.nan

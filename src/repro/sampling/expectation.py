@@ -27,8 +27,13 @@ import math
 
 import numpy as np
 
-from repro.constraints.consistency import check_consistency
-from repro.constraints.independence import groups_for_condition
+from repro.constraints.consistency import check_consistency, exact_form
+from repro.constraints.independence import (
+    NOT_INTEGRATED,
+    VariableGroup,
+    groups_for_condition,
+)
+from repro.constraints.polynomials import poly_coefficients, solve_polynomial_segments
 from repro.distributions import rng_from_seed
 from repro.sampling.options import DEFAULT_OPTIONS
 from repro.sampling.plans import GroupPlan, PlanMemo, groups_read_by, plan_key
@@ -427,7 +432,7 @@ class ExpectationEngine:
             groups = ()
             if not consistency.is_inconsistent:
                 groups = consistency.groups
-                if groups is None or not all(
+                if groups is None or expr_variables and not all(
                     any(v.key in g.variable_keys for g in groups) for v in expr_variables
                 ):
                     groups = tuple(
@@ -473,8 +478,6 @@ class ExpectationEngine:
     @staticmethod
     def _merge_groups(groups):
         """Ablation: collapse all groups into one joint group."""
-        from repro.constraints.independence import VariableGroup
-
         variables = {}
         atoms = []
         for group in groups:
@@ -625,17 +628,15 @@ class ExpectationEngine:
     @staticmethod
     def _atoms_exactly_intervaled(atoms, variable_key):
         """Whether the atoms' joint solution set over the single variable
-        is exactly the tightened interval (no hull over-approximation)."""
-        from repro.constraints.polynomials import (
-            poly_coefficients,
-            solve_polynomial_segments,
-        )
-
+        is exactly the tightened interval (no hull over-approximation) — never
+        for an atom Algorithm 3.2 skipped as NaN or infinite arithmetic."""
         for atom in atoms:
             if atom.op == "<>":
                 continue
             linear = atom.linear_form()
             degree = atom.degree()
+            if linear is not None and not exact_form(linear):
+                return False
             if linear is not None and degree is not None and degree <= 1:
                 if set(linear[0]) - {variable_key}:
                     return False
@@ -739,11 +740,10 @@ class ExpectationEngine:
         """
         if not options.use_exact_probability or isinstance(condition, Disjunction):
             return None
-        try:
-            return group._exact_probability
-        except AttributeError:
+        exact = group._exact_probability
+        if exact is NOT_INTEGRATED:
             exact = group._exact_probability = self._integrate_group(group, consistency)
-            return exact
+        return exact
 
     def _integrate_group(self, group, consistency):
         """:meth:`_exact_group_probability` of a conjunction's group."""
@@ -764,8 +764,9 @@ class ExpectationEngine:
                     total += mass
             return min(1.0, total)
         # Continuous: the tightened interval must be the exact solution
-        # set (linear atoms, or convex polynomial ones).
-        if not self._atoms_exactly_intervaled(group.atoms, variable.key):
+        # set (linear atoms, or convex polynomial ones) — as a strong
+        # verdict says it is for every atom.
+        if not (consistency.strong or self._atoms_exactly_intervaled(group.atoms, variable.key)):
             return None
         if not dist.has("cdf"):
             return None

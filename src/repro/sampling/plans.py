@@ -129,6 +129,8 @@ GroupPlan = namedtuple("GroupPlan", "consistency groups sampled_groups")
 
 def groups_read_by(expr_variables, groups):
     """The groups whose draws an expression over ``expr_variables`` reads."""
+    if not expr_variables:  # conf(): none
+        return ()
     expr_keys = frozenset([v.key for v in expr_variables])
     return tuple([g for g in groups if g.variable_keys & expr_keys])
 

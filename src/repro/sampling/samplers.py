@@ -26,6 +26,7 @@ import math
 import numpy as np
 
 from repro.distributions import MultivariateDistribution
+from repro.distributions.base import cdf_at
 from repro.sampling.metropolis import MetropolisGroupSampler
 from repro.util.errors import SamplingError
 from repro.util.intervals import Interval
@@ -288,13 +289,10 @@ class GroupSampler:
             and dist.has("cdf")
             and dist.has("inverse_cdf")
         ):
-            hi = float(dist.cdf(params, interval.hi)) if math.isfinite(interval.hi) else 1.0
-            if math.isfinite(interval.lo):
-                lo = float(dist.cdf(params, interval.lo))
-                if dist.is_discrete:
-                    lo -= dist.pmf_at(params, interval.lo)
-            else:
-                lo = 0.0
+            hi = float(cdf_at(dist.cdf, params, interval.hi))
+            lo = float(cdf_at(dist.cdf, params, interval.lo))
+            if dist.is_discrete and math.isfinite(interval.lo):
+                lo -= dist.pmf_at(params, interval.lo)
             mass = max(0.0, hi - lo)
             if mass <= 0.0:
                 slot.strategy = "impossible"

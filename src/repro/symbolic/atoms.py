@@ -22,6 +22,7 @@ from repro.symbolic.expression import (
     as_expression,
     binop,
     is_numeric,
+    linear_sum,
 )
 from repro.util.errors import PIPError
 
@@ -41,10 +42,15 @@ _NEGATION = {"=": "<>", "<>": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 _MIRROR = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
+def _numeric(side):
+    """Whether a side may enter ``lhs - rhs``: not a non-numeric constant."""
+    return not isinstance(side, Constant) or is_numeric(side.value)
+
+
 class Atom:
     """One comparison between two equations.  Immutable."""
 
-    __slots__ = ("lhs", "op", "rhs", "_variables", "_linear", "_degree")
+    __slots__ = ("lhs", "op", "rhs", "_variables", "_forms")
 
     def __init__(self, lhs, op, rhs):
         if op == "!=":
@@ -150,34 +156,39 @@ class Atom:
         Only meaningful for numeric comparisons; returns ``None`` when
         either side is a non-numeric constant (e.g. a string equality, which
         the deterministic pre-pass already decides)."""
-        for side in (self.lhs, self.rhs):
-            if isinstance(side, Constant) and not is_numeric(side.value):
-                return None
+        if not (_numeric(self.lhs) and _numeric(self.rhs)):
+            return None
         return (binop("-", self.lhs, self.rhs), self.op)
 
+    # The first ask of a planned atom is the common one: ``getattr`` with a
+    # default costs a third of a raised and caught AttributeError.
     def linear_form(self):
         """Affine form of ``lhs - rhs`` (coeffs, constant), or ``None``: one
         pair shared by every caller, ``coeffs`` a read-only view."""
-        try:
-            return self._linear
-        except AttributeError:
-            return self._derive_forms()[0]
+        return (getattr(self, "_forms", None) or self._derive_forms())[0]
 
     def degree(self):
         """Polynomial degree of ``lhs - rhs`` or ``None``."""
-        try:
-            return self._degree
-        except AttributeError:
-            return self._derive_forms()[1]
+        return (getattr(self, "_forms", None) or self._derive_forms())[1]
 
     def _derive_forms(self):
-        """Fill both slots from one normalised tree, which is not kept."""
-        normal = self.normalized()
+        """Fill the ``(linear_form, degree)`` slot with the forms of
+        :meth:`normalized`'s tree, worked out from the two sides' forms: the
+        tree is built only where ``binop`` folds it (two numeric constants,
+        or ``rhs == 0``)."""
+        lhs, rhs = self.lhs, self.rhs
         linear = degree = None
-        if normal is not None:
-            linear, degree = normal[0].linear_form(), normal[0].degree()
+        if _numeric(lhs) and _numeric(rhs):
+            if isinstance(rhs, Constant) and (rhs.value == 0 or isinstance(lhs, Constant)):
+                folded = binop("-", lhs, rhs)
+                linear, degree = folded.linear_form(), folded.degree()
+            else:
+                linear = linear_sum(lhs.linear_form(), rhs.linear_form(), -1.0)
+                left, right = lhs.degree(), rhs.degree()
+                if left is not None and right is not None:
+                    degree = max(left, right)
             if linear is not None:
                 linear = (MappingProxyType(linear[0]), linear[1])
-        object.__setattr__(self, "_linear", linear)
-        object.__setattr__(self, "_degree", degree)
-        return linear, degree
+        forms = (linear, degree)
+        object.__setattr__(self, "_forms", forms)
+        return forms

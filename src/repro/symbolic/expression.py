@@ -420,14 +420,7 @@ class BinOp(Expression):
         lf_left = self.left.linear_form()
         lf_right = self.right.linear_form()
         if self.op in ("+", "-"):
-            if lf_left is None or lf_right is None:
-                return None
-            sign = 1.0 if self.op == "+" else -1.0
-            coeffs = dict(lf_left[0])
-            for var_key, coeff in lf_right[0].items():
-                coeffs[var_key] = coeffs.get(var_key, 0.0) + sign * coeff
-            coeffs = {k: c for k, c in coeffs.items() if c != 0.0}
-            return (coeffs, lf_left[1] + sign * lf_right[1])
+            return linear_sum(lf_left, lf_right, 1.0 if self.op == "+" else -1.0)
         if self.op == "*":
             if lf_left is not None and not lf_left[0] and lf_right is not None:
                 factor = lf_left[1]
@@ -665,6 +658,20 @@ def binop(op, left, right):
         if isinstance(right, Constant) and right.value == 1:
             return left
     return BinOp(op, left, right)
+
+
+def linear_sum(left, right, sign):
+    """The affine form of ``left + sign · right`` (``sign`` is ±1.0) from
+    the two operands' forms, or ``None`` if either is.  Zero coefficients
+    are dropped.  Both ``BinOp`` and ``Atom`` (for ``lhs - rhs``) use it."""
+    if left is None or right is None:
+        return None
+    coeffs = dict(left[0])
+    for var_key, coeff in right[0].items():
+        coeffs[var_key] = coeffs.get(var_key, 0.0) + sign * coeff
+    if 0.0 in coeffs.values():
+        coeffs = {k: c for k, c in coeffs.items() if c != 0.0}
+    return (coeffs, left[1] + sign * right[1])
 
 
 def var(random_variable):

@@ -13,6 +13,7 @@ makes repeated occurrences within a query sample-consistent.
 import threading
 
 from repro.distributions import MultivariateDistribution, get_distribution
+from repro.distributions.base import registry_version
 
 
 class RandomVariable:
@@ -22,15 +23,21 @@ class RandomVariable:
     family, for multivariate classes); ``subscript`` selects the component.
     """
 
-    # ``_plan_signature`` is derived (filled by repro.sampling.plans on first
-    # ask); ``__reduce__`` keeps it out of every pickle.
-    __slots__ = ("vid", "subscript", "dist_name", "params", "_plan_signature")
+    # ``_plan_signature`` (filled by repro.sampling.plans on first ask) and
+    # ``_marginal`` (``(registry_version(), marginal())``, so a replaced
+    # distribution class is validated again) are derived; ``__reduce__``
+    # keeps them out of every pickle.
+    __slots__ = (
+        "vid", "subscript", "dist_name", "params", "key", "_plan_signature", "_marginal",
+    )
 
     def __init__(self, vid, dist_name, params, subscript=0):
         object.__setattr__(self, "vid", int(vid))
         object.__setattr__(self, "subscript", int(subscript))
         object.__setattr__(self, "dist_name", dist_name.lower())
         object.__setattr__(self, "params", tuple(params))
+        #: Hashable identity: ``(vid, subscript)``.
+        object.__setattr__(self, "key", (self.vid, self.subscript))
 
     def __setattr__(self, name, value):
         raise AttributeError("RandomVariable is immutable")
@@ -42,11 +49,6 @@ class RandomVariable:
         return (RandomVariable, (self.vid, self.dist_name, self.params, self.subscript))
 
     # -- identity ------------------------------------------------------------
-
-    @property
-    def key(self):
-        """Hashable identity: ``(vid, subscript)``."""
-        return (self.vid, self.subscript)
 
     def __eq__(self, other):
         if not isinstance(other, RandomVariable):
@@ -85,8 +87,15 @@ class RandomVariable:
 
         For univariate variables this is just the variable's own class; for
         multivariate ones it is the component marginal when the class knows
-        it, else ``None``.
+        it, else ``None``.  Validated once per registry version.
         """
+        known = getattr(self, "_marginal", None)
+        if known is None or known[0] != registry_version():
+            known = (registry_version(), self._validated_marginal())
+            object.__setattr__(self, "_marginal", known)
+        return known[1]
+
+    def _validated_marginal(self):
         dist = self.distribution
         if not isinstance(dist, MultivariateDistribution):
             return (dist, dist.validate_params(self.params))

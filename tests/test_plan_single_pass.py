@@ -15,10 +15,12 @@ import pytest
 from repro.constraints import consistency, independence
 from repro.constraints.consistency import check_consistency
 from repro.constraints.independence import groups_for_condition
+from repro.distributions import register_distribution
 from repro.sampling import expectation
 from repro.sampling.expectation import ExpectationEngine
 from repro.symbolic import Atom, VariableFactory, conjunction_of, disjoin, var
 from repro.symbolic.conditions import Conjunction
+from repro.symbolic.expression import BinOp
 from repro.util import intervals
 from repro.util.intervals import Interval
 
@@ -204,11 +206,13 @@ class TestDerivedOnce:
 
 class TestCounts:
     def test_one_conf_over_a_box(self, factory, monkeypatch):
-        """Counted from outside: one partition (two before), each atom
-        normalised once, 16 intervals built (48 before), the same answer."""
+        """Counted from outside: one partition (two before), each atom's
+        forms derived once and without a ``BinOp`` (four before), at most 8
+        intervals built (48, then 18, before), one parameter validation per
+        variable (two each before), the same answer."""
         x, y = factory.create("normal", (0.0, 1.0)), factory.create("normal", (1.0, 2.0))
         box = conjunction_of(var(x) > -1, var(x) < 1, var(y) > 0, var(y) < 3)
-        counts = {"partition": 0, "normalized": {}, "intervals": 0}
+        counts = {"partition": 0, "forms": {}, "binops": 0, "intervals": 0, "validations": 0}
 
         partition = independence.groups_for_condition
 
@@ -220,34 +224,60 @@ class TestCounts:
         for module in (independence, consistency, expectation):
             monkeypatch.setattr(module, "groups_for_condition", counting_partition)
 
-        normalized = Atom.normalized
+        derive = Atom._derive_forms
 
-        def counting_normalized(atom):
-            counts["normalized"][id(atom)] = counts["normalized"].get(id(atom), 0) + 1
-            return normalized(atom)
+        def counting_derive(atom):
+            counts["forms"][id(atom)] = counts["forms"].get(id(atom), 0) + 1
+            return derive(atom)
 
-        monkeypatch.setattr(Atom, "normalized", counting_normalized)
+        monkeypatch.setattr(Atom, "_derive_forms", counting_derive)
 
-        init = Interval.__init__
+        def counting(name, method):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return method(*args, **kwargs)
+            return counted
 
-        def counting_init(interval, *args, **kwargs):
-            counts["intervals"] += 1
-            init(interval, *args, **kwargs)
-
-        monkeypatch.setattr(Interval, "__init__", counting_init)
+        monkeypatch.setattr(BinOp, "__init__", counting("binops", BinOp.__init__))
+        monkeypatch.setattr(Interval, "__init__", counting("intervals", Interval.__init__))
+        normal = type(x.distribution)
+        monkeypatch.setattr(
+            normal, "validate_params", counting("validations", normal.validate_params))
 
         probability, exact = ExpectationEngine().probability(box)
         monkeypatch.undo()
 
         assert counts["partition"] == 1
-        assert len(counts["normalized"]) == 4 and set(counts["normalized"].values()) == {1}
-        assert 0 < counts["intervals"] <= 20
+        assert len(counts["forms"]) == 4 and set(counts["forms"].values()) == {1}
+        assert counts["binops"] == 0
+        assert 0 < counts["intervals"] <= 8
+        assert counts["validations"] == 2
         assert intervals.FULL_INTERVAL.is_full  # the shared default stays whole
         cdf = x.distribution.cdf
         expected = (cdf(x.params, 1.0) - cdf(x.params, -1.0)) * (
             cdf(y.params, 3.0) - cdf(y.params, 0.0)
         )
         assert exact and probability == expected
+
+    def test_a_replaced_distribution_validates_the_marginal_again(self, factory):
+        x = factory.create("normal", (0.0, 1.0))
+        dist, params = x.marginal()
+        assert x.marginal()[0] is dist
+        validated = []
+
+        class CountingNormal(type(dist)):
+            def validate_params(self, params):
+                validated.append(params)
+                return super().validate_params(params)
+
+        try:
+            register_distribution(CountingNormal, replace=True)
+            replaced, again = x.marginal()
+            assert isinstance(replaced, CountingNormal) and again == params
+            assert x.marginal()[0] is replaced and len(validated) == 1
+        finally:
+            register_distribution(dist, replace=True)
+        assert x.marginal()[0] is dist and len(validated) == 1
 
     def test_a_chain_still_takes_the_rounds_it_needs(self, factory):
         """Skipping one-variable atoms after the first round must not
