@@ -19,10 +19,9 @@ an array cannot replicate bit-for-bit is not vectorized — the operator
 returns ``None`` and the executor runs the row path.
 
 See ``docs/columnar.md`` for the column store, the fallback rule, what
-is deliberately not columnar, and zone-map / Bloom-filter scan pruning.
+is deliberately not columnar, and zone-map scan pruning.
 """
 
-from repro.columnar.bloom import BloomFilter
 from repro.columnar.columns import DEFAULT_CHUNK, ColumnStore, store_for
 
-__all__ = ["BloomFilter", "ColumnStore", "DEFAULT_CHUNK", "store_for"]
+__all__ = ["ColumnStore", "DEFAULT_CHUNK", "store_for"]

@@ -17,8 +17,7 @@ is columnised.  Per column it caches, on demand:
   every cell is a non-bool int/float **and** every int survives the
   round trip ``float(v) == v`` (so float64 comparisons agree bit-for-bit
   with Python's exact int/float comparisons),
-* per-chunk zone maps ``(min, max, has_nan)`` and lazy per-chunk
-  :class:`~repro.columnar.bloom.BloomFilter`\\ s for scan pruning.
+* per-chunk zone maps ``(min, max, has_nan)`` for scan pruning.
 
 Chunks are ``DEFAULT_CHUNK`` deterministic rows; tests shrink the chunk
 size to force boundary behaviour.
@@ -30,10 +29,10 @@ Every column cache is keyed by column *position*, so an aliased scan
 
 import numpy as np
 
-from repro.columnar.bloom import BloomFilter
+from repro.ctables.schema import PLAIN
 from repro.symbolic.expression import Expression
 
-#: Deterministic rows per chunk (zone map / Bloom granularity).
+#: Deterministic rows per chunk (zone map granularity).
 DEFAULT_CHUNK = 4096
 
 #: Ints up to here are float64-exact, and no ``+ - *`` tree over at most
@@ -97,7 +96,6 @@ class ColumnStore:
         "_numeric",
         "_total",
         "_zones",
-        "_blooms",
     )
 
     def __init__(self, table, chunk_size=None):
@@ -119,7 +117,6 @@ class ColumnStore:
         self._numeric = {}
         self._total = {}
         self._zones = {}
-        self._blooms = {}
 
     def valid_for(self, table):
         """Whether this store still describes ``table``'s current rows."""
@@ -188,19 +185,18 @@ class ColumnStore:
         return column
 
     def det_objects(self, index):
-        """Deterministic-partition cells, only when none is symbolic
-        (an Expression cell makes the row path treat the atom as
-        symbolic, which no batch comparison can replicate)."""
+        """Deterministic-partition cells, only when every one is of a
+        :data:`~repro.ctables.schema.PLAIN` type.  Binding any other cell
+        is the row path's to do: an expression or random variable makes
+        the atom symbolic, a list or a NumPy scalar converts or raises in
+        ``as_expression`` — nothing a batch comparison can replicate."""
         cached = self._det_clean.get(index)
         if cached is not None:
             return cached if cached is not False else None
         column = [row.values[index] for row in self.det_rows]
-        for value in column:
-            if isinstance(value, Expression):
-                self._det_clean[index] = False
-                return None
-        self._det_clean[index] = column
-        return column
+        clean = PLAIN.issuperset(map(type, column))
+        self._det_clean[index] = column if clean else False
+        return column if clean else None
 
     def numeric(self, index):
         """``(float64_array, all_float)`` over the deterministic
@@ -284,13 +280,3 @@ class ColumnStore:
                 )
         self._zones[index] = zones
         return zones
-
-    def bloom(self, index, chunk_index, start, end):
-        """The lazily-built Bloom filter over one chunk of one column."""
-        key = (index, chunk_index)
-        cached = self._blooms.get(key)
-        if cached is None:
-            values = self.det_objects(index)
-            cached = BloomFilter(values[start:end])
-            self._blooms[key] = cached
-        return cached

@@ -11,8 +11,9 @@ purely to protect bit-identity:
 * ``+ - *`` vectorize only over all-*float* columns (Python int
   arithmetic is exact where float64 rounds); ``/`` and ``^`` never
   vectorize (ZeroDivision/complex semantics stay on the row path).
-* ``= <>`` additionally work over object columns of any type — NumPy
-  object arrays apply Python ``==`` elementwise, which never raises.
+* ``= <>`` additionally work over object columns whose cells are all of
+  a ``ctables.schema.PLAIN`` type — NumPy object arrays apply Python
+  ``==`` elementwise, which never raises on those.
 * An atom whose *shape* cannot compile (``/``, ``^``, functions, free
   variables) sends the **whole conjunction** to the row path; one that
   only the column *contents* refuse is **residual** — bound on the rows
@@ -227,7 +228,7 @@ def _zone_reject(op, probe):
 
 
 class _CompiledAtom:
-    __slots__ = ("op", "left", "right", "mode", "zone_col", "zone_fn", "bloom_probe")
+    __slots__ = ("op", "left", "right", "mode", "zone_col", "zone_fn")
 
     def __init__(self, op, left, right, mode):
         self.op = op
@@ -236,7 +237,6 @@ class _CompiledAtom:
         self.mode = mode  # "num" | "obj"
         self.zone_col = None
         self.zone_fn = None
-        self.bloom_probe = None
 
     def mask(self, store, start, end):
         if self.mode == "num":
@@ -248,10 +248,9 @@ class _CompiledAtom:
         return _as_mask(_OPS[self.op](left, right), end - start)
 
 
-def _attach_pruning(compiled):
-    """Bare ``column op constant`` (either order) gains chunk pruning:
-    zone maps for any comparison on a numeric column, a Bloom probe for
-    equality (numeric or object columns alike)."""
+def _attach_zone_map(compiled):
+    """Bare ``column op constant`` (either order) on a numeric column
+    gains chunk pruning by zone map, for any comparison."""
     op, left, right = compiled.op, compiled.left, compiled.right
     if left[0] == "col" and right[0] == "scalar":
         index, probe = left[1], right[1]
@@ -260,15 +259,8 @@ def _attach_pruning(compiled):
         op = _MIRROR[op]
     else:
         return
-    if compiled.mode == "num":
-        compiled.zone_col = index
-        compiled.zone_fn = _zone_reject(op, probe)
-    if op == "=":
-        try:
-            hash(probe)
-        except TypeError:
-            return
-        compiled.bloom_probe = (index, probe)
+    compiled.zone_col = index
+    compiled.zone_fn = _zone_reject(op, probe)
 
 
 def _compile_atom(atom, store):
@@ -276,15 +268,13 @@ def _compile_atom(atom, store):
     right = _compile_numeric(atom.rhs, store)
     if left is not None and right is not None:
         compiled = _CompiledAtom(atom.op, left, right, "num")
-        _attach_pruning(compiled)
+        _attach_zone_map(compiled)
         return compiled
     if atom.op in ("=", "<>"):
         left = _compile_object(atom.lhs, store)
         right = _compile_object(atom.rhs, store)
         if left is not None and right is not None:
-            compiled = _CompiledAtom(atom.op, left, right, "obj")
-            _attach_pruning(compiled)
-            return compiled
+            return _CompiledAtom(atom.op, left, right, "obj")
     return None
 
 
@@ -306,34 +296,15 @@ def _compile(table, atoms):
 
 def _scan(db, store, compiled, context):
     """The mask of the deterministic rows every ``compiled`` atom keeps:
-    zone/Bloom pruning per chunk, then one pass over the chunks left."""
+    zone-map pruning per chunk, then one pass over the chunks left."""
     n_det = len(store.det_rows)
     mask = np.ones(n_det, dtype=bool)
-    scanned = pruned_zone = pruned_bloom = 0
+    scanned = pruned_zone = 0
     if compiled and n_det:
+        zoned = [entry for entry in compiled if entry.zone_fn is not None]
         for ci, start, end in store.chunks():
-            verdict = None
-            for entry in compiled:
-                if entry.zone_fn is not None and entry.zone_fn(
-                    store.zones(entry.zone_col)[ci]
-                ):
-                    verdict = "zone"
-                    break
-            if verdict is None:
-                for entry in compiled:
-                    if entry.bloom_probe is not None:
-                        index, probe = entry.bloom_probe
-                        if not store.bloom(index, ci, start, end).might_contain(
-                            probe
-                        ):
-                            verdict = "bloom"
-                            break
-            if verdict == "zone":
+            if any(entry.zone_fn(store.zones(entry.zone_col)[ci]) for entry in zoned):
                 pruned_zone += 1
-                mask[start:end] = False
-                continue
-            if verdict == "bloom":
-                pruned_bloom += 1
                 mask[start:end] = False
                 continue
             scanned += 1
@@ -345,10 +316,9 @@ def _scan(db, store, compiled, context):
     if context is not None:
         context.chunks_scanned += scanned
         context.chunks_pruned_zone += pruned_zone
-        context.chunks_pruned_bloom += pruned_bloom
     telemetry = getattr(db, "telemetry", None)
-    if telemetry is not None and (scanned or pruned_zone or pruned_bloom):
-        telemetry.on_columnar_scan(scanned, pruned_zone, pruned_bloom)
+    if telemetry is not None and (scanned or pruned_zone):
+        telemetry.on_columnar_scan(scanned, pruned_zone)
     return mask
 
 
@@ -475,10 +445,9 @@ def project(db, table, items):
     ColumnTerm)`` pairs included): column slices zip straight into the
     output rows, skipping the per-row mapping dict and the per-cell
     binding the row path does."""
-    if getattr(db, "columnar", False):
-        fast = _project_vectorized(table, items)
-        if fast is not None:
-            return fast
+    fast = _project_vectorized(table, items)
+    if fast is not None:
+        return fast
     return algebra.project(table, items)
 
 

@@ -29,7 +29,7 @@ import threading
 import weakref
 from contextlib import contextmanager, suppress
 
-from repro.columnar.ops import candidate_rows
+from repro.columnar import ops as cops
 from repro.ctables.explode import repair_key as _repair_key
 from repro.ctables.table import CTable
 from repro.obs.history import VIRTUAL_TABLES as _VIRTUAL_TABLES
@@ -75,16 +75,9 @@ class PIPDatabase:
         ``PIP_SLOW_QUERY_MS``; metrics on, tracing off).  Telemetry only
         *observes* — it never touches RNG streams, sampling order, or
         lock scopes — so enabling it cannot change query results.
-    columnar:
-        Whether the executor may use the vectorized columnar fast paths
-        of :mod:`repro.columnar` for deterministic data.  ``None``
-        (default) reads ``PIP_COLUMNAR`` from the environment (on unless
-        set to ``0``).  Either way results are bit-identical to row-path
-        execution — ``tests/differential/`` holds the proof — so this
-        switch only exists for benchmarking and differential testing.
     """
 
-    def __init__(self, seed=0, options=None, telemetry=None, columnar=None):
+    def __init__(self, seed=0, options=None, telemetry=None):
         from repro.obs import Telemetry
         from repro.obs.history import QueryHistory
         from repro.obs.telemetry import _env_flag
@@ -94,9 +87,6 @@ class PIPDatabase:
         # virtual table (in-memory ring; :meth:`open` attaches the disk
         # tier).  ``PIP_QUERY_HISTORY=0`` turns recording off.
         self.history = QueryHistory(enabled=_env_flag("PIP_QUERY_HISTORY", True))
-        self.columnar = (
-            _env_flag("PIP_COLUMNAR", True) if columnar is None else bool(columnar)
-        )
         self.tables = {}
         self.factory = VariableFactory()
         self.options = options or SamplingOptions()
@@ -142,9 +132,7 @@ class PIPDatabase:
         self.telemetry.bind(self)
 
     @classmethod
-    def open(
-        cls, path, durable=True, seed=None, options=None, telemetry=None, columnar=None
-    ):
+    def open(cls, path, durable=True, seed=None, options=None, telemetry=None):
         """Open (or create) a durable database rooted at directory ``path``.
 
         A fresh directory is initialised with the database identity
@@ -206,7 +194,7 @@ class PIPDatabase:
                 "seed %r would break sample reproducibility" % (path, meta["seed"], seed)
             )
         options = (options or SamplingOptions()).replace(bank_spill_dir=bank_dir(path))
-        db = cls(seed=seed, options=options, telemetry=telemetry, columnar=columnar)
+        db = cls(seed=seed, options=options, telemetry=telemetry)
         db._durability = DurabilityManager(db, path, durable=durable)
         try:
             db._durability.recover()
@@ -758,14 +746,13 @@ class PIPDatabase:
         """Indices of the rows decided-True by a deterministic predicate
         — the shared row-selection core of DELETE and UPDATE.
 
-        A columnar database asks the SELECT path's masks which rows a DNF
-        predicate can match at all and decides only those; each candidate
-        still goes through :meth:`_predicate_matches`, which owns the
-        verdict and the undecided-predicate error."""
+        The SELECT path's masks say which rows a DNF predicate can match
+        at all (``None``: any row can) and only those are decided; each
+        candidate still goes through :meth:`_predicate_matches`, which
+        owns the verdict and the undecided-predicate error."""
         candidates = None
         if where is not None and not callable(where):
-            if self.columnar:
-                candidates = candidate_rows(self, table, where)
+            candidates = cops.candidate_rows(self, table, where)
             where = list(where)  # each disjunct's conjunction, once built
         if candidates is None:
             candidates = range(len(table.rows))

@@ -378,17 +378,16 @@ def _apply_filter(db, table, plan, context):
 
 
 def _select_conjunction(db, table, atoms, context):
-    """σ of one conjunction: on a columnar database the atoms that compare
-    bit-identically as arrays mask the deterministic rows and the rest is
-    bound only on the rows the mask keeps.  ``select_vectorized`` returns
-    None when an atom's shape cannot compile, when skipping a row could
-    skip an error or when a row did raise, and the whole conjunction then
-    takes the row path (which owns the per-row error short-circuits)."""
+    """σ of one conjunction: the atoms that compare bit-identically as
+    arrays mask the deterministic rows and the rest is bound only on the
+    rows the mask keeps.  ``select_vectorized`` returns None when an
+    atom's shape cannot compile, when skipping a row could skip an error
+    or when a row did raise, and the whole conjunction then takes the row
+    path (which owns the per-row error short-circuits)."""
     condition = conjunction_of(*atoms)
-    if getattr(db, "columnar", False):
-        out = cops.select_vectorized(db, table, atoms, condition, context)
-        if out is not None:
-            return out
+    out = cops.select_vectorized(db, table, atoms, condition, context)
+    if out is not None:
+        return out
     context.rows_bound += len(table.rows)
     return algebra.select(table, condition)
 

@@ -72,7 +72,6 @@ class OpStats:
         "bank_topups",
         "chunks_scanned",
         "chunks_pruned_zone",
-        "chunks_pruned_bloom",
         "rows_bound",
     )
 
@@ -87,7 +86,6 @@ class OpStats:
         self.bank_topups = 0
         self.chunks_scanned = 0
         self.chunks_pruned_zone = 0
-        self.chunks_pruned_bloom = 0
         self.rows_bound = 0
 
     def render(self):
@@ -105,16 +103,9 @@ class OpStats:
                 "bank hits=%d misses=%d topups=%d"
                 % (self.bank_hits, self.bank_misses, self.bank_topups)
             )
-        scan = (
-            self.chunks_scanned,
-            self.chunks_pruned_zone,
-            self.chunks_pruned_bloom,
-            self.rows_bound,
-        )
+        scan = (self.chunks_scanned, self.chunks_pruned_zone, self.rows_bound)
         if any(scan):
-            parts.append(
-                "chunks scanned=%d pruned_zone=%d pruned_bloom=%d rows bound=%d" % scan
-            )
+            parts.append("chunks scanned=%d pruned_zone=%d rows bound=%d" % scan)
         return " ".join(parts)
 
 
@@ -132,12 +123,12 @@ class PlanProfile:
     def __init__(self):
         self.stats = {}
 
-    def record(self, node, wall, rows, counters, before, chunks=(0, 0, 0, 0)):
+    def record(self, node, wall, rows, counters, before, chunks=(0, 0, 0)):
         """Fold one node execution in.  ``counters`` is the live
         :class:`~repro.samplebank.bank.BankStats`; ``before`` its
         ``(samples_drawn, samples_served, hits, misses, topups)`` snapshot
         from just before the node ran.  ``chunks`` is the columnar scan
-        delta ``(scanned, pruned_zone, pruned_bloom, rows_bound)`` —
+        delta ``(scanned, pruned_zone, rows_bound)`` —
         inclusive of children, like every other counter here."""
         entry = self.stats.get(id(node))
         if entry is None:
@@ -152,8 +143,7 @@ class PlanProfile:
         entry.bank_topups += counters.topups - before[4]
         entry.chunks_scanned += chunks[0]
         entry.chunks_pruned_zone += chunks[1]
-        entry.chunks_pruned_bloom += chunks[2]
-        entry.rows_bound += chunks[3]
+        entry.rows_bound += chunks[2]
 
     def lookup(self, node):
         return self.stats.get(id(node))
@@ -233,7 +223,6 @@ class ExecContext:
         "profile",
         "chunks_scanned",
         "chunks_pruned_zone",
-        "chunks_pruned_bloom",
         "rows_bound",
     )
 
@@ -241,19 +230,13 @@ class ExecContext:
         self.estimates = []
         self.profile = None
         # Columnar scan accounting (repro.columnar.ops.select_vectorized):
-        # chunks masked vs pruned (zone maps / Bloom), rows σ bound a condition on.
+        # chunks masked vs zone-pruned, rows σ bound a condition on.
         self.chunks_scanned = 0
         self.chunks_pruned_zone = 0
-        self.chunks_pruned_bloom = 0
         self.rows_bound = 0
 
     def scan_counts(self):
-        return (
-            self.chunks_scanned,
-            self.chunks_pruned_zone,
-            self.chunks_pruned_bloom,
-            self.rows_bound,
-        )
+        return (self.chunks_scanned, self.chunks_pruned_zone, self.rows_bound)
 
     def record(self, column, row_index, method, n_samples, exact, interval=None):
         self.estimates.append(

@@ -188,10 +188,6 @@ class Telemetry:
             "pip_columnar_chunks_pruned_zonemap_total",
             "Column chunks skipped by zone-map (min/max) pruning.",
         )
-        self.columnar_chunks_pruned_bloom_total = registry.counter(
-            "pip_columnar_chunks_pruned_bloom_total",
-            "Column chunks skipped by Bloom-filter equality pruning.",
-        )
         conflicted, committed = self.txn_conflicts_total, self.txn_committed_total
 
         def conflict_rate():
@@ -399,15 +395,14 @@ class Telemetry:
             self.rows_scanned_total.inc(n)
         self.tracer.count("rows.scanned", n)
 
-    def on_columnar_scan(self, scanned, pruned_zone, pruned_bloom):
+    def on_columnar_scan(self, scanned, pruned_zone):
         if self.metrics_enabled:
             self.columnar_chunks_scanned_total.inc(scanned)
             self.columnar_chunks_pruned_zonemap_total.inc(pruned_zone)
-            self.columnar_chunks_pruned_bloom_total.inc(pruned_bloom)
         tracer = self.tracer
         if tracer.enabled:
             tracer.count("columnar.chunks_scanned", scanned)
-            tracer.count("columnar.chunks_pruned", pruned_zone + pruned_bloom)
+            tracer.count("columnar.chunks_pruned", pruned_zone)
 
     def on_wal_append(self, nbytes, fsynced):
         if self.metrics_enabled:

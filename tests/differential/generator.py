@@ -4,9 +4,9 @@
 table contents (pure-deterministic, pure-symbolic and mixed c-tables)
 and a query list — from one integer seed.  ``apply_spec`` loads it into
 a database.  Both are pure functions of the seed, so two databases built
-from the same spec differ **only** in the executor path under test
-(``columnar=True`` vs ``False``), and every bit of divergence between
-them is the columnar executor's fault.
+from the same spec differ **only** in the executor path under test (one
+built and queried inside :func:`row_path`, one outside), and every bit of
+divergence between them is the columnar executor's fault.
 
 ``canon_result`` / ``canon_value`` canonicalize results for comparison
 at bit granularity: floats compare by their IEEE-754 byte pattern (so
@@ -16,10 +16,12 @@ compare by ``repr`` (variable identifiers included — both paths must
 mint the same variables in the same order).
 """
 
+import contextlib
 import random
 import struct
 
 from repro import PIPDatabase
+from repro.columnar import ops as cops
 from repro.sampling.options import SamplingOptions
 
 _STRINGS = ["ash", "birch", "cedar", "fir", "oak"]
@@ -150,14 +152,56 @@ def apply_spec(db, spec):
     db.insert_many("keyed", spec["keyed_rows"])
 
 
-def build_db(spec, columnar, parallel=False, path=None):
+# -- the oracle -------------------------------------------------------------------
+
+#: The columnar entry points: σ's mask, π's column pass-through, and the
+#: row search of UPDATE / DELETE.  Each returns ``None`` to decline.
+ENTRY_POINTS = ("select_vectorized", "_project_vectorized", "candidate_rows")
+
+
+def _decline(*args, **kwargs):
+    return None
+
+
+@contextlib.contextmanager
+def row_path(active=True):
+    """Run the body on the row path, the differential reference: every
+    columnar entry point declines, as it does for a shape that cannot
+    compile, so σ, π and the row search take ``algebra.select``,
+    ``algebra.project`` and the per-row check.  The patch is
+    process-wide: a database queried outside it must not run meanwhile.
+    ``active=False`` runs the body as it is (the column path)."""
+    if not active:
+        yield
+        return
+    saved = [(name, getattr(cops, name)) for name in ENTRY_POINTS]
+    for name, _ in saved:
+        setattr(cops, name, _decline)
+    try:
+        yield
+    finally:
+        for name, entry in saved:
+            setattr(cops, name, entry)
+
+
+def on_both(pair, fn):
+    """``[fn(first), fn(second)]`` for a pair of databases: the first on
+    the row path, the second on the column path, one after the other."""
+    out = []
+    for columnar, db in zip((False, True), pair):
+        with row_path(not columnar):
+            out.append(fn(db))
+    return out
+
+
+def build_db(spec, parallel=False, path=None):
     options = SamplingOptions(
         n_samples=150, parallel_workers=4 if parallel else 0
     )
     if path is not None:
-        db = PIPDatabase.open(path, seed=5, options=options, columnar=columnar)
+        db = PIPDatabase.open(path, seed=5, options=options)
     else:
-        db = PIPDatabase(seed=5, options=options, columnar=columnar)
+        db = PIPDatabase(seed=5, options=options)
     apply_spec(db, spec)
     return db
 

@@ -1,7 +1,9 @@
 """Differential harness: columnar executor vs row interpreter.
 
-Every workload runs through two databases that differ only in
-``columnar=``; results must be **bit-identical** — rows, row order,
+Every workload runs through two databases that differ only in the path
+that finds and projects rows — one built and queried inside
+:func:`~tests.differential.generator.row_path`, the oracle, one outside
+it; results must be **bit-identical** — rows, row order,
 conditions, schemas, estimate metadata (methods, sample counts,
 exactness, confidence intervals), per-statement bank stats, the bank's
 global counters, and (for durable databases) the exact WAL bytes
@@ -19,6 +21,7 @@ from tests.differential.generator import (
     build_db,
     canon_value,
     make_spec,
+    row_path,
     run_workload,
 )
 
@@ -36,19 +39,20 @@ def _run_pair(seed, parallel, tmp_path=None):
         path = None
         if tmp_path is not None:
             path = str(tmp_path / ("db-col%d" % columnar))
-        db = build_db(spec, columnar, parallel=parallel, path=path)
-        try:
-            cold = run_workload(db, spec["queries"])
-            warm = run_workload(db, spec["queries"])
-            outcomes[columnar] = (cold, warm)
-            counters[columnar] = dict(db.sample_bank.stats_counters.as_dict())
-            if path is not None:
-                counters[columnar]["wal_bytes"] = (
-                    db.telemetry.wal_bytes_total.value
-                )
-        finally:
-            if path is not None:
-                db.close()
+        with row_path(not columnar):
+            db = build_db(spec, parallel=parallel, path=path)
+            try:
+                cold = run_workload(db, spec["queries"])
+                warm = run_workload(db, spec["queries"])
+                outcomes[columnar] = (cold, warm)
+                counters[columnar] = dict(db.sample_bank.stats_counters.as_dict())
+                if path is not None:
+                    counters[columnar]["wal_bytes"] = (
+                        db.telemetry.wal_bytes_total.value
+                    )
+            finally:
+                if path is not None:
+                    db.close()
     return spec, outcomes, counters
 
 
@@ -90,11 +94,13 @@ def test_row_order_contract():
     mixed tables where the deterministic partition is vectorized and the
     symbolic remainder is not."""
     spec = make_spec(SEEDS[0], deep=False)
-    db_row = build_db(spec, columnar=False)
-    db_col = build_db(spec, columnar=True)
+    with row_path():
+        db_row = build_db(spec)
+    db_col = build_db(spec)
     for query in spec["queries"]:
         try:
-            rows_row = db_row.sql(query).rows()
+            with row_path():
+                rows_row = db_row.sql(query).rows()
         except Exception:
             continue
         rows_col = db_col.sql(query).rows()
@@ -127,12 +133,55 @@ def test_tpch_scan_statements_identical():
     data = generate_tpch(scale=0.5, seed=7)
     outcomes = {}
     for columnar in (False, True):
-        db = PIPDatabase(seed=7, columnar=columnar)
-        load_pip(db, data)
-        outcomes[columnar] = (
-            run_workload(db, TPCH_SCAN_QUERIES),  # cold column store
-            run_workload(db, TPCH_SCAN_QUERIES),  # warm
-        )
+        with row_path(not columnar):
+            db = PIPDatabase(seed=7)
+            load_pip(db, data)
+            outcomes[columnar] = (
+                run_workload(db, TPCH_SCAN_QUERIES),  # cold column store
+                run_workload(db, TPCH_SCAN_QUERIES),  # warm
+            )
     assert all(kind == "ok" for kind, *_ in outcomes[True][0])
     assert outcomes[False] == outcomes[True]
     assert outcomes[True][0] == outcomes[True][1]
+
+
+def test_row_path_oracle_runs_the_row_path(monkeypatch):
+    """Everything above compares against ``row_path()``; it must really run
+    the row path, or the suite would compare the column path with itself.
+    On ``docs/columnar.md``'s 20 000-row table: σ binds every row and no
+    store is built, π takes ``algebra.project``, and UPDATE decides every
+    row — and on leaving the block all three are columnar again."""
+    from repro import PIPDatabase
+    from repro.columnar import columns as C
+    from repro.ctables import algebra
+
+    def counted(owner, name, wrap=lambda fn: fn):
+        original, calls = getattr(owner, name), []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrap(counting))
+        return calls
+
+    db = PIPDatabase(seed=1)
+    db.sql("CREATE TABLE t (id int, v float)")
+    db.insert_many("t", [(i, float(i)) for i in range(20000)])
+    built = counted(C.ColumnStore, "__init__")
+    projected = counted(algebra, "project")
+    decided = counted(PIPDatabase, "_predicate_matches", wrap=staticmethod)
+    explain = "EXPLAIN ANALYZE SELECT id FROM t WHERE v = 19999.0"
+    update = "UPDATE t SET v = -1.0 WHERE id = 7"
+
+    with row_path():
+        plan = db.sql(explain)
+        assert "chunks scanned=0 pruned_zone=0 rows bound=20000" in plan
+        assert built == [] and db.table("t").colstore is None
+        assert len(projected) == 1
+        assert db.sql(update) == 1 and len(decided) == 20000
+
+    plan = db.sql(explain)
+    assert "chunks scanned=1 pruned_zone=4" in plan
+    assert len(built) == 1 and len(projected) == 1
+    assert db.sql(update) == 1 and len(decided) == 20001

@@ -24,7 +24,7 @@ from repro.symbolic.conditions import conjunction_of
 from repro.symbolic.expression import col
 from repro.util.errors import PIPError
 
-from tests.differential.generator import canon_value
+from tests.differential.generator import canon_value, on_both
 
 OPS = ["=", "<>", "<", "<=", ">", ">="]
 
@@ -266,9 +266,8 @@ def test_huge_int_column_refuses_float64():
 
 
 def test_project_expression_items_fall_back():
-    db_row = PIPDatabase(seed=1, columnar=False)
-    db_col = PIPDatabase(seed=1, columnar=True)
-    for db in (db_row, db_col):
+    pair = (PIPDatabase(seed=1), PIPDatabase(seed=1))
+    for db in pair:
         db.sql("CREATE TABLE t (a int, b float)")
         db.insert_many("t", [(i, i * 0.5) for i in range(40)])
     for query in (
@@ -276,16 +275,16 @@ def test_project_expression_items_fall_back():
         "SELECT b + 1.0 AS y, a FROM t",
         "SELECT a FROM t WHERE b >= 3.0",
     ):
-        assert db_row.sql(query).rows() == db_col.sql(query).rows()
+        row_rows, col_rows = on_both(pair, lambda db: db.sql(query).rows())
+        assert row_rows == col_rows
 
 
 def test_partition_fallback_seams():
     """Sort-based keying handles exactly one numeric NaN-free column;
     strings, NaN keys and multi-column groups take the row path, and an
     Expression group cell raises on both paths."""
-    db_row = PIPDatabase(seed=2, columnar=False)
-    db_col = PIPDatabase(seed=2, columnar=True)
-    for db in (db_row, db_col):
+    pair = (PIPDatabase(seed=2), PIPDatabase(seed=2))
+    for db in pair:
         db.sql("CREATE TABLE g (k int, f float, s str, v float)")
         rows = []
         rng = random.Random(5)
@@ -305,14 +304,13 @@ def test_partition_fallback_seams():
         "SELECT f, expected_count(*) AS n FROM g GROUP BY f",  # NaN keys
         "SELECT k, s, expected_count(*) AS n FROM g GROUP BY k, s",
     ):
-        row_rows = db_row.sql(query).rows()
-        col_rows = db_col.sql(query).rows()
+        row_rows, col_rows = on_both(pair, lambda db: db.sql(query).rows())
         assert [
             tuple(canon_value(v) for v in r) for r in row_rows
         ] == [tuple(canon_value(v) for v in r) for r in col_rows], query
 
     # Expression group cells: identical PIPError from both paths.
-    for db in (db_row, db_col):
+    def group_by_symbolic_cell(db):
         db.register(
             "sym",
             db.sql("SELECT create_variable('normal', 0.0, 1.0) AS u, v FROM g"),
@@ -320,14 +318,16 @@ def test_partition_fallback_seams():
         with pytest.raises(PIPError):
             db.sql("SELECT u, expected_sum(v) AS sv FROM sym GROUP BY u")
 
+    on_both(pair, group_by_symbolic_cell)
+
 
 def test_aggregate_kernel_seams():
     """Aggregates fall back (and still agree) on: symbolic rows present,
     non-column targets, NaN columns for max/min, infinities, and empty
     tables; and agree with closed forms where the kernel does run."""
-    db_row = PIPDatabase(seed=3, columnar=False)
-    db_col = PIPDatabase(seed=3, columnar=True)
-    for db in (db_row, db_col):
+    pair = (PIPDatabase(seed=3), PIPDatabase(seed=3))
+
+    def load(db):
         db.sql("CREATE TABLE a (v float, w float)")
         db.insert_many(
             "a",
@@ -341,6 +341,8 @@ def test_aggregate_kernel_seams():
             ),
         )
         db.register("gated", db.sql("SELECT v, w FROM symrows WHERE u > 0.0"))
+
+    on_both(pair, load)
     for query in (
         "SELECT expected_sum(v) AS x FROM a",  # NaN row skipped by both
         "SELECT expected_avg(v) AS x FROM a",
@@ -354,8 +356,7 @@ def test_aggregate_kernel_seams():
         "SELECT expected_sum(v) AS x FROM gated",  # symbolic conditions
         "SELECT expected_max(v) AS x FROM gated",
     ):
-        row_res = db_row.sql(query)
-        col_res = db_col.sql(query)
+        row_res, col_res = on_both(pair, lambda db: db.sql(query))
         assert [
             tuple(canon_value(v) for v in r) for r in row_res.rows()
         ] == [tuple(canon_value(v) for v in r) for r in col_res.rows()], query
@@ -383,3 +384,46 @@ def test_masks_respect_numpy_python_comparison_parity():
         assert _canon_table(vec) == _canon_table(ref), op
     assert np.isnan(float("nan"))  # sanity: numpy is the comparison engine
     assert math.copysign(1.0, -0.0) == -1.0
+
+
+#: Cells outside ``ctables.schema.PLAIN`` in an ``any`` column, on rows
+#: whose condition is TRUE: each is the row path's to bind (a random
+#: variable makes the atom symbolic, a container raises in
+#: ``as_expression``, a NumPy scalar converts).
+ODD_CELLS = {
+    "random-variable": lambda db: db.create_variable("normal", [0.0, 1.0]),
+    "list": lambda db: [1],
+    "dict": lambda db: {"a": 1},
+    "tuple": lambda db: (1,),
+    "bytes": lambda db: b"x",
+    "numpy-scalar": lambda db: np.float64(1.0),
+}
+
+
+def _odd_cell_outcome(db, text):
+    try:
+        out = db.sql(text)
+    except Exception as exc:
+        return ("error", type(exc).__name__, str(exc))
+    if isinstance(out, int):  # DELETE: the count, then what is left
+        return ("ok", out, _canon_table(db.table("t")))
+    return ("ok", _canon_table(out.to_ctable()))
+
+
+@pytest.mark.parametrize("kind", sorted(ODD_CELLS))
+def test_non_plain_cells_take_the_row_path(kind):
+    """A column holding one non-plain cell answers ``=``, ``<>`` and
+    ``<`` — in a SELECT and a DELETE — with the row path's rows, order and
+    conditions, or its error type and text."""
+    for op in ("=", "<>", "<"):
+        for verb in ("SELECT k, c FROM t WHERE", "DELETE FROM t WHERE"):
+            text = "%s c %s 1" % (verb, op)
+
+            def run(db):
+                db.create_table("t", [("k", "int"), ("c", "any")])
+                odd = ODD_CELLS[kind](db)
+                db.insert_many("t", [(0, 5), (1, odd), (2, 1), (3, "x"), (4, 1.0)])
+                return _odd_cell_outcome(db, text)
+
+            row_out, col_out = on_both((PIPDatabase(seed=1), PIPDatabase(seed=1)), run)
+            assert col_out == row_out, (kind, text)

@@ -3,11 +3,12 @@
 The seeded generator (``generator.py``) has no alias, no join, no
 ``UPDATE`` and no ``DELETE`` — exactly the statements that now find their
 rows through ``columnar.ops.scan_mask``.  This file runs them through two
-databases that differ only in ``columnar=`` and requires the same rows in
-the same order under the same conditions, the same errors, the same
-affected counts, the same tables afterwards and, on a durable pair, the
-same WAL bytes.  Every case also runs with 3-row chunks, so masks, zone
-maps and Bloom filters cross chunk boundaries on every statement.
+databases, the first built and queried inside ``row_path()`` (the
+oracle), and requires the same rows in the same order under the same
+conditions, the same errors, the same affected counts, the same tables
+afterwards and, on a durable pair, the same WAL bytes.  Every case also
+runs with 3-row chunks, so masks and zone maps cross chunk boundaries on
+every statement.
 
 ``PIP_DIFF_DEEP=1`` widens the sweep: more seeds, larger tables.
 """
@@ -24,7 +25,7 @@ from repro.symbolic.conditions import conjunction_of
 from repro.symbolic.expression import Constant, var
 from repro.util.errors import PlanError, SchemaError
 
-from tests.differential.generator import canon_value
+from tests.differential.generator import canon_value, on_both, row_path
 
 DEEP = os.environ.get("PIP_DIFF_DEEP", "").strip() not in ("", "0")
 SEEDS = [11, 22] + ([33, 44, 55] if DEEP else [])
@@ -113,13 +114,12 @@ def _interleaved(table):
 def _pair(seed, tmp_path=None):
     dbs = []
     for columnar in (False, True):
-        if tmp_path is None:
-            db = PIPDatabase(seed=5, columnar=columnar)
-        else:
-            db = PIPDatabase.open(
-                str(tmp_path / ("col%d" % columnar)), seed=5, columnar=columnar
-            )
-        _load(db, seed)
+        with row_path(not columnar):
+            if tmp_path is None:
+                db = PIPDatabase(seed=5)
+            else:
+                db = PIPDatabase.open(str(tmp_path / ("col%d" % columnar)), seed=5)
+            _load(db, seed)
         dbs.append(db)
     return dbs
 
@@ -144,6 +144,11 @@ def _outcome(fn):
     return ("ok", out)
 
 
+def _both(pair, fn):
+    """The outcome of ``fn(db)`` on each of a pair, the first on the row path."""
+    return on_both(pair, lambda db: _outcome(lambda: fn(db)))
+
+
 def _constants(seed):
     rng = random.Random(seed * 31 + 7)
     return [round(rng.uniform(-25, 25), 2) for _ in range(3)]
@@ -151,7 +156,7 @@ def _constants(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_alias_and_join(seed, chunk):
-    db_row, db_col = _pair(seed)
+    pair = _pair(seed)
     queries = ["SELECT * FROM det d WHERE d.grp = 2", "SELECT m.id, m.v FROM mixed m"]
     for c in _constants(seed):
         queries += [
@@ -168,9 +173,9 @@ def test_alias_and_join(seed, chunk):
             "SELECT i.id, i.v FROM det i WHERE i.v > %s OR i.id = 3" % c,
         ]
     for query in queries:
-        expected = _outcome(lambda: db_row.sql(query))
+        expected, got = _both(pair, lambda db: db.sql(query))
         assert expected[0] == "ok", (query, expected)
-        assert _outcome(lambda: db_col.sql(query)) == expected, query
+        assert got == expected, query
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -179,7 +184,7 @@ def test_mixed_where_and_on(seed, chunk):
     and in a join's ON, in either order — the mask keeps the rows, the
     rest is bound on them — and beside atoms that raise on some rows,
     where both executors fail alike or neither does."""
-    db_row, db_col = _pair(seed)
+    pair = _pair(seed)
     queries = []
     for c in _constants(seed):
         window = "id >= %d AND id < %d" % (abs(int(c)), abs(int(c)) + 9)
@@ -209,9 +214,9 @@ def test_mixed_where_and_on(seed, chunk):
             ]
     results = set()
     for query in queries:
-        expected = _outcome(lambda: db_row.sql(query))
+        expected, got = _both(pair, lambda db: db.sql(query))
         results.add(expected[0])
-        assert _outcome(lambda: db_col.sql(query)) == expected, query
+        assert got == expected, query
     assert results == {"ok", "error"}
 
 
@@ -221,8 +226,8 @@ def test_projection_seams(seed, chunk):
     symbolic cell, a Constant-expression cell (the row path unwraps it),
     and a name that does not resolve — an error on a table with rows,
     none on an empty one, exactly as the row path has it."""
-    db_row, db_col = _pair(seed)
-    for db in (db_row, db_col):
+    pair = _pair(seed)
+    for db in pair:
         db.create_table("wrapped", [("k", "int"), ("c", "any")])
         db.insert_many("wrapped", [(1, Constant(2.5)), (2, 3.5), (3, Constant("x"))])
         db.sql("CREATE TABLE empty (k int, v float)")
@@ -240,8 +245,9 @@ def test_projection_seams(seed, chunk):
         "SELECT d.id, o.grp, grp FROM det d JOIN other o ON d.grp = o.grp",  # ambiguous
     ]
     for query in queries:
-        expected = _outcome(lambda: db_row.sql(query))
-        assert _outcome(lambda: db_col.sql(query)) == expected, query
+        expected, got = _both(pair, lambda db: db.sql(query))
+        assert got == expected, query
+    db_col = pair[1]
     unwrapped = db_col.sql("SELECT k, c FROM wrapped").rows()
     assert unwrapped == [(1, 2.5), (2, 3.5), (3, "x")]
     assert _outcome(lambda: db_col.sql("SELECT nope FROM empty"))[0] == "ok"
@@ -279,7 +285,7 @@ def _run_dml(dbs, table, statements):
         if table != "det" and (" s = " in template or " n = " in template):
             continue  # those columns exist on det only
         text = template % table
-        outcomes = [_outcome(lambda: db.sql(text)) for db in dbs]
+        outcomes = _both(dbs, lambda db: db.sql(text))
         assert outcomes[0] == outcomes[1], text
         tables = [_canon_table(db.table(table)) for db in dbs]
         assert tables[0] == tables[1], "tables differ after %r" % text
@@ -319,16 +325,16 @@ def test_symbolic_cell_in_predicate_column(verb, chunk):
     """An undecided predicate is the same PlanError, naming the same first
     offending row — also when the symbolic cell sits only in a row the
     store does not columnise (a symbolic-condition row)."""
-    db_row, db_col = _pair(SEEDS[0])
+    db_row, db_col = pair = _pair(SEEDS[0])
     for text in (
         verb + " WHERE u > 0.0",
         verb + " WHERE id = 3 OR u > 0.0",
         verb + " WHERE v > 0.0 AND u > 0.0",
     ):
-        expected = _outcome(lambda: db_row.sql(text))
+        expected, got = _both(pair, lambda db: db.sql(text))
         assert expected[:2] == ("error", "PlanError"), expected
         assert "predicate is not deterministic for row" in expected[2]
-        assert _outcome(lambda: db_col.sql(text)) == expected, text
+        assert got == expected, text
         assert _canon_table(db_row.table("symcell")) == _canon_table(
             db_col.table("symcell")
         )
@@ -338,13 +344,13 @@ def test_symbolic_cell_in_predicate_column(verb, chunk):
     from repro.symbolic.conditions import conjunction_of
 
     messages = []
-    for db in (db_row, db_col):
+    for columnar, db in zip((False, True), pair):
         db.sql("CREATE TABLE late (k int, w float)")
         db.insert_many("late", [(i, float(i)) for i in range(8)])
         x = db.create_variable("normal", (0.0, 1.0))
         db.insert("late", (8, var(x) + 1.0), conjunction_of(Atom(var(x), ">", 0.0)))
         db.insert_many("late", [(9, 9.0), (10, 10.0)])
-        with pytest.raises(PlanError) as info:
+        with row_path(not columnar), pytest.raises(PlanError) as info:
             db.sql(verb.replace("symcell", "late").replace("v =", "w =") + " WHERE w > 8.5")
         messages.append(str(info.value))
         assert len(db.table("late").rows) == 11
@@ -360,8 +366,8 @@ def test_durable_pair_wal_bytes(tmp_path, chunk):
     statements = _dml_statements(seed)
     _run_dml(dbs, "det", statements)
     _run_dml(dbs, "mixed", statements)
-    for db in dbs:  # a frame written by commit, not by autocommit
-        with db.connect() as session, session.transaction():
+    for columnar, db in zip((False, True), dbs):  # a frame written by commit
+        with row_path(not columnar), db.connect() as session, session.transaction():
             session.sql("UPDATE det SET v = -1.0 WHERE grp = 2 OR id = 11")
             session.sql("DELETE FROM mixed WHERE grp = 2")
     segments = []
@@ -371,10 +377,10 @@ def test_durable_pair_wal_bytes(tmp_path, chunk):
         db.close()
     assert len(segments[0]) > 0
     assert segments[0] == segments[1]
-    reopened = [
-        PIPDatabase.open(str(tmp_path / ("col%d" % columnar)), columnar=columnar)
-        for columnar in (False, True)
-    ]
+    reopened = []
+    for columnar in (False, True):
+        with row_path(not columnar):
+            reopened.append(PIPDatabase.open(str(tmp_path / ("col%d" % columnar))))
     try:
         for name in ("det", "mixed"):
             assert _canon_table(reopened[0].table(name)) == _canon_table(

@@ -1,12 +1,10 @@
-"""Zone-map and Bloom-filter pruning correctness (ISSUE 8, satellite 3).
+"""Zone-map pruning correctness.
 
 Pruning is an *optimization* with a hard safety contract: a pruned chunk
 must contain **no** row matching the predicate.  These tests aim
 adversarial chunk contents at the pruning rules — all-equal columns,
 NaN-bearing and all-NaN chunks, signed zeros, single-row chunks, empty
-tables — and check every prune decision against brute force.  The Bloom
-side additionally gets a false-positive-rate sanity bound and a
-zero-false-negative sweep.
+tables — and check every prune decision against brute force.
 """
 
 import math
@@ -15,7 +13,6 @@ import random
 import pytest
 
 from repro import PIPDatabase
-from repro.columnar import BloomFilter
 from repro.columnar import columns as C
 from repro.columnar import ops as cops
 from repro.columnar.ops import _zone_reject
@@ -130,12 +127,7 @@ def test_empty_table_and_empty_chunks():
     table = db.tables["z"]
     got, want, context = _filtered_ids(db, table, "=", 1.0, 4)
     assert got == want == []
-    assert (
-        context.chunks_scanned
-        == context.chunks_pruned_zone
-        == context.chunks_pruned_bloom
-        == 0
-    )
+    assert context.chunks_scanned == context.chunks_pruned_zone == 0
 
 
 def test_pruning_counters_and_explain_analyze():
@@ -155,12 +147,7 @@ def test_pruning_counters_and_explain_analyze():
     assert got == want == [0]
     assert context.chunks_pruned_zone >= 4  # the negative band never scans
     assert context.chunks_scanned >= 1
-    total = (
-        context.chunks_scanned
-        + context.chunks_pruned_zone
-        + context.chunks_pruned_bloom
-    )
-    assert total == 8  # 128 det rows / 16 per chunk
+    assert context.chunks_scanned + context.chunks_pruned_zone == 8  # 128 rows / 16
 
     plan_text = db.sql("EXPLAIN ANALYZE SELECT id FROM z WHERE v = 1000.0")
     assert "chunks scanned=" in plan_text
@@ -171,9 +158,10 @@ def test_pruning_counters_and_explain_analyze():
     assert metrics["pip_columnar_chunks_pruned_zonemap_total"] > 0
 
 
-def test_bloom_prunes_absent_equality_probe():
-    """Bloom pruning fires where zone maps cannot: interleaved values
-    with full-range chunks but a probe value absent from some chunks."""
+def test_interleaved_equality_probe_scans_every_chunk():
+    """Zone maps refute by range only: interleaved values give every chunk
+    the full range, so an equality probe absent from most chunks still
+    scans them all — and finds its one row."""
     db = PIPDatabase(seed=6)
     db.sql("CREATE TABLE z (id int, v float)")
     # Every chunk spans [0, 1000] so zone maps never reject the probe,
@@ -188,20 +176,5 @@ def test_bloom_prunes_absent_equality_probe():
     table = db.tables["z"]
     got, want, context = _filtered_ids(db, table, "=", 500.0, 4)
     assert got == want == [2]
-    assert context.chunks_pruned_bloom >= 1
-    assert context.chunks_pruned_zone == 0
+    assert (context.chunks_scanned, context.chunks_pruned_zone) == (6, 0)
 
-
-def test_bloom_no_false_negatives_and_fp_rate():
-    rng = random.Random(99)
-    members = [rng.uniform(-1e6, 1e6) for _ in range(512)]
-    bloom = BloomFilter(members)
-    for value in members:
-        assert bloom.might_contain(value)  # never a false negative
-    # hash(2) == hash(2.0): int probes match their float twins.
-    int_bloom = BloomFilter([2.0, 3.0])
-    assert int_bloom.might_contain(2)
-    absent = [rng.uniform(2e6, 3e6) for _ in range(2000)]
-    false_positives = sum(bloom.might_contain(v) for v in absent)
-    assert false_positives / len(absent) < 0.05
-    assert bloom.might_contain([1, 2, 3])  # unhashable: never prune

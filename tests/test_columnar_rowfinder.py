@@ -3,14 +3,12 @@
 Finding rows — for SELECT, JOIN, UPDATE and DELETE — asks one mask and
 pays for its hits.  These tests count the per-row work that used to scale
 with the table (row mappings, ``CTRow`` constructions, predicate bindings,
-column-store builds) and pin it to the number of matches, and pin the
-single-pass Bloom build to the bit pattern of the loop it replaced.
+column-store builds) and pin it to the number of matches.
 """
 
 import pytest
 
 from repro import PIPDatabase
-from repro.columnar import BloomFilter
 from repro.columnar import columns as C
 from repro.columnar import ops as cops
 from repro.ctables import algebra
@@ -19,12 +17,14 @@ from repro.symbolic.atoms import Atom
 from repro.symbolic.conditions import TRUE, conjunction_of
 from repro.symbolic.expression import col
 
+from tests.differential.generator import row_path
+
 N = 500
 
 
 @pytest.fixture
 def db():
-    db = PIPDatabase(seed=3, columnar=True)
+    db = PIPDatabase(seed=3)
     db.sql("CREATE TABLE items (k int, price float, qty int)")
     db.insert_many("items", [(i, i * 0.25, i % 9) for i in range(N)])
     db.sql("SELECT k FROM items WHERE k = 1")  # warm the store
@@ -89,15 +89,15 @@ def test_keyed_update_and_delete_decide_one_row(db, monkeypatch):
 
 
 def test_row_database_still_decides_every_row(monkeypatch):
-    """The database's own ``columnar`` flag — not the environment — picks
-    the candidates."""
-    db = PIPDatabase(seed=3, columnar=False)
+    """On the row path (``candidate_rows`` declines) every row is decided."""
+    db = PIPDatabase(seed=3)
     db.sql("CREATE TABLE t (k int)")
     db.insert_many("t", [(i,) for i in range(40)])
     decided = _count_calls(
         monkeypatch, PIPDatabase, "_predicate_matches", wrap=staticmethod
     )
-    assert db.sql("UPDATE t SET k = 99 WHERE k = 7") == 1
+    with row_path():
+        assert db.sql("UPDATE t SET k = 99 WHERE k = 7") == 1
     assert len(decided) == 40
 
 
@@ -190,54 +190,3 @@ def test_mixed_table_keeps_table_order(db):
             (r.values, repr(r.condition)) for r in want.rows
         ]
 
-
-# -- Bloom build: same bits as the loop it replaced --------------------------------
-
-_U64 = 0xFFFFFFFFFFFFFFFF
-
-
-def _reference_bits(values, bits_per_value=10, k=4):
-    """The per-value build this change deleted, kept here as the oracle."""
-    size = 64
-    while size < max(1, len(values)) * bits_per_value:
-        size <<= 1
-    bits = 0
-    for value in values:
-        h = hash(value) & _U64
-        for _ in range(k):
-            h = (h ^ (h >> 33)) * 0xFF51AFD7ED558CCD & _U64
-            h = (h ^ (h >> 29)) * 0xC4CEB9FE1A85EC53 & _U64
-            h ^= h >> 32
-            bits |= 1 << (h & (size - 1))
-    return bits, size
-
-
-@pytest.mark.parametrize(
-    "values",
-    [
-        list(range(300)),
-        [-1, -2, -(2**40), -(2**63), 2**63 - 1],
-        [2**70, -(2**70), 2**64, 2**61 - 1],
-        [0.5, -0.0, 0.0, 1e300, float("inf"), float("-inf")],
-        [float("nan"), float("nan")],
-        ["ash", "", "fir" * 50],
-        [None, True, False, 1, 0],
-        [(1, 2), ("a", None), frozenset([3])],
-        [7],
-        [],
-    ],
-    ids=["ints", "negative", "huge", "floats", "nan", "str", "none-bool", "tuples",
-         "single", "empty"],
-)
-def test_bloom_build_is_bit_identical(values):
-    bloom = BloomFilter(values)
-    bits, size = _reference_bits(values)
-    assert (bloom.bits, bloom.n_bits) == (bits, size)
-    assert all(bloom.might_contain(value) for value in values)
-    other = BloomFilter(values, bits_per_value=3, k=7)
-    assert (other.bits, other.n_bits) == _reference_bits(values, 3, 7)
-
-
-def test_bloom_unhashable_cell_still_raises():
-    with pytest.raises(TypeError):
-        BloomFilter([1, [2]])

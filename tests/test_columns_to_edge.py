@@ -7,7 +7,7 @@ Count-based and seeded, no wall clock.  Three contracts:
   build no ``CTRow``, locally or on either end of a loopback server, and
   the wire makes no per-cell call for a plain column;
 * **same answers** — rows, row order and cell *types* of a column-held
-  result equal the row executor's (``columnar=False``), and what arrives
+  result equal the row executor's (under ``row_path()``), and what arrives
   over the wire equals what was sent, at every chunk size;
 * **one format** — version 2 on both layers, a version-1 peer gets a
   coded error, and a malformed envelope raises ``WireFormatError`` /
@@ -34,12 +34,14 @@ from repro.symbolic.conditions import TRUE, conjunction_of
 from repro.symbolic.expression import Expression, col
 from repro.util.errors import ProtocolError, SchemaError, WireFormatError
 
+from tests.differential.generator import row_path
+
 N = 3000
 SCAN = "SELECT k, price, qty FROM items WHERE k >= :lo AND k < :hi"
 
 
-def _items_db(columnar=True):
-    db = PIPDatabase(seed=5, columnar=columnar, options=SamplingOptions(n_samples=64))
+def _items_db():
+    db = PIPDatabase(seed=5, options=SamplingOptions(n_samples=64))
     db.sql("CREATE TABLE items (k int, price float, qty int)")
     db.insert_many("items", [(i, i * 0.25, i % 9) for i in range(N)])
     return db
@@ -241,8 +243,8 @@ def _odd_cells(db):
     ]
 
 
-def _odd_db(columnar, n=None):
-    db = PIPDatabase(seed=11, columnar=columnar, options=SamplingOptions(n_samples=64))
+def _odd_db(n=None):
+    db = PIPDatabase(seed=11, options=SamplingOptions(n_samples=64))
     db.create_table("odd", [("k", "int"), ("v", "any"), ("w", "any")])
     cells = _odd_cells(db)[:n]
     db.insert_many("odd", [(i, cell, "r%d" % i) for i, cell in enumerate(cells)])
@@ -263,9 +265,11 @@ ODD_STATEMENTS = [
 class TestSameAnswers:
     @pytest.mark.parametrize("text", ODD_STATEMENTS)
     def test_column_held_equals_row_executor(self, text):
-        fast, _ = _odd_db(True)
-        slow, _ = _odd_db(False)
-        got, want = fast.sql(text), slow.sql(text)
+        fast, _ = _odd_db()
+        with row_path():
+            slow, _ = _odd_db()
+            want = slow.sql(text)
+        got = fast.sql(text)
         assert _typed(got.rows()) == _typed(want.rows())
         assert got.columns == want.columns and len(got) == len(want)
         assert got.stats.rows == want.stats.rows
@@ -277,13 +281,13 @@ class TestSameAnswers:
         assert ours.schema == theirs.schema and ours.name == theirs.name
 
     def test_first_statement_of_the_list_stays_held(self):
-        fast, n = _odd_db(True)
+        fast, n = _odd_db()
         assert fast.sql(ODD_STATEMENTS[0])._table.held
         assert fast.sql(ODD_STATEMENTS[2])._table.held
         assert not fast.sql(ODD_STATEMENTS[1])._table.held
 
     def test_symbolic_remainder_or_residual_is_not_held(self):
-        db, n = _odd_db(True)
+        db, n = _odd_db()
         x = db.create_variable_expr("normal", (0.0, 1.0))
         db.insert("odd", (99, 1.0, "sym"), condition=conjunction_of(Atom(x, ">", 0)))
         result = db.sql("SELECT k, w FROM odd WHERE k >= 0")
@@ -292,8 +296,8 @@ class TestSameAnswers:
 
     @pytest.mark.parametrize("chunk_rows", [1, 2, 5, 1000])
     def test_across_the_wire_at_every_chunk_size(self, chunk_rows):
-        db, n = _odd_db(True)
-        reference, _ = _odd_db(True)
+        db, n = _odd_db()
+        reference, _ = _odd_db()
         with run_server(db, chunk_rows=chunk_rows) as server, connect(server.url) as session:
             for text in ODD_STATEMENTS:
                 cursor = session.execute(text)
@@ -327,7 +331,7 @@ class TestSameAnswers:
         ]
 
     def test_payload_round_trip_of_every_odd_cell(self):
-        db, n = _odd_db(True)
+        db, n = _odd_db()
         result = db.sql("SELECT * FROM odd WHERE k >= 0")
         payload = json.loads(json.dumps(result.to_payload()))
         assert payload["cells"][0] == list(range(n))  # the plain column, as it is

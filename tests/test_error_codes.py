@@ -23,6 +23,8 @@ from repro.util.errors import (
     error_from_code,
 )
 
+from tests.differential.generator import row_path
+
 
 def _pip_error_classes():
     found = []
@@ -114,10 +116,10 @@ class TestAggregateTargetErrors:
     ]
 
     @staticmethod
-    def _db(columnar=None):
+    def _db():
         from repro import PIPDatabase
 
-        db = PIPDatabase(seed=1, columnar=columnar)
+        db = PIPDatabase(seed=1)
         db.create_table("t", [("k", "int"), ("s", "str"), ("v", "any")])
         db.insert_many("t", [(1, "x", 1.5), (2, "y", 10**400)])
         return db
@@ -125,8 +127,8 @@ class TestAggregateTargetErrors:
     @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "row"])
     @pytest.mark.parametrize("text,call,value,cause", CASES)
     def test_sql_raises_plan_error(self, columnar, text, call, value, cause):
-        with pytest.raises(errors.PlanError) as caught:
-            self._db(columnar).sql(text)
+        with row_path(not columnar), pytest.raises(errors.PlanError) as caught:
+            self._db().sql(text)
         message = str(caught.value)
         assert message.startswith(call + ": " + value), message
         assert cause in message

@@ -278,12 +278,10 @@ class TestServerSurfaces:
             assert "pip_history_dropped" in text
             assert "pip_columnar_chunks_scanned_total" in text
             assert "pip_columnar_chunks_pruned_zonemap_total" in text
-            assert "pip_columnar_chunks_pruned_bloom_total" in text
         db.close()
 
     def test_columnar_counters_move_on_metrics_page(self):
         db = PIPDatabase(seed=5, options=SamplingOptions(n_samples=64))
-        db.columnar = True
         db.sql("CREATE TABLE t (k int, v float)")
         db.insert_many("t", [(i, float(i)) for i in range(4096)])
         db.sql("SELECT v FROM t WHERE k = 17").rows()  # warm + scan

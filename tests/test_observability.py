@@ -31,6 +31,8 @@ from repro.symbolic.conditions import conjunction_of
 from repro.symbolic.expression import var
 from repro.util.errors import PlanError
 
+from tests.differential.generator import row_path
+
 
 # ---------------------------------------------------------------------------
 # Workload: the fig7 rejection shape through the SQL front end
@@ -344,11 +346,9 @@ def test_explain_analyze_does_not_change_later_results():
     db.close()
 
 
-def _monitoring_model(columnar=True):
+def _monitoring_model():
     """warm_monitoring's model: 8 regions x 24 sites, two Normals a row."""
-    db = PIPDatabase(
-        seed=5, options=SamplingOptions(n_samples=50), columnar=columnar
-    )
+    db = PIPDatabase(seed=5, options=SamplingOptions(n_samples=50))
     db.sql("CREATE TABLE sites (site int, region int, mu float)")
     db.insert_many("sites", [(i, i % 8, 5.0 + i % 3) for i in range(192)])
     db.register("model", db.sql(
@@ -363,9 +363,11 @@ def test_explain_analyze_reads_rows_bound_by_a_mixed_where():
     query = ("EXPLAIN ANALYZE SELECT site, conf() FROM model"
              " WHERE a > b AND region >= 2 AND region < 4")
     for columnar, bound in ((True, 48), (False, 192)):
-        db = _monitoring_model(columnar)
-        assert len(db.table("model").rows) == 192
-        line = next(l for l in db.sql(query).splitlines() if "Filter" in l)
+        with row_path(not columnar):
+            db = _monitoring_model()
+            assert len(db.table("model").rows) == 192
+            text = db.sql(query)
+        line = next(l for l in text.splitlines() if "Filter" in l)
         assert "rows=48 " in line
         assert "rows bound=%d" % bound in line
         db.close()

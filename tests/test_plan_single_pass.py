@@ -90,7 +90,7 @@ def _generated():
     alone and under one more atom over their own variable."""
     found = []
     for seed in (1, 2):
-        db = build_db(make_spec(seed), columnar=True)
+        db = build_db(make_spec(seed))
         for name in ("gated", "mixed"):
             for row in db.table(name).rows:
                 condition = row.condition

@@ -20,6 +20,8 @@ from repro.engine.parser import parse_sql
 from repro.engine.planner import fold_constants, optimize, plan_statement
 from repro.engine.results import ExecContext
 
+from tests.differential.generator import row_path
+
 ROWS = [
     (0, 2.5, -1.0),
     (1, -0.0, 4.0),
@@ -118,13 +120,12 @@ def test_optimized_plan_matches_unoptimized_and_brute_force(disjuncts):
 @settings(max_examples=80, deadline=None)
 @given(disjunction)
 def test_columnar_execution_agrees_with_brute_force(disjuncts):
-    db_col = _db()
-    db_row = _db()
-    db_row.columnar = False
+    db = _db()
     text = "SELECT id FROM t WHERE %s" % _sql_of(disjuncts)
     expect = _brute_force(disjuncts)
-    assert [r[0] for r in db_col.sql(text).rows()] == expect
-    assert [r[0] for r in db_row.sql(text).rows()] == expect
+    assert [r[0] for r in db.sql(text).rows()] == expect
+    with row_path():
+        assert [r[0] for r in db.sql(text).rows()] == expect
 
 
 @settings(max_examples=60, deadline=None)
