@@ -3,10 +3,10 @@ deterministic rows.
 
 A store is built lazily per table and cached on ``CTable.colstore``;
 :func:`store_for` validates the cache against the table's row list
-identity, row count and mutation ``version``, and additionally registers
-a CTable watcher hook that drops the cache on any ``add_row`` /
-``update_rows`` / ``remove_rows`` — so the columnar view can never serve
-stale data after a mutation.
+identity, row count and mutation ``version``.  The table's appends and
+in-place updates hand each written row to :meth:`ColumnStore.patch`, so
+a one-row write costs about one row; any other change of rows drops the
+store, and the next reader rebuilds it.
 
 The store partitions rows into the **deterministic partition** (rows
 whose condition is TRUE) and the **symbolic remainder**; only the former
@@ -49,9 +49,69 @@ def plain_number(value):
     return kind is float or (kind is int and -SMALL_INT <= value <= SMALL_INT)
 
 
-def _invalidate_store(table, _row):
-    """CTable watcher hook: any mutation drops the cached column store."""
-    table.colstore = None
+def exact_float(value):
+    """``float(value)`` for a ``float``, or an ``int`` float64 holds
+    exactly; ``None`` for anything else (bool, NumPy scalar, str, …)."""
+    try:
+        if type(value) is float or type(value) is int and float(value) == value:
+            return float(value)
+    except OverflowError:  # an int past the largest float
+        pass
+    return None
+
+
+def _total_cell(cell):
+    """A cell :meth:`ColumnStore.total` lets a skipped atom bind."""
+    return plain_number(cell) or (isinstance(cell, Expression) and bool(cell.variables()))
+
+
+def _floats(values):
+    """``(float64_array, all_float)`` if :func:`exact_float` holds for
+    every cell, else ``None``: one NumPy pass, then a look at the cells
+    at or past ±2**53 only, where an int may have rounded."""
+    kinds = set(map(type, values))
+    if not kinds <= {int, float}:
+        return None
+    try:
+        array = np.array(values, dtype=np.float64)
+    except OverflowError:
+        return None
+    if int in kinds:
+        big = np.abs(array) >= SMALL_INT
+        if big.any() and any(exact_float(values[j]) is None for j in np.flatnonzero(big).tolist()):
+            return None
+    return array[:], int not in kinds
+
+
+def _grown(view, value):
+    """``view`` (a slice of ``view.base``) one longer, ending in ``value``:
+    written past every view handed out, or into a buffer twice the size."""
+    buffer, n = view.base, len(view)
+    if n == len(buffer):
+        buffer = np.empty(2 * n + 16, dtype=view.dtype)
+        buffer[:n] = view
+    buffer[n] = value
+    return buffer[: n + 1]
+
+
+def _zone(block):
+    """``(min, max, has_nan)`` of one chunk, ``(None, None, True)`` if all
+    NaN; never a -0.0 bound (``+ 0.0``), whichever zero a tie would keep."""
+    nan_mask = np.isnan(block)
+    if nan_mask.all():
+        return (None, None, True)
+    clean = block[~nan_mask]
+    return (float(clean.min()) + 0.0, float(clean.max()) + 0.0, bool(nan_mask.any()))
+
+
+def _widened(zone, value):
+    """:func:`_zone` of a chunk with zone ``zone`` and one more cell."""
+    low, high, has_nan = zone
+    if value != value:
+        return (low, high, True)
+    value += 0.0
+    return (value, value, has_nan) if low is None else (
+        min(low, value), max(high, value), has_nan)
 
 
 def store_for(table, chunk_size=None):
@@ -72,8 +132,6 @@ def store_for(table, chunk_size=None):
         return store
     store = ColumnStore(table, chunk_size=chunk_size)
     table.colstore = store
-    if _invalidate_store not in table.watchers:
-        table.watchers.append(_invalidate_store)
     return store
 
 
@@ -89,6 +147,7 @@ class ColumnStore:
         "det_flags",
         "det_rows",
         "all_det",
+        "_shared",
         "_name_index",
         "_positions",
         "_objects",
@@ -108,15 +167,16 @@ class ColumnStore:
         self.det_flags = flags
         self.det_rows = [row for row, det in zip(table.rows, flags) if det]
         self.all_det = len(self.det_rows) == self.n_rows
-        self._positions = None
         # Mirrors dict(zip(names, values)): for duplicate column names the
         # last occurrence wins, exactly like CTable.row_mapping.
         self._name_index = {name: i for i, name in enumerate(self.schema_names)}
-        self._objects = {}
-        self._det_clean = {}
-        self._numeric = {}
-        self._total = {}
-        self._zones = {}
+        self._clear()
+
+    def _clear(self):
+        """No cache built yet, and none shared with an alias."""
+        self._shared, self._positions = False, None
+        self._objects, self._det_clean, self._numeric, self._total, self._zones = (
+            {}, {}, {}, {}, {})
 
     def valid_for(self, table):
         """Whether this store still describes ``table``'s current rows."""
@@ -131,7 +191,8 @@ class ColumnStore:
         under other column names (``algebra.prefix``).  Everything keyed
         by position is shared, caches included, so what either store
         materialises the other finds; only names, row list and version
-        are the alias's own."""
+        are the alias's own, until a patch (:meth:`_detach`)."""
+        self._shared = True
         twin = ColumnStore.__new__(ColumnStore)
         for slot in ColumnStore.__slots__:
             setattr(twin, slot, getattr(self, slot))
@@ -149,7 +210,8 @@ class ColumnStore:
         first use."""
         if self._positions is None:
             flags = np.asarray(self.det_flags, dtype=bool)
-            self._positions = (np.flatnonzero(flags), np.flatnonzero(~flags))
+            # Views of buffers of their own, so that an append can grow them.
+            self._positions = [np.array(np.flatnonzero(half))[:] for half in (flags, ~flags)]
         return self._positions
 
     # -- name resolution ---------------------------------------------------------
@@ -167,9 +229,7 @@ class ColumnStore:
             index = self._name_index.get(suffix)
             if index is not None:
                 return index
-        matches = [
-            key for key in self._name_index if key.split(".")[-1] == name
-        ]
+        matches = [key for key in self._name_index if key.split(".")[-1] == name]
         if len(matches) == 1:
             return self._name_index[matches[0]]
         return None
@@ -180,8 +240,7 @@ class ColumnStore:
         """The full object column (all rows, symbolic remainder included)."""
         column = self._objects.get(index)
         if column is None:
-            column = [row.values[index] for row in self.rows_ref]
-            self._objects[index] = column
+            column = self._objects[index] = [row.values[index] for row in self.rows_ref]
         return column
 
     def det_objects(self, index):
@@ -191,48 +250,22 @@ class ColumnStore:
         the atom symbolic, a list or a NumPy scalar converts or raises in
         ``as_expression`` — nothing a batch comparison can replicate."""
         cached = self._det_clean.get(index)
-        if cached is not None:
-            return cached if cached is not False else None
-        column = [row.values[index] for row in self.det_rows]
-        clean = PLAIN.issuperset(map(type, column))
-        self._det_clean[index] = column if clean else False
-        return column if clean else None
+        if cached is None:
+            column = [row.values[index] for row in self.det_rows]
+            cached = self._det_clean[index] = PLAIN.issuperset(map(type, column)) and column
+        return None if cached is False else cached
 
     def numeric(self, index):
         """``(float64_array, all_float)`` over the deterministic
         partition, or ``None`` when float64 cannot represent the column
         exactly.  ``all_float`` gates arithmetic vectorization: Python
         int arithmetic is exact where float64 rounds, so only all-float
-        columns may enter vectorized ``+ - *``."""
+        columns may enter vectorized ``+ - *`` (:func:`_floats`)."""
         cached = self._numeric.get(index)
-        if cached is not None:
-            return cached if cached is not False else None
-        values = self.det_objects(index)
-        if values is None:
-            self._numeric[index] = False
-            return None
-        floats = []
-        all_float = True
-        for value in values:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                self._numeric[index] = False
-                return None
-            if isinstance(value, int):
-                all_float = False
-                try:
-                    as_float = float(value)
-                except OverflowError:
-                    self._numeric[index] = False
-                    return None
-                if as_float != value:  # beyond 2**53: float64 would lie
-                    self._numeric[index] = False
-                    return None
-                floats.append(as_float)
-            else:
-                floats.append(value)
-        result = (np.asarray(floats, dtype=np.float64), all_float)
-        self._numeric[index] = result
-        return result
+        if cached is None:
+            values = self.det_objects(index)
+            cached = self._numeric[index] = (values is not None and _floats(values)) or False
+        return cached or None
 
     def total(self, name):
         """Whether binding and deciding a ``+ - *`` comparison over column
@@ -243,9 +276,7 @@ class ColumnStore:
         index = self.resolve(name)
         if index is not None and index not in self._total:
             self._total[index] = all(
-                plain_number(cell)
-                or (isinstance(cell, Expression) and bool(cell.variables()))
-                for cell in (row.values[index] for row in self.det_rows)
+                _total_cell(row.values[index]) for row in self.det_rows
             )
         return self._total.get(index, False)
 
@@ -264,19 +295,73 @@ class ColumnStore:
         """Per-chunk ``(min, max, has_nan)`` zone maps for a numeric
         column; ``(None, None, True)`` marks an all-NaN chunk."""
         zones = self._zones.get(index)
-        if zones is not None:
-            return zones
-        array = self.numeric(index)[0]
-        zones = []
-        for _ci, start, end in self.chunks():
-            block = array[start:end]
-            nan_mask = np.isnan(block)
-            if nan_mask.all():
-                zones.append((None, None, True))
-            else:
-                clean = block[~nan_mask]
-                zones.append(
-                    (float(clean.min()), float(clean.max()), bool(nan_mask.any()))
-                )
-        self._zones[index] = zones
+        if zones is None:
+            array = self.numeric(index)[0]
+            zones = [_zone(array[start:end]) for _ci, start, end in self.chunks()]
+            self._zones[index] = zones
         return zones
+
+    # -- writes ------------------------------------------------------------------
+
+    def patch(self, table, index, row, old=None):
+        """Row ``index`` of ``table``, which this store described until
+        now, is ``row``: appended, or written over ``old`` (same condition).
+        Every cache built takes its cells in amortised O(1) (:meth:`_patch`)."""
+        if self._shared:
+            self._detach()
+        self.n_rows, self.version = len(table.rows), table.version
+        grow = old is None
+        if grow:
+            det = row.condition.is_true
+            self.det_flags.append(det)
+            self.all_det = self.all_det and det
+            if self._positions is not None:
+                self._positions[not det] = _grown(self._positions[not det], index)
+        for i, column in self._objects.items():
+            column[index : index + 1] = [row.values[i]]
+        if not self.det_flags[index]:
+            return
+        p = len(self.det_rows) if grow else index if self.all_det else int(
+            np.searchsorted(self.positions()[0], index))
+        self.det_rows[p : p + 1] = [row]
+        # A column with any cache has det_objects' (numeric asks it first).
+        for i in self._det_clean.keys() | self._total.keys():
+            if grow or row.values[i] is not old.values[i]:
+                self._patch(i, p, row.values[i], grow)
+
+    def _patch(self, index, p, cell, grow):
+        """Cell ``p`` of the partition's column ``index`` is now ``cell``
+        (appended when ``grow``): written into each cache built for the
+        column if it keeps every verdict (an append leaves a refusal as
+        it is), else the column's caches are dropped for a lazy rebuild."""
+        clean, numeric = self._det_clean.get(index), self._numeric.get(index)
+        total = self._total.get(index)
+        as_float, is_float = exact_float(cell), type(cell) is float
+        if (False in (clean, numeric, total) and not grow) or not (
+            (clean in (None, False) or type(cell) in PLAIN)
+            and (numeric in (None, False) or as_float is not None
+                 and (grow or is_float == numeric[1]))
+            and (not total or _total_cell(cell))
+        ):
+            for cache in (self._det_clean, self._numeric, self._total, self._zones):
+                cache.pop(index, None)
+            return
+        if clean not in (None, False):
+            clean[p : p + 1] = [cell]
+        if numeric:
+            view = _grown(numeric[0], as_float) if grow else numeric[0]
+            view[p] = as_float
+            self._numeric[index] = (view, numeric[1] and is_float)
+            zones, size = self._zones.get(index), self.chunk_size
+            if zones is not None:
+                c = p // size
+                zones[c : c + 1] = [
+                    _widened(zones[c] if p % size else (None, None, False), as_float)
+                    if grow else _zone(view[c * size : (c + 1) * size])
+                ]
+
+    def _detach(self):
+        """Lists of its own and empty caches, taken before the first patch
+        after :meth:`alias`: the twin keeps every container it shared."""
+        self.det_flags, self.det_rows = list(self.det_flags), list(self.det_rows)
+        self._clear()

@@ -54,7 +54,6 @@ from repro.symbolic.expression import (
     ColumnTerm,
     Constant,
     UnaryOp,
-    is_numeric,
 )
 from repro.util.errors import SchemaError
 
@@ -108,25 +107,9 @@ def atom_statically_vectorizable(atom):
 #   ("scalar", float) | ("col", index) | ("bin", op, l, r) | ("neg", node)
 
 
-def _const_float(value):
-    """The float a numeric constant contributes, or None when float64
-    cannot represent it exactly (Python would compare the int exactly)."""
-    if not is_numeric(value):
-        return None
-    if isinstance(value, int):
-        try:
-            as_float = float(value)
-        except OverflowError:
-            return None
-        if as_float != value:
-            return None
-        return as_float
-    return value
-
-
 def _compile_numeric(expr, store, under_arith=False):
     if isinstance(expr, Constant):
-        as_float = _const_float(expr.value)
+        as_float = C.exact_float(expr.value)
         if as_float is None:
             return None
         return ("scalar", as_float)
@@ -164,10 +147,10 @@ def _eval_numeric(node, store, start, end):
     if tag == "col":
         return store.numeric(node[1])[0][start:end]
     if tag == "bin":
-        return _ARITH[node[1]](
-            _eval_numeric(node[2], store, start, end),
-            _eval_numeric(node[3], store, start, end),
-        )
+        left = _eval_numeric(node[2], store, start, end)
+        right = _eval_numeric(node[3], store, start, end)
+        with np.errstate(invalid="ignore", over="ignore"):  # IEEE, as the row path's floats
+            return _ARITH[node[1]](left, right)
     return -_eval_numeric(node[1], store, start, end)
 
 

@@ -65,7 +65,9 @@ class CTable:
     ``watchers`` is a list of callables invoked as ``watcher(table, row)``
     after every :meth:`add_row` append.  The database registers one per
     stored table so mutations can invalidate dependent sample-bank entries;
-    derived tables (copies, algebra results) start with no watchers.
+    derived tables (copies, algebra results) start with no watchers.  An
+    append or an in-place update patches the cached column store
+    (``colstore``, :mod:`repro.columnar.columns`); any other change drops it.
 
     A result whose conditions are all TRUE can be **column-held**
     (:meth:`from_columns`): one list of cells per column and no
@@ -87,8 +89,7 @@ class CTable:
         # version lets ColumnStore validate itself even when a mutation
         # replaces cells without changing row count or list identity.
         self.version = 0
-        self.colstore = None
-        self.rows = []
+        self.rows = []  # (the setter starts without a column store)
         for row in rows:
             if isinstance(row, CTRow):
                 self._check_arity(row.values)
@@ -120,6 +121,7 @@ class CTable:
     def rows(self, rows):
         self._rows = rows
         self._columns = None
+        self.colstore = None
 
     @property
     def held(self):
@@ -178,8 +180,11 @@ class CTable:
         if condition.is_false:
             return  # inconsistent rows may be freely removed (Section III-C)
         row = CTRow(values, condition)
+        store = self._live_store()
         self.rows.append(row)
         self.version += 1
+        if store is not None:
+            store.patch(self, len(self.rows) - 1, row)
         for watcher in self.watchers:
             watcher(self, row)
 
@@ -202,15 +207,22 @@ class CTable:
             values = tuple(values)
             self.check_row(values)
             staged.append((index, old, CTRow(values, old.condition)))
-        for index, _old, new in staged:
+        store = self._live_store()
+        self.version += bool(staged)
+        for index, old, new in staged:
             self.rows[index] = new
-        if staged:
-            self.version += 1
+            if store is not None:
+                store.patch(self, index, new, old)
         for _index, old, new in staged:
             for watcher in self.watchers:
                 watcher(self, old)
                 watcher(self, new)
         return len(staged)
+
+    def _live_store(self):
+        """The column store, while it describes the rows as they stand."""
+        store = self.colstore
+        return store if store is not None and store.valid_for(self) else None
 
     def remove_rows(self, rows):
         """Remove specific row objects (matched by identity, not value —
@@ -304,7 +316,6 @@ class CTable:
 
     def __setstate__(self, state):
         self.schema, self.rows, self.name, self.watchers, self.version = state
-        self.colstore = None
 
     # -- display ------------------------------------------------------------------
 

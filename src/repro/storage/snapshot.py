@@ -26,6 +26,7 @@ import re
 
 import numpy as np
 
+from repro.columnar.columns import store_for
 from repro.util.errors import StorageError
 
 _FORMAT_VERSION = 1
@@ -60,32 +61,19 @@ def _numeric_column(values):
     return np.asarray(values, dtype=dtype)
 
 
-def _cached_columns(table, n_columns):
-    """Object columns from a valid ``table.colstore``, else ``None``."""
-    store = getattr(table, "colstore", None)
-    if store is None or not store.valid_for(table):
-        return None
-    return [list(store.objects(position)) for position in range(n_columns)]
-
-
 def _pack_table(index, table, arrays):
     """Pickle-side payload for one table, lifting numeric columns to npz.
 
-    When the table carries a still-valid columnar cache
-    (:mod:`repro.columnar`), its materialised object columns are reused
-    instead of re-walking every row — same values, zero extra passes.
-    The npz dtype decision stays with :func:`_numeric_column` (int64 for
-    all-int columns, which the float64 columnar arrays can't represent).
+    The cells come from the table's column store (:mod:`repro.columnar`),
+    which writes keep up to date, so a checkpoint re-walks no row it has
+    columnised before.  The npz dtype decision stays with
+    :func:`_numeric_column` (int64 for all-int columns, which the float64
+    columnar arrays can't represent).
     """
-    n_columns = len(table.schema)
-    columns_values = _cached_columns(table, n_columns)
-    if columns_values is None:
-        columns_values = [[] for _ in range(n_columns)]
-        for row in table.rows:
-            for position, value in enumerate(row.values):
-                columns_values[position].append(value)
+    store = store_for(table)
+    columns_values = [store.objects(i) for i in range(len(table.schema))]
     packed_columns = []
-    for position in range(n_columns):
+    for position in range(len(table.schema)):
         array = _numeric_column(columns_values[position])
         if array is not None:
             arrays["t%d_c%d" % (index, position)] = array

@@ -633,30 +633,20 @@ def binop(op, left, right):
             return Constant(_ARITH[op](left.value, right.value))
         except (ZeroDivisionError, OverflowError, ValueError):
             pass  # keep the tree; evaluation will raise at sample time
-    # Identity folds keep equations small after repeated rewriting.
-    if op == "+":
-        if isinstance(left, Constant) and left.value == 0:
-            return right
-        if isinstance(right, Constant) and right.value == 0:
-            return left
-    elif op == "-":
-        if isinstance(right, Constant) and right.value == 0:
-            return left
-    elif op == "*":
-        if isinstance(left, Constant) and left.value == 1:
-            return right
-        if isinstance(right, Constant) and right.value == 1:
-            return left
-        if (isinstance(left, Constant) and left.value == 0) or (
-            isinstance(right, Constant) and right.value == 0
-        ):
-            return Constant(0.0)
-    elif op == "/":
-        if isinstance(right, Constant) and right.value == 1:
-            return left
-    elif op == "^":
-        if isinstance(right, Constant) and right.value == 1:
-            return left
+    # Identity folds keep equations small after repeated rewriting.  They
+    # hold for a variable expression, not for a column (NaN, inf and
+    # strings break them); a constant pair is the numeric fold's above.
+    if isinstance(right, Constant):
+        const, other = right, left
+    elif isinstance(left, Constant) and op in "+*":
+        const, other = left, right
+    else:
+        return BinOp(op, left, right)
+    zero = op == "*" and const.value == 0
+    if (zero or const.value == (0 if op in "+-" else 1)) and not (
+        isinstance(other, Constant) or other.column_refs()
+    ):
+        return Constant(0.0) if zero else other
     return BinOp(op, left, right)
 
 

@@ -11,6 +11,7 @@ the row path agree (or raise the same error) at every one.
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from repro.symbolic.conditions import conjunction_of
 from repro.symbolic.expression import col
 from repro.util.errors import PIPError
 
-from tests.differential.generator import canon_value, on_both
+from tests.differential.generator import canon_value, on_both, row_path
 
 OPS = ["=", "<>", "<", "<=", ">", ">="]
 
@@ -427,3 +428,50 @@ def test_non_plain_cells_take_the_row_path(kind):
 
             row_out, col_out = on_both((PIPDatabase(seed=1), PIPDatabase(seed=1)), run)
             assert col_out == row_out, (kind, text)
+
+
+#: WHERE clauses over non-finite cells, beside the Python each one means.
+#: An identity fold (``v * 0`` is 0, ``s / 1`` is ``s``) holds for a
+#: random variable, not for a column that may hold NaN, inf or a string;
+#: and the mask kernel's float64 arithmetic must be as silent as Python's.
+PYTHON_CASES = [
+    ("v * 0.0 = 0.0", lambda v, s: v * 0.0 == 0.0),
+    ("0 * v = 0.0", lambda v, s: 0 * v == 0.0),
+    ("v - v = 0.0", lambda v, s: v - v == 0.0),
+    ("v * 10.0 > 1.0", lambda v, s: v * 10.0 > 1.0),
+    ("v + 0.0 >= -1.0", lambda v, s: v + 0.0 >= -1.0),
+    ("v - 0.0 <> v", lambda v, s: v - 0.0 != v),
+    ("v * 1.0 < 3.0", lambda v, s: v * 1.0 < 3.0),
+    ("v ^ 1.0 > 1.0", lambda v, s: v**1.0 > 1.0),
+    ("s / 1.0 = 1.0", lambda v, s: s / 1.0 == 1.0),
+    ("s / 2.0 = 1.0", lambda v, s: s / 2.0 == 1.0),
+    ("s * 1 = 'b'", lambda v, s: s * 1 == "b"),
+]
+
+
+@pytest.mark.parametrize("clause,python", PYTHON_CASES, ids=[c for c, _ in PYTHON_CASES])
+def test_where_means_python_over_the_cells(clause, python):
+    """The oracle is Python over the cells, not ``row_path()``: both paths
+    evaluate the tree the parser folded.  Warnings are errors."""
+    cells = [
+        (1, float("nan"), "a"), (2, float("inf"), "b"), (3, 2.0, "c"),
+        (4, 1e308, "b"), (5, float("-inf"), "a"), (6, -0.0, "c"),
+    ]
+    db = PIPDatabase(seed=6)
+    db.sql("CREATE TABLE t (k int, v float, s str)")
+    db.insert_many("t", cells)
+
+    def outcome(run):
+        try:
+            return ("ok", run())
+        except Exception as exc:
+            return ("error", type(exc).__name__)
+
+    expected = outcome(lambda: [k for k, v, s in cells if python(v, s)])
+    for on_row_path in (False, True):
+        with row_path(on_row_path), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(
+                lambda: [row[0] for row in db.sql("SELECT k FROM t WHERE " + clause).rows()]
+            )
+        assert got == expected, (clause, on_row_path)

@@ -117,18 +117,21 @@ def test_aliased_scan_builds_no_store(db, monkeypatch):
     assert twin.numeric(0) is source.numeric(0)
     assert twin.resolve("k") == 0 and twin.resolve("price") == 1  # unique suffix
     assert twin.resolve("nope") is None
-    # A write drops the source's store; the alias keeps serving its rows.
+    twin.numeric(1)  # the price column's array, shared before the write
+    # A write patches the source's store; the alias keeps serving its rows.
     db.sql("UPDATE items SET price = -1.0 WHERE k = 42")
-    assert db.table("items").colstore is None
+    store = db.table("items").colstore
+    assert store is source and store.valid_for(db.table("items")) and built == []
+    assert store.numeric(1)[0][42] == store.det_objects(1)[42] == -1.0
     assert twin.valid_for(alias) and alias.rows[42].values[1] == 10.5
+    assert twin.numeric(1)[0][42] == twin.det_objects(1)[42] == 10.5
 
 
 def test_no_store_for_a_conjunction_that_cannot_compile(db, monkeypatch):
     """``/`` never vectorizes, and ``scan_mask`` reads that off the atoms
     before it asks for a store: the statement runs the row path without
     building one — SELECT, UPDATE and DELETE alike, parameters or not."""
-    db.sql("UPDATE items SET qty = 1 WHERE k = 3")  # drops the warm store
-    assert db.table("items").colstore is None
+    db.table("items").colstore = None  # start without the warm store
     built = _count_calls(monkeypatch, C.ColumnStore, "__init__")
     assert db.sql("SELECT k FROM items WHERE price / 2.0 > 62.0").rows() == [
         (i,) for i in range(497, N)
