@@ -45,15 +45,17 @@ import operator
 import numpy as np
 
 from repro.columnar import columns as C
+from repro.constraints.consistency import shape_of
 from repro.ctables import algebra
 from repro.ctables.schema import PLAIN, Schema
 from repro.ctables.table import CTable, CTRow, columns_of
-from repro.symbolic.conditions import conjoin, conjunction_of
+from repro.symbolic.conditions import Conjunction, conjoin, conjunction_of
 from repro.symbolic.expression import (
     BinOp,
     ColumnTerm,
     Constant,
     UnaryOp,
+    VarTerm,
 )
 from repro.util.errors import SchemaError
 
@@ -375,13 +377,15 @@ def select_vectorized(db, table, atoms, condition, context=None):
         ]
     try:
         for indices, predicate in passes:
+            bind = _binder(table, predicate) if predicate is not condition else None
             for i in indices:
                 row = rows[i]
-                bound = predicate.bind_columns(table.row_mapping(row))
-                if predicate is condition:
-                    bound = conjoin(row.condition, bound)
-                elif bound.is_true:
-                    bound = row.condition  # as conjoin(φ, TRUE) is φ
+                if bind is None:
+                    bound = conjoin(row.condition, condition.bind_columns(table.row_mapping(row)))
+                else:
+                    bound = bind(row)
+                    if bound.is_true:
+                        bound = row.condition  # as conjoin(φ, TRUE) is φ
                 if not bound.is_false:
                     kept.append(i)
                     out_rows.append(CTRow(row.values, bound))
@@ -393,6 +397,46 @@ def select_vectorized(db, table, atoms, condition, context=None):
         # Both halves ascend by row index; merging on it is table order.
         out_rows = [out_rows[j] for j in np.argsort(kept).tolist()]
     return table.with_rows(out_rows)
+
+
+def _binder(table, predicate):
+    """``row -> predicate.bind_columns(row)``, planned by shape.  Where the
+    cells the predicate reads are bare univariate variables, the first row
+    of each kind (which cells share a variable, of which distributions) is
+    bound, and every row of the kind is :meth:`Conjunction.shaped` over
+    that bind's shape with its own cells in the slots.  Other rows (a
+    number, an expression in a cell) are bound as they are."""
+    try:
+        positions = [table.schema.index_of(name) for name in sorted(predicate.column_refs())]
+    except SchemaError:
+        positions = ()  # binding raises the row path's error
+    kinds = {}
+
+    def bind(row):
+        cells = [row.values[index] for index in positions]
+        if positions and all(type(cell) is VarTerm for cell in cells):
+            keys = [cell.var.key for cell in cells]
+            kind = (tuple(map(keys.index, keys)), tuple([cell.var.dist_name for cell in cells]))
+            shaped = kinds.get(kind)
+            if shaped is None:
+                shaped = kinds[kind] = _shape_kind(predicate.bind_columns(table.row_mapping(row)), keys)
+            if shaped is not False:
+                return shaped(cells)
+        return predicate.bind_columns(table.row_mapping(row))
+
+    return bind
+
+
+def _shape_kind(bound, keys):
+    """How rows of ``bound``'s kind bind: a function of their cells, or
+    ``False`` to bind each (a multivariate variable joins its family)."""
+    if bound.is_false or bound.is_true:
+        return lambda cells: bound
+    shape = shape_of(bound)
+    if any(term.var.is_multivariate for term in shape.terms):
+        return False
+    picks = [keys.index(term.var.key) for term in shape.terms]
+    return lambda cells: Conjunction.shaped(shape, tuple([cells[j] for j in picks]))
 
 
 def candidate_rows(db, table, disjuncts):

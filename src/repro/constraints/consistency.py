@@ -9,9 +9,13 @@ The checker serves two masters:
    ``[CDF(a), CDF(b)]`` guarantees every draw lands in ``[a, b]``
    (Section IV-A(b)).
 
-Tightening runs per minimal independent subset (line 4); that partition is
-handed on with the result (:attr:`ConsistencyResult.groups`) wherever it is
-the condition's own, and the expectation engine plans from it.
+What reads a conjunction's structure alone — forms, the Rule 1–4
+verdicts, the minimal independent subsets tightening runs over (line 4),
+polynomial hulls — is planned once per :class:`ConditionShape` and shared
+by every conjunction of that shape; a check runs the fixpoint, pins and
+supports on its own variables.  The partition is handed on with the result
+(:attr:`ConsistencyResult.groups`) wherever it is the condition's own, and
+the expectation engine plans from it.
 
 Floats inside the loop, ``Interval`` objects at the edge: the fixpoint keeps
 each bound as two floats and does ``Interval``'s arithmetic on them, so the
@@ -37,9 +41,16 @@ annotations:
 """
 
 import math
+from collections import namedtuple
+from functools import partial
 
-from repro.constraints.independence import groups_for_condition
-from repro.constraints.polynomials import tighten_polynomial
+from repro.constraints.independence import VariableGroup, _by_key, groups_for_condition
+from repro.constraints.polynomials import (
+    poly_coefficients,
+    solve_polynomial_segments,
+    tighten_polynomial,
+)
+from repro.distributions.base import registry_version
 from repro.symbolic.conditions import Conjunction, Disjunction
 from repro.symbolic.expression import Constant, VarTerm, is_numeric
 from repro.util.intervals import EMPTY_INTERVAL, FULL_INTERVAL, Interval, _safe_add, _safe_mul
@@ -207,42 +218,10 @@ def _div(value, divisor):
     return value / divisor
 
 
-def _tighten_group(atoms, variable_keys):
-    """Fixpoint bounds tightening over one independent group.
-
-    Returns ``(bounds, weakenings)`` (``bounds`` is ``None`` when an
-    interval came out empty) where ``weakenings`` counts atoms that could
-    not be handled *exactly*: skipped equations (Alg 3.2 line 11) plus
-    polynomial hulls, whose satisfying set may be non-convex and therefore
-    over-approximated.  Any weakening demotes a Consistent verdict to weak.
-    """
-    lo = dict.fromkeys(variable_keys, -math.inf)
-    hi = dict.fromkeys(variable_keys, math.inf)
-    prepared = []
-    weakenings = 0
-    for atom in atoms:
-        linear_form = atom.linear_form()
-        degree = atom.degree()
-        if linear_form is not None and not exact_form(linear_form):
-            weakenings += 1
-            continue
-        if linear_form is None or degree is None or degree > 1 or not linear_form[0]:
-            # Degree > 1: try the polynomial tightener (the paper's
-            # tightenN) for single-variable atoms before giving up.
-            atom_vars = atom.variables()
-            if len(atom_vars) == 1:
-                target_key = next(iter(atom_vars)).key
-                hull = tighten_polynomial(atom, target_key)
-                if hull is not None:
-                    hull = Interval(lo[target_key], hi[target_key]).intersect(hull)
-                    if hull.is_empty:
-                        return None, weakenings
-                    lo[target_key], hi[target_key] = hull.lo, hull.hi
-            # Whether hulled or skipped, the atom was not captured exactly.
-            weakenings += 1
-            continue
-        prepared.append((linear_form[0], linear_form[1], atom.op))
-
+def _tighten(prepared, lo, hi):
+    """Algorithm 3.2's fixpoint over one group's affine atoms ``(coeffs,
+    constant, op)``, on its float bounds ``lo`` / ``hi`` (tightened in
+    place); False when one came out empty."""
     for _round in range(_MAX_TIGHTEN_ROUNDS):
         changed = False
         for coeffs, constant, op in prepared:
@@ -259,7 +238,7 @@ def _tighten_group(atoms, variable_keys):
                 current_lo, current_hi = lo[target_key], hi[target_key]
                 new_lo, new_hi = max(current_lo, low), min(current_hi, high)
                 if new_lo > new_hi:
-                    return None, weakenings
+                    return False
                 if new_lo != current_lo or new_hi != current_hi:
                     lo[target_key], hi[target_key] = new_lo, new_hi
                     changed = True
@@ -269,15 +248,210 @@ def _tighten_group(atoms, variable_keys):
             # A one-variable atom reads no other bound: its interval is the
             # same every round and was intersected in this one.
             prepared = [linear for linear in prepared if len(linear[0]) > 1]
-    return {key: Interval(lo[key], hi[key]) for key in lo}, weakenings
+    return True
+
+
+#: One group of a shape's partition: its variables' slots, its atoms'
+#: positions, whether it is one variable whose atoms solve to exactly an
+#: interval (:func:`exactly_intervaled`), the bounds its polynomial hulls
+#: leave (by slot) and its affine atoms over slots.
+_Part = namedtuple("_Part", "slots atoms intervaled lo hi prepared")
+
+#: A shape's plan.
+_Plan = namedtuple("_Plan", "zero_probability strong skipped pins whole parts")
+
+
+class ConditionShape:
+    """A conjunction's structure with its variables as slots.
+
+    The paper rewrites a WHERE clause into the c-table condition once
+    (Section V-A) and plans it prior to sampling (Section III-C).  A shape
+    is derived from one conjunction and shared by every
+    :meth:`Conjunction.shaped` over it (a filter's rows whose cells are
+    bare variables of the same kinds), which supplies only its variable
+    terms.  Planned once: the atoms' forms, the Rule 1–4 verdicts, the
+    partition, the polynomial hulls and the exactly-intervaled verdicts;
+    per conjunction: the fixpoint on its floats, supports and CDFs.  A pure
+    function of the atoms, the kinds of their variables and the registry
+    version, kept in a derived slot.
+    """
+
+    __slots__ = ("atoms", "terms", "slot", "_plan")
+
+    def __init__(self, atoms, variables):
+        self.atoms = atoms
+        self.terms = tuple([VarTerm(v) for v in sorted(variables, key=_by_key)])
+        self.slot = {term.var.key: index for index, term in enumerate(self.terms)}
+        self._plan = None
+
+    def atoms_for(self, terms):
+        """The shape's atoms with ``terms`` in its slots."""
+        mapping = {own.var.key: term for own, term in zip(self.terms, terms)}
+        return tuple([atom.substitute(mapping) for atom in self.atoms])
+
+    def plan(self):
+        """The row-independent half of Algorithm 3.2 (``None``: a strong
+        contradiction), for the registry version of the call."""
+        found = self._plan
+        if found is None or found[0] != registry_version():
+            found = self._plan = (registry_version(), self._derive())
+        return found[1]
+
+    def _derive(self):
+        # One pass over the atoms.  Rule 1/2: deterministic atoms are
+        # already decided at construction time; discrete equality
+        # contradictions are checked here.  Rule 3: continuous equalities
+        # are measure-zero, and a continuous ``X <> c`` is set aside (a.s.
+        # true).
+        atoms = self.atoms
+        fixed = {}
+        disequalities = []
+        zero_probability = multivar_atom_seen = False
+        considered = None  # built once an atom is set aside
+        for index, atom in enumerate(atoms):
+            op = atom.op
+            if op == "=":
+                pinned = _split_equality_on_discrete(atom)
+                if pinned is not None:
+                    variable, value = pinned
+                    previous = fixed.get(variable.key)
+                    if previous is not None and previous != value:
+                        return None
+                    fixed[variable.key] = value
+                elif _is_continuous_equality(atom):
+                    zero_probability = True
+            elif op == "<>":
+                if _is_trivial_disequality(atom):
+                    if considered is None:
+                        considered = list(atoms[:index])
+                    continue
+                disequalities.append(atom)
+            if considered is not None:
+                considered.append(atom)
+            if len(atom.variables()) > 1:
+                multivar_atom_seen = True
+        # X = c clashing with X <> c (rule 4: cheap extra detection).
+        for atom in disequalities:
+            lhs, rhs = atom.lhs, atom.rhs
+            if isinstance(lhs, Constant):
+                lhs, rhs = rhs, lhs
+            if (
+                isinstance(lhs, VarTerm)
+                and isinstance(rhs, Constant)
+                and is_numeric(rhs.value)
+                and lhs.var.key in fixed
+                and fixed[lhs.var.key] == float(rhs.value)
+            ):
+                return None
+
+        # Tightening per independent group (Alg 3.2 line 4) of the atoms
+        # not set aside.  Weakenings: atoms not captured exactly — skipped
+        # equations (line 11) and polynomial hulls, which may over-
+        # approximate a non-convex set; any one demotes Consistent to weak.
+        whole = considered is None
+        slot = self.slot
+        position = {id(atom): index for index, atom in enumerate(atoms)}
+        parts = []
+        skipped = 0
+        for group in groups_for_condition(Conjunction(atoms if whole else considered)):
+            slots = tuple([slot[key] for key in group.variable_keys])
+            lo = dict.fromkeys(slots, -math.inf)
+            hi = dict.fromkeys(slots, math.inf)
+            prepared = []
+            for atom in group.atoms:
+                linear_form, degree = atom.linear_form(), atom.degree()
+                if linear_form is not None and not exact_form(linear_form):
+                    skipped += 1
+                    continue
+                if linear_form is None or degree is None or degree > 1 or not linear_form[0]:
+                    # Degree > 1: try the polynomial tightener (the paper's
+                    # tightenN) for single-variable atoms before giving up.
+                    atom_vars = atom.variables()
+                    if len(atom_vars) == 1:
+                        target_key = next(iter(atom_vars)).key
+                        hull = tighten_polynomial(atom, target_key)
+                        if hull is not None:
+                            target = slot[target_key]
+                            hull = Interval(lo[target], hi[target]).intersect(hull)
+                            if hull.is_empty:
+                                return None
+                            lo[target], hi[target] = hull.lo, hull.hi
+                    skipped += 1
+                    continue
+                coeffs = {slot[key]: coeff for key, coeff in linear_form[0].items()}
+                prepared.append((coeffs, linear_form[1], atom.op))
+            parts.append(_Part(
+                slots, tuple([position[id(atom)] for atom in group.atoms]),
+                len(slots) == 1 and exactly_intervaled(group), lo, hi, tuple(prepared)))
+        strong = skipped == 0 and not multivar_atom_seen
+        pins = tuple([(slot[key], value) for key, value in fixed.items()])
+        return _Plan(zero_probability, strong, skipped, pins, whole, tuple(parts))
+
+
+def _groups(condition, parts):
+    """``(group, its part)`` pairs of a conjunction of the parts' shape, in
+    the partition's order; a group reads its atoms from the conjunction on
+    first ask."""
+    variables = [term.var for term in condition._terms]
+    pairs = []
+    for part in parts:
+        group = VariableGroup(
+            [variables[s] for s in part.slots], partial(_atoms_at, condition, part.atoms))
+        group._intervaled = part.intervaled
+        pairs.append((group, part))
+    pairs.sort(key=lambda pair: pair[0].variables[0].key)
+    return pairs
+
+
+def _atoms_at(condition, positions):
+    atoms = condition.atoms
+    return tuple([atoms[index] for index in positions])
+
+
+def shape_of(condition):
+    """A conjunction's :class:`ConditionShape`, derived on first ask."""
+    try:
+        return condition._shape
+    except AttributeError:
+        shape = ConditionShape(condition.atoms, condition.variables())
+        object.__setattr__(condition, "_shape", shape)
+        object.__setattr__(condition, "_terms", shape.terms)
+        return shape
+
+
+def exactly_intervaled(group):
+    """Whether a one-variable group's atoms have exactly its tightened
+    interval as their solution set (no hull over-approximation): never with
+    an atom Algorithm 3.2 skipped as NaN or infinite arithmetic, nor with
+    one whose form names no variable.  A shape's groups take their part's
+    verdict."""
+    verdict = group._intervaled
+    if verdict is None:
+        verdict = group._intervaled = all(
+            map(partial(_solved_exactly, group.variables[0].key), group.atoms))
+    return verdict
+
+
+def _solved_exactly(variable_key, atom):
+    if atom.op == "<>":
+        return True
+    linear, degree = atom.linear_form(), atom.degree()
+    if linear is not None and not exact_form(linear):
+        return False
+    if linear is not None and degree is not None and degree <= 1:
+        return set(linear[0]) == {variable_key}
+    normal = atom.normalized()
+    coeffs = None if normal is None else poly_coefficients(normal[0], variable_key)
+    return coeffs is not None and len(solve_polynomial_segments(coeffs, normal[1])) == 1
 
 
 def check_consistency(condition):
     """Algorithm 3.2 over a condition.
 
-    Conjunctions get the full treatment.  DNF disjunctions are consistent
-    iff some disjunct is; the returned bounds are the hull across live
-    disjuncts (sound for sampling restriction).
+    Conjunctions get the full treatment: their shape's plan, then the
+    fixpoint and the supports on their own variables.  DNF disjunctions
+    are consistent iff some disjunct is; the returned bounds are the hull
+    across live disjuncts (sound for sampling restriction).
     """
     if condition.is_false:
         return _inconsistent(strong=True)
@@ -301,67 +475,24 @@ def check_consistency(condition):
     assert isinstance(condition, Conjunction)
     if condition.is_true:
         return ConsistencyResult(CONSISTENT, True, {})
+    shape = shape_of(condition)
+    plan = shape.plan()
+    if plan is None:
+        return _inconsistent(strong=True)
 
-    # One pass over the atoms.  Rule 1/2: deterministic atoms are already
-    # decided at construction time; discrete equality contradictions are
-    # checked here.  Rule 3: continuous equalities are measure-zero, and
-    # a continuous ``X <> c`` is set aside (a.s. true).
-    atoms = condition.atoms
-    fixed = {}
-    disequalities = []
-    zero_probability = multivar_atom_seen = False
-    considered = None  # built once an atom is set aside
-    for index, atom in enumerate(atoms):
-        op = atom.op
-        if op == "=":
-            pinned = _split_equality_on_discrete(atom)
-            if pinned is not None:
-                variable, value = pinned
-                previous = fixed.get(variable.key)
-                if previous is not None and previous != value:
-                    return _inconsistent(strong=True)
-                fixed[variable.key] = value
-            elif _is_continuous_equality(atom):
-                zero_probability = True
-        elif op == "<>":
-            if _is_trivial_disequality(atom):
-                if considered is None:
-                    considered = list(atoms[:index])
-                continue
-            disequalities.append(atom)
-        if considered is not None:
-            considered.append(atom)
-        if len(atom.variables()) > 1:
-            multivar_atom_seen = True
-    # X = c clashing with X <> c (rule 4: cheap extra detection).
-    for atom in disequalities:
-        lhs, rhs = atom.lhs, atom.rhs
-        if isinstance(lhs, Constant):
-            lhs, rhs = rhs, lhs
-        if (
-            isinstance(lhs, VarTerm)
-            and isinstance(rhs, Constant)
-            and is_numeric(rhs.value)
-            and lhs.var.key in fixed
-            and fixed[lhs.var.key] == float(rhs.value)
-        ):
-            return _inconsistent(strong=True)
-
-    # Bounds tightening per independent group (Alg 3.2 line 4).  With no
-    # atom set aside the partition is the condition's own: hand it on.
-    whole = considered is None
-    groups = groups_for_condition(condition if whole else Conjunction(considered))
+    terms = condition._terms
+    pairs = _groups(condition, plan.parts)
     bounds = {}
-    total_skipped = 0
-    for group in groups:
-        group_bounds, skipped = _tighten_group(group.atoms, group.variable_keys)
-        if group_bounds is None:
+    for _, part in pairs:
+        lo, hi = dict(part.lo), dict(part.hi)
+        if not _tighten(part.prepared, lo, hi):
             return _inconsistent(strong=True)
-        total_skipped += skipped
-        bounds.update(group_bounds)
+        for index in part.slots:
+            bounds[terms[index].var.key] = Interval(lo[index], hi[index])
 
     # Pin discrete equalities into the bounds map too (they are exact).
-    for key, value in fixed.items():
+    for index, value in plan.pins:
+        key = terms[index].var.key
         bounds[key] = bounds.get(key, FULL_INTERVAL).intersect(Interval.point(value))
         if bounds[key].is_empty:
             return _inconsistent(strong=True)
@@ -370,7 +501,7 @@ def check_consistency(condition):
     # entirely outside a variable's support is a sound proof of
     # unsatisfiability (no possible world assigns such a value).  Every
     # grouped variable has a bound; a full support leaves it as it is.
-    for group in groups:
+    for group, _ in pairs:
         for variable in group.variables:
             marginal = variable.marginal()
             if marginal is None:
@@ -384,13 +515,13 @@ def check_consistency(condition):
             if narrowed.is_empty:
                 return _inconsistent(strong=True)
 
-    if zero_probability:
+    if plan.zero_probability:
         return ConsistencyResult(
-            INCONSISTENT, False, bounds, zero_probability=True, skipped_atoms=total_skipped
+            INCONSISTENT, False, bounds, zero_probability=True, skipped_atoms=plan.skipped
         )
-    strong = total_skipped == 0 and not multivar_atom_seen
-    shared = tuple(groups) if whole else None
-    return ConsistencyResult(CONSISTENT, strong, bounds, skipped_atoms=total_skipped, groups=shared)
+    shared = tuple([group for group, _ in pairs]) if plan.whole else None
+    return ConsistencyResult(
+        CONSISTENT, plan.strong, bounds, skipped_atoms=plan.skipped, groups=shared)
 
 
 def prune_inconsistent_rows(table):

@@ -38,19 +38,29 @@ class VariableGroup:
     follow the same rule: what every call on a planned group would derive
     again — its acceptance predicate, its ``methods`` tag and (the engine's
     ``_exact_group_probability``) its exact ``P[K]`` under its plan's
-    bounds (:data:`NOT_INTEGRATED` until then) — filled on first ask, equal
-    whoever fills them, never pickled.
+    bounds (:data:`NOT_INTEGRATED` until then) and whether its atoms solve
+    to exactly an interval (``consistency.exactly_intervaled``) — filled on
+    first ask, equal whoever fills them, never pickled.
     """
 
-    __slots__ = ("variables", "atoms", "bundle_keys", "variable_keys",
-                 "_predicate", "_tag", "_exact_probability")
+    __slots__ = ("variables", "_atoms", "bundle_keys", "variable_keys",
+                 "_predicate", "_tag", "_exact_probability", "_intervaled")
 
     def __init__(self, variables, atoms):
         self.variables = tuple(sorted(variables, key=_by_key))
-        self.atoms = tuple(atoms)
+        # A callable (a shaped conjunction's group) builds them on first ask.
+        self._atoms = atoms if callable(atoms) else tuple(atoms)
         self.bundle_keys = {}
         self.variable_keys = frozenset(map(_by_key, self.variables))
         self._exact_probability = NOT_INTEGRATED
+        self._intervaled = None
+
+    @property
+    def atoms(self):
+        atoms = self._atoms
+        if callable(atoms):
+            atoms = self._atoms = atoms()
+        return atoms
 
     # ``variable_keys`` and the ``_…`` slots are derived: not in a pool
     # payload, worked out again.
@@ -84,10 +94,6 @@ class VariableGroup:
         except AttributeError:
             self._tag = "+".join([repr(v) for v in self.variables])
             return self._tag
-
-    def mentions_any(self, variable_keys):
-        """Whether the group contains any of the given variable keys."""
-        return bool(self.variable_keys & variable_keys)
 
     def __repr__(self):
         return "VariableGroup(vars=%r, %d atoms)" % (

@@ -27,13 +27,12 @@ import math
 
 import numpy as np
 
-from repro.constraints.consistency import check_consistency, exact_form
+from repro.constraints.consistency import check_consistency, exactly_intervaled
 from repro.constraints.independence import (
     NOT_INTEGRATED,
     VariableGroup,
     groups_for_condition,
 )
-from repro.constraints.polynomials import poly_coefficients, solve_polynomial_segments
 from repro.distributions import rng_from_seed
 from repro.sampling.options import DEFAULT_OPTIONS
 from repro.sampling.plans import GroupPlan, PlanMemo, groups_read_by, plan_key
@@ -606,51 +605,16 @@ class ExpectationEngine:
         if dist.is_discrete:
             if not dist.has("domain"):
                 return None
-            weighted = 0.0
-            mass = 0.0
-            for value, probability in dist.domain(params):
-                assignment = {variable.key: value}
-                if all(atom.evaluate(assignment) for atom in group.atoms):
-                    weighted += value * probability
-                    mass += probability
-            if mass <= 0.0:
-                return None
-            return weighted / mass
+            weighted, mass = _accepted_mass(group, dist, params)
+            return None if mass <= 0.0 else weighted / mass
         # Continuous: the interval must capture the atoms exactly — linear
         # single-variable atoms always do; polynomial ones only when their
         # solution set is a single segment (convex).
-        if not self._atoms_exactly_intervaled(group.atoms, variable.key):
+        if not exactly_intervaled(group):
             return None
         if not dist.has("mean_in"):
             return None
         return dist.mean_in(params, consistency.bound_for(variable.key))
-
-    @staticmethod
-    def _atoms_exactly_intervaled(atoms, variable_key):
-        """Whether the atoms' joint solution set over the single variable
-        is exactly the tightened interval (no hull over-approximation) — never
-        for an atom Algorithm 3.2 skipped as NaN or infinite arithmetic."""
-        for atom in atoms:
-            if atom.op == "<>":
-                continue
-            linear = atom.linear_form()
-            degree = atom.degree()
-            if linear is not None and not exact_form(linear):
-                return False
-            if linear is not None and degree is not None and degree <= 1:
-                if set(linear[0]) - {variable_key}:
-                    return False
-                continue
-            normal = atom.normalized()
-            if normal is None:
-                return False
-            coeffs = poly_coefficients(normal[0], variable_key)
-            if coeffs is None:
-                return False
-            segments = solve_polynomial_segments(coeffs, normal[1])
-            if len(segments) != 1:
-                return False
-        return True
 
     def _sample_mean(self, expr, condition, sampled_groups, consistency, rng, options, methods):
         """Adaptive (or fixed-n) conditional sampling of the expression.
@@ -755,23 +719,27 @@ class ExpectationEngine:
             return None
         dist, params = marginal
         if dist.is_discrete:
-            if not dist.has("domain"):
-                return None
-            total = 0.0
-            for value, mass in dist.domain(params):
-                assignment = {variable.key: value}
-                if all(atom.evaluate(assignment) for atom in group.atoms):
-                    total += mass
-            return min(1.0, total)
+            return min(1.0, _accepted_mass(group, dist, params)[1]) if dist.has("domain") else None
         # Continuous: the tightened interval must be the exact solution
         # set (linear atoms, or convex polynomial ones) — as a strong
         # verdict says it is for every atom.
-        if not (consistency.strong or self._atoms_exactly_intervaled(group.atoms, variable.key)):
+        if not (consistency.strong or exactly_intervaled(group)):
             return None
         if not dist.has("cdf"):
             return None
         interval = consistency.bound_for(variable.key)
         return dist.probability_in(params, interval)
+
+
+def _accepted_mass(group, dist, params):
+    """``(Σ x·P[x], Σ P[x])`` over the values of a one-variable discrete
+    group's domain that its atoms accept."""
+    key, atoms, weighted, total = group.variables[0].key, group.atoms, 0.0, 0.0
+    for value, mass in dist.domain(params):
+        if all(atom.evaluate({key: value}) for atom in atoms):
+            weighted += value * mass
+            total += mass
+    return weighted, total
 
 
 def _constant_value(expr):

@@ -23,17 +23,18 @@ result.  A stored plan's atoms likewise keep the forms they derived.
 import threading
 from collections import namedtuple
 
+from repro.constraints.consistency import shape_of
 from repro.distributions.base import registry_version
 from repro.symbolic.conditions import Disjunction
 from repro.symbolic.expression import BinOp, Constant, FuncTerm, UnaryOp, VarTerm
 from repro.util.hashing import exact_key
 
-#: Entries one engine keeps, about 4 kB each for a four-atom condition.
-#: Of perfbench's working sets ``warm_monitoring`` re-plans 384 conditions
-#: for ever and ``cold_sampling`` cycles through ~1.5 k, which fit;
-#: ``exact_iceberg`` plans ~550 new conditions a cycle that never repeat,
-#: so there the memo is pure memory: +4.4 % peak RSS at 2048 entries
-#: (docs/performance.md, "Planning in one pass").
+#: Entries one engine keeps.  Of perfbench's working sets
+#: ``warm_monitoring`` re-plans 384 conditions for ever and
+#: ``cold_sampling`` cycles through ~1.5 k, which fit; ``exact_iceberg``
+#: plans ~550 new conditions a cycle that never repeat, so there the memo
+#: is pure memory: ~2.6 kB an entry (a filter's row keeps its shape's
+#: atoms unbuilt), ~5 MB when full (docs/performance.md, "Plan by shape").
 PLAN_MEMO_CAP = 2048
 
 #: Leaf types :func:`exact_key` tells apart by value *and* type.  It would
@@ -60,11 +61,12 @@ def _variable_signature(variable):
     return signature
 
 
-def _expression_signature(node):
-    """``node.key()``, with each variable's distribution beside its id."""
+def _expression_signature(node, slot, sigs):
+    """``node.key()``, with each variable's distribution beside its id (a
+    variable is read by its shape slot: ``sigs[slot[key]]``)."""
     cls = type(node)
     if cls is VarTerm:
-        return getattr(node.var, "_plan_signature", None) or _variable_signature(node.var)
+        return sigs[slot[node.var.key]]
     if cls is Constant:
         if type(node.value) not in _PLAIN:
             raise _NotPlain
@@ -72,24 +74,35 @@ def _expression_signature(node):
     if cls is BinOp:
         return (
             node.op,
-            _expression_signature(node.left),
-            _expression_signature(node.right),
+            _expression_signature(node.left, slot, sigs),
+            _expression_signature(node.right, slot, sigs),
         )
     if cls is UnaryOp:
-        return ("neg", _expression_signature(node.operand))
+        return ("neg", _expression_signature(node.operand, slot, sigs))
     if cls is FuncTerm:
-        return (node.func,) + tuple([_expression_signature(a) for a in node.args])
+        return (node.func,) + tuple([_expression_signature(a, slot, sigs) for a in node.args])
     return node.key()
 
 
-def _atoms_signature(atoms):
+def _atoms_signature(condition):
     # In the condition's own order, not sorted as ``Conjunction.key()`` is:
     # groups keep their atoms in that order and the tightening loop visits
-    # them in it.
+    # them in it.  A shaped conjunction's atoms are its shape's, with its
+    # own variables in the slots.
+    shape = shape_of(condition)
+    slot = shape.slot
+    sigs = [
+        getattr(term.var, "_plan_signature", None) or _variable_signature(term.var)
+        for term in condition._terms
+    ]
     return tuple(
         [
-            (atom.op, _expression_signature(atom.lhs), _expression_signature(atom.rhs))
-            for atom in atoms
+            (
+                atom.op,
+                _expression_signature(atom.lhs, slot, sigs),
+                _expression_signature(atom.rhs, slot, sigs),
+            )
+            for atom in shape.atoms
         ]
     )
 
@@ -107,9 +120,9 @@ def plan_key(condition, expr_variables):
     dnf = isinstance(condition, Disjunction)
     try:
         if dnf:
-            structure = [_atoms_signature(d.atoms) for d in condition.disjuncts]
+            structure = [_atoms_signature(d) for d in condition.disjuncts]
         else:
-            structure = _atoms_signature(condition.atoms)
+            structure = _atoms_signature(condition)
         extra = [
             getattr(v, "_plan_signature", None) or _variable_signature(v)
             for v in sorted(expr_variables, key=lambda v: v.key)

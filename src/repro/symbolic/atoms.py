@@ -19,6 +19,7 @@ import numpy as np
 from repro.symbolic.expression import (
     Constant,
     Expression,
+    VarTerm,
     as_expression,
     binop,
     is_numeric,
@@ -40,6 +41,9 @@ _NEGATION = {"=": "<>", "<>": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
 #: Mirror image: ``a op b``  <=>  ``b mirror(op) a``.
 _MIRROR = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+_LEAVES = (VarTerm, Constant)
 
 
 def _numeric(side):
@@ -129,9 +133,21 @@ class Atom:
         return np.asarray(result, dtype=bool)
 
     def decided(self):
-        """For deterministic atoms: the truth value; otherwise ``None``."""
+        """The truth value of a deterministic atom, and of a ground one — its
+        affine form names no variable (``x - x > 1``): ``constant op 0``,
+        unless the constant is NaN; otherwise ``None``."""
         if not self.is_deterministic:
-            return None
+            lhs, rhs = self.lhs, self.rhs
+            # No variable cancels in ``X op c`` or ``X op Y``: no form needed.
+            if not self._variables or (
+                type(lhs) in _LEAVES and type(rhs) in _LEAVES
+                and lhs.variables().isdisjoint(rhs.variables())
+            ):
+                return None
+            linear = self.linear_form()
+            if linear is None or linear[0] or linear[1] != linear[1]:
+                return None
+            return _OPS[self.op](linear[1], 0.0)
         return self.evaluate({})
 
     # -- transformations -----------------------------------------------------------

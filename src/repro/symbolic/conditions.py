@@ -13,9 +13,10 @@ This module supplies both shapes:
   conjunction (needed by the difference operator and by ``expected_max``).
 
 ``FALSE`` is represented by the singleton :data:`FALSE`; operators treat it
-absorbingly.  Deterministic atoms (no variables, no unbound columns) are
-decided eagerly during conjunction so contradictions surface as ``FALSE``
-immediately, mirroring PIP's clean-up of inconsistent tuples.
+absorbingly.  Deterministic atoms (no variables, no unbound columns) and
+ground ones (whose variables cancel: ``x - x > 1``) are decided eagerly
+during conjunction so contradictions surface as ``FALSE`` immediately,
+mirroring PIP's clean-up of inconsistent tuples.
 """
 
 import itertools
@@ -125,9 +126,13 @@ class Conjunction(Condition):
     Atoms are stored deduplicated in first-seen order, so structurally
     equal conjunctions compare equal regardless of construction order
     differences caused by duplicates.
+
+    ``_shape`` (a :class:`~repro.constraints.consistency.ConditionShape`)
+    and ``_terms`` (its slots' variable terms) are derived, filled on first
+    ask or by :meth:`shaped`, whose atoms are built only when read.
     """
 
-    __slots__ = ("atoms",)
+    __slots__ = ("_atoms", "_shape", "_terms")
 
     def __init__(self, atoms=()):
         seen = set()
@@ -139,10 +144,33 @@ class Conjunction(Condition):
             if key not in seen:
                 seen.add(key)
                 unique.append(atom)
-        object.__setattr__(self, "atoms", tuple(unique))
+        object.__setattr__(self, "_atoms", tuple(unique))
+
+    @classmethod
+    def shaped(cls, shape, terms):
+        """The conjunction of ``shape``'s atoms with ``terms`` in its slots."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_atoms", None)
+        object.__setattr__(self, "_shape", shape)
+        object.__setattr__(self, "_terms", terms)
+        return self
+
+    @property
+    def atoms(self):
+        atoms = self._atoms
+        if atoms is None:
+            atoms = self._shape.atoms_for(self._terms)
+            object.__setattr__(self, "_atoms", atoms)
+        return atoms
 
     def __setattr__(self, name, value):
         raise AttributeError("Conjunction is immutable")
+
+    def __getstate__(self):
+        return {"atoms": self.atoms}
+
+    def __setstate__(self, state):
+        object.__setattr__(self, "_atoms", state["atoms"])
 
     # -- structure ------------------------------------------------------------
 
@@ -166,7 +194,8 @@ class Conjunction(Condition):
 
     @property
     def is_true(self):
-        return not self.atoms
+        atoms = self._atoms
+        return not (self._shape.atoms if atoms is None else atoms)
 
     def variables(self):
         out = frozenset()

@@ -375,7 +375,8 @@ def test_explain_analyze_reads_rows_bound_by_a_mixed_where():
 
 def test_filter_constructs_one_conjunction_per_surviving_row(monkeypatch):
     """Counted from outside: widening the window by 48 rows costs 48 more
-    ``Conjunction`` constructions, not 48 x (one per atom, and again)."""
+    ``Conjunction`` constructions (by atoms or by shape), not 48 x (one per
+    atom, and again)."""
     from repro.symbolic.conditions import Conjunction
 
     db = _monitoring_model()
@@ -384,13 +385,18 @@ def test_filter_constructs_one_conjunction_per_surviving_row(monkeypatch):
     )
     statement.run(lo=0, hi=1).rows()  # plan, store and mask arrays exist
     built = []
-    original = Conjunction.__init__
+    original, shaped = Conjunction.__init__, Conjunction.shaped
 
     def counted(self, atoms=()):
         built.append(1)
         original(self, atoms)
 
+    def counted_shaped(shape, terms):
+        built.append(1)
+        return shaped(shape, terms)
+
     monkeypatch.setattr(Conjunction, "__init__", counted)
+    monkeypatch.setattr(Conjunction, "shaped", counted_shaped)
     counts = []
     for hi in (4, 6):
         del built[:]
