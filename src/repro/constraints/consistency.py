@@ -9,18 +9,18 @@ The checker serves two masters:
    ``[CDF(a), CDF(b)]`` guarantees every draw lands in ``[a, b]``
    (Section IV-A(b)).
 
-What reads a conjunction's structure alone — forms, the Rule 1–4
-verdicts, the minimal independent subsets tightening runs over (line 4),
-polynomial hulls — is planned once per :class:`ConditionShape` and shared
-by every conjunction of that shape; a check runs the fixpoint, pins and
-supports on its own variables.  The partition is handed on with the result
+What reads a conjunction's structure alone — forms, the Rule 1–4 verdicts,
+the minimal independent subsets tightening runs over (line 4), polynomial
+hulls, the fixpoint (a constant folds into the forms) — is planned once per
+:class:`ConditionShape`; a check maps the bounds to its own variables, then
+pins and supports.  The partition is handed on with the result
 (:attr:`ConsistencyResult.groups`) wherever it is the condition's own, and
 the expectation engine plans from it.
 
 Floats inside the loop, ``Interval`` objects at the edge: the fixpoint keeps
 each bound as two floats and does ``Interval``'s arithmetic on them, so the
-bounds are the interval loop's floats; one ``Interval`` per variable is
-built when a group is done.
+bounds are the interval loop's floats; one ``Interval`` per slot is built
+when a shape's group is done.
 
 Verdicts are *strong* or *weak*, mirroring the paper's bold/italic
 annotations:
@@ -222,7 +222,7 @@ def _tighten(prepared, lo, hi):
     """Algorithm 3.2's fixpoint over one group's affine atoms ``(coeffs,
     constant, op)``, on its float bounds ``lo`` / ``hi`` (tightened in
     place); False when one came out empty."""
-    for _round in range(_MAX_TIGHTEN_ROUNDS):
+    for _ in range(_MAX_TIGHTEN_ROUNDS):
         changed = False
         for coeffs, constant, op in prepared:
             # "if at most 1 variable in E is unbounded" — else wait for
@@ -244,18 +244,13 @@ def _tighten(prepared, lo, hi):
                     changed = True
         if not changed:
             break
-        if _round == 0:
-            # A one-variable atom reads no other bound: its interval is the
-            # same every round and was intersected in this one.
-            prepared = [linear for linear in prepared if len(linear[0]) > 1]
     return True
 
 
 #: One group of a shape's partition: its variables' slots, its atoms'
 #: positions, whether it is one variable whose atoms solve to exactly an
-#: interval (:func:`exactly_intervaled`), the bounds its polynomial hulls
-#: leave (by slot) and its affine atoms over slots.
-_Part = namedtuple("_Part", "slots atoms intervaled lo hi prepared")
+#: interval (:func:`exactly_intervaled`) and its slots' tightened bounds.
+_Part = namedtuple("_Part", "slots atoms intervaled bounds")
 
 #: A shape's plan.
 _Plan = namedtuple("_Plan", "zero_probability strong skipped pins whole parts")
@@ -270,19 +265,20 @@ class ConditionShape:
     :meth:`Conjunction.shaped` over it (a filter's rows whose cells are
     bare variables of the same kinds), which supplies only its variable
     terms.  Planned once: the atoms' forms, the Rule 1–4 verdicts, the
-    partition, the polynomial hulls and the exactly-intervaled verdicts;
-    per conjunction: the fixpoint on its floats, supports and CDFs.  A pure
-    function of the atoms, the kinds of their variables and the registry
-    version, kept in a derived slot.
+    partition, the polynomial hulls, the tightening fixpoint and the
+    exactly-intervaled verdicts; per conjunction: pins, supports and CDFs.
+    A pure function of the atoms, the kinds of their variables and the
+    registry version, kept in a derived slot (``_signature``, the plan
+    memo's key template, is filled by :mod:`repro.sampling.plans`).
     """
 
-    __slots__ = ("atoms", "terms", "slot", "_plan")
+    __slots__ = ("atoms", "terms", "slot", "_plan", "_signature")
 
     def __init__(self, atoms, variables):
         self.atoms = atoms
         self.terms = tuple([VarTerm(v) for v in sorted(variables, key=_by_key)])
         self.slot = {term.var.key: index for index, term in enumerate(self.terms)}
-        self._plan = None
+        self._plan = self._signature = None
 
     def atoms_for(self, terms):
         """The shape's atoms with ``terms`` in its slots."""
@@ -380,9 +376,12 @@ class ConditionShape:
                     continue
                 coeffs = {slot[key]: coeff for key, coeff in linear_form[0].items()}
                 prepared.append((coeffs, linear_form[1], atom.op))
+            if not _tighten(prepared, lo, hi):
+                return None
             parts.append(_Part(
                 slots, tuple([position[id(atom)] for atom in group.atoms]),
-                len(slots) == 1 and exactly_intervaled(group), lo, hi, tuple(prepared)))
+                len(slots) == 1 and exactly_intervaled(group),
+                tuple([Interval(lo[index], hi[index]) for index in slots])))
         strong = skipped == 0 and not multivar_atom_seen
         pins = tuple([(slot[key], value) for key, value in fixed.items()])
         return _Plan(zero_probability, strong, skipped, pins, whole, tuple(parts))
@@ -448,8 +447,8 @@ def _solved_exactly(variable_key, atom):
 def check_consistency(condition):
     """Algorithm 3.2 over a condition.
 
-    Conjunctions get the full treatment: their shape's plan, then the
-    fixpoint and the supports on their own variables.  DNF disjunctions
+    Conjunctions get the full treatment: their shape's plan (the fixpoint
+    included), then pins and supports on their own variables.  DNF disjunctions
     are consistent iff some disjunct is; the returned bounds are the hull
     across live disjuncts (sound for sampling restriction).
     """
@@ -484,11 +483,8 @@ def check_consistency(condition):
     pairs = _groups(condition, plan.parts)
     bounds = {}
     for _, part in pairs:
-        lo, hi = dict(part.lo), dict(part.hi)
-        if not _tighten(part.prepared, lo, hi):
-            return _inconsistent(strong=True)
-        for index in part.slots:
-            bounds[terms[index].var.key] = Interval(lo[index], hi[index])
+        for index, bound in zip(part.slots, part.bounds):
+            bounds[terms[index].var.key] = bound
 
     # Pin discrete equalities into the bounds map too (they are exact).
     for index, value in plan.pins:

@@ -531,7 +531,7 @@ def _execute_row_ops(db, plan, context):
     if plan.star:
         base_items.extend(table.schema.names)
     base_items.extend(plan.base_items)
-    working = algebra.project(table, base_items) if base_items else table
+    working = cops.project(db, table, base_items) if base_items else table
 
     kinds = [spec.kind for spec in plan.ops]
     for kind in kinds:

@@ -33,8 +33,8 @@ from repro.util.hashing import exact_key
 #: ``warm_monitoring`` re-plans 384 conditions for ever and
 #: ``cold_sampling`` cycles through ~1.5 k, which fit; ``exact_iceberg``
 #: plans ~550 new conditions a cycle that never repeat, so there the memo
-#: is pure memory: ~2.6 kB an entry (a filter's row keeps its shape's
-#: atoms unbuilt), ~5 MB when full (docs/performance.md, "Plan by shape").
+#: is pure memory: ~2.3 kB an entry (a row shares its shape's bounds and
+#: keeps its atoms unbuilt), ~4.7 MB full (docs/performance.md, "Plan by shape").
 PLAN_MEMO_CAP = 2048
 
 #: Leaf types :func:`exact_key` tells apart by value *and* type.  It would
@@ -61,12 +61,12 @@ def _variable_signature(variable):
     return signature
 
 
-def _expression_signature(node, slot, sigs):
-    """``node.key()``, with each variable's distribution beside its id (a
-    variable is read by its shape slot: ``sigs[slot[key]]``)."""
+def _expression_signature(node, slot):
+    """``node.key()``, with each variable as its shape slot: an int, which
+    no other leaf's signature is (a row supplies the variable's)."""
     cls = type(node)
     if cls is VarTerm:
-        return sigs[slot[node.var.key]]
+        return slot[node.var.key]
     if cls is Constant:
         if type(node.value) not in _PLAIN:
             raise _NotPlain
@@ -74,37 +74,42 @@ def _expression_signature(node, slot, sigs):
     if cls is BinOp:
         return (
             node.op,
-            _expression_signature(node.left, slot, sigs),
-            _expression_signature(node.right, slot, sigs),
+            _expression_signature(node.left, slot),
+            _expression_signature(node.right, slot),
         )
     if cls is UnaryOp:
-        return ("neg", _expression_signature(node.operand, slot, sigs))
+        return ("neg", _expression_signature(node.operand, slot))
     if cls is FuncTerm:
-        return (node.func,) + tuple([_expression_signature(a, slot, sigs) for a in node.args])
+        return (node.func,) + tuple([_expression_signature(a, slot) for a in node.args])
     return node.key()
 
 
 def _atoms_signature(condition):
-    # In the condition's own order, not sorted as ``Conjunction.key()`` is:
-    # groups keep their atoms in that order and the tightening loop visits
-    # them in it.  A shaped conjunction's atoms are its shape's, with its
-    # own variables in the slots.
+    """The shape's template (its atoms in their own order, not sorted as
+    ``Conjunction.key()`` is: groups keep their atoms in that order and
+    the tightening loop visits them in it) and the condition's variables'
+    signatures, one per slot."""
     shape = shape_of(condition)
-    slot = shape.slot
-    sigs = [
+    template = shape._signature
+    if template is None:
+        slot = shape.slot
+        try:
+            # As bytes: marshalled once, not once per row's key.  ``False``
+            # where marshal refuses a leaf, as for one that is not plain.
+            template = exact_key(tuple([
+                (atom.op, _expression_signature(atom.lhs, slot),
+                 _expression_signature(atom.rhs, slot))
+                for atom in shape.atoms
+            ])) or False
+        except _NotPlain:
+            template = False
+        shape._signature = template
+    if template is False:
+        raise _NotPlain
+    return template, tuple([
         getattr(term.var, "_plan_signature", None) or _variable_signature(term.var)
         for term in condition._terms
-    ]
-    return tuple(
-        [
-            (
-                atom.op,
-                _expression_signature(atom.lhs, slot, sigs),
-                _expression_signature(atom.rhs, slot, sigs),
-            )
-            for atom in shape.atoms
-        ]
-    )
+    ])
 
 
 def plan_key(condition, expr_variables):

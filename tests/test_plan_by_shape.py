@@ -5,7 +5,8 @@ conjunction's :class:`~repro.constraints.consistency.ConditionShape` with
 every row of the kind; a row supplies only its variables.  Pinned here:
 what a statement still does per row (counts), that every kind of cell
 answers what the same condition built by hand and the row path answer
-(``float.hex``), and that nothing of it reaches a pickle.
+(``float.hex``), that nothing of it reaches a pickle, and what a plan key
+tells apart.
 """
 
 import math
@@ -53,7 +54,7 @@ class TestCounts:
         statement = db.prepare(ICEBERG)
         statement.run(a=43.0, b=47.0, c=-52.0, d=-48.0, days=30.0).rows()  # store, masks
         params = dict(a=43.5, b=46.5, c=-51.5, d=-48.5, days=30.0)  # a box never seen
-        counts = {"partition": 0, "consistency": 0, "forms": 0, "atoms": 0}
+        counts = {"partition": 0, "consistency": 0, "forms": 0, "atoms": 0, "tighten": 0}
 
         def counting(name, fn):
             def counted(*args, **kwargs):
@@ -69,6 +70,7 @@ class TestCounts:
             monkeypatch.setattr(module, "check_consistency", check)
         monkeypatch.setattr(Atom, "_derive_forms", counting("forms", Atom._derive_forms))
         monkeypatch.setattr(Atom, "__init__", counting("atoms", Atom.__init__))
+        monkeypatch.setattr(consistency, "_tighten", counting("tighten", consistency._tighten))
 
         rows = statement.run(params).rows()
         monkeypatch.undo()
@@ -77,6 +79,9 @@ class TestCounts:
         assert counts["partition"] == 1
         assert counts["forms"] <= 4
         assert counts["consistency"] == kept
+        # The fixpoint reads only the shape (a constant folds into its
+        # forms): once per part, the lat one and the lon one.
+        assert counts["tighten"] == 2
         # Five for the statement's parameters (the plan rebinds its atoms),
         # four for the one row whose bind the shape is derived from: per
         # statement, not per row (four a row before).
@@ -86,6 +91,61 @@ class TestCounts:
             reference = _icebergs().prepare(ICEBERG).run(params).rows()
         assert [(k, p.hex()) for k, p in rows] == [(k, p.hex()) for k, p in reference]
         db.close()
+
+    def test_an_empty_fixpoint_is_every_rows_strong_contradiction(self, monkeypatch):
+        where = " FROM icebergs WHERE lat > 46 AND lat < 44"
+        db = _icebergs()
+        tightened = []
+        tighten = consistency._tighten
+        monkeypatch.setattr(consistency, "_tighten", lambda *a: tightened.append(a) or tighten(*a))
+        rows = db.sql("SELECT iceberg_id, lat" + where).to_ctable().rows
+        results = [consistency.check_consistency(row.condition) for row in rows]
+        assert len(rows) == 120 and len(tightened) == 1
+        assert all(r.is_inconsistent and r.strong and not r.bounds for r in results)
+        monkeypatch.undo()
+        got = [(k, p.hex()) for k, p in db.sql("SELECT iceberg_id, conf() AS p" + where).rows()]
+        with row_path():
+            reference = _icebergs()
+            on_rows = reference.sql("SELECT iceberg_id, conf() AS p" + where).rows()
+            reference.close()
+        assert got == [(k, p.hex()) for k, p in on_rows]
+        assert {p for _k, p in got} == {(0.0).hex()}
+        db.close()
+
+
+class TestPlanKeys:
+    """A row's key is its shape's template and its variables' signatures:
+    as fine as the condition's own structure, typed constants and all."""
+
+    QUERY = "SELECT iceberg_id, lat FROM icebergs WHERE lat > %s AND lon < -48"
+
+    def _keys(self, db, bound="44", params=None):
+        rows = db.sql(self.QUERY % bound, params).to_ctable().rows
+        return [plan_key(row.condition, ()) for row in rows]
+
+    def test_rebound_rows_with_equal_variables_share_keys(self):
+        db = _icebergs(40)
+        first, again = self._keys(db), self._keys(db)
+        assert len(set(first)) == 40 and None not in first
+        assert first == again
+        # The same atoms built by hand: an ad-hoc conjunction is its own shape.
+        row = db.table("icebergs").rows[0]
+        lat, lon = row.values[2], row.values[3]
+        assert plan_key(conjunction_of(Atom(lat, ">", 44), Atom(lon, "<", -48)), ()) == first[0]
+        db.close()
+
+    def test_typed_constants_and_parameters_enter_the_key(self):
+        db, other = _icebergs(40), _icebergs(40, seed=6)
+        keys = self._keys(db, "1")
+        assert all(a != b for a, b in zip(keys, self._keys(db, "1.0")))
+        # Same vids, other distribution parameters.
+        assert [r.values[2].var.vid for r in db.table("icebergs").rows] == [
+            r.values[2].var.vid for r in other.table("icebergs").rows]
+        assert all(a != b for a, b in zip(self._keys(db), self._keys(other)))
+        assert set(self._keys(db, ":a", {"a": np.float64(44.0)})) == {None}
+        assert None not in self._keys(db, ":a", {"a": 44.0})
+        db.close()
+        other.close()
 
 
 def _mixed(factory_db):
