@@ -543,15 +543,14 @@ def expected_stddev(table, target, engine=None, n_worlds=1000):
 def expected_sum_hist(table, target, n=1000, engine=None, seed=None, options=None):
     """``expected_sum_hist``: per-sample sums across the table.
 
-    Returns an ndarray of ``n`` sampled values of Σ h(t)·χφ — row samples
-    are drawn independently per row (per-row semantics), matching the
-    operator's use for visualisation rather than joint-world analysis.
+    Returns an ndarray of ``n`` sampled values of Σ h(t)·χφ — each row's
+    samples and presence are drawn per row (per-row semantics), matching
+    the operator's use for visualisation rather than joint-world analysis.
+    A row's samples come from its groups' bundles like any other call's;
+    an explicit ``seed`` gives row ``i`` the stream of ``seed + i``.
     """
     engine = engine or ExpectationEngine()
     expr = _resolve_expr(table, target)
-    # Per-row independence is the operator's contract, so rows must not
-    # share cached group draws: bypass the sample bank for this path.
-    row_options = (options or engine.options).replace(use_sample_bank=False)
     totals = np.zeros(n)
     for i, row in enumerate(table.rows):
         bound = _bound(table, row, expr)
@@ -563,7 +562,7 @@ def expected_sum_hist(table, target, n=1000, engine=None, seed=None, options=Non
             row.condition,
             n,
             seed=None if seed is None else seed + i,
-            options=row_options,
+            options=options,
         )
         if samples is None:
             continue
@@ -595,9 +594,9 @@ _CONF = (False, False)  # per row: P[φ] alone
 #: it over one (sub-)table — called ``fn(table, target, engine=…,
 #: options=…, **kwargs)`` — and the per-row engine loops it runs, in
 #: order, which is what a statement batches for the pool.  Aggregates
-#: whose sampling bypasses the bank (``*_hist``, the world-parallel ones)
-#: or whose early exit makes a prefetch speculative (``expected_max`` /
-#: ``expected_min``) declare none.
+#: that sample per row by their own seeds or per world (``*_hist``, the
+#: world-parallel ones) or whose early exit makes a prefetch speculative
+#: (``expected_max`` / ``expected_min``) declare none.
 AGGREGATES = {
     "expected_sum": (expected_sum, (_MEAN,)),
     "expected_count": (lambda table, target, **kw: expected_count(table, **kw), (_CONF,)),

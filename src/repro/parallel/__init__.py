@@ -13,12 +13,11 @@ Enable it per database with ``SamplingOptions(parallel_workers=4)`` (or
 every group a statement needs up front and fan the sampling out.
 """
 
-from repro.parallel.jobs import BundlePayload, GroupJob, run_group_job, run_group_jobs
+from repro.parallel.jobs import GroupJob, run_group_job, run_group_jobs
 from repro.parallel.pool import WorkerPool, resolve_chunk_size, resolve_workers
 from repro.parallel.scheduler import ParallelSampleScheduler
 
 __all__ = [
-    "BundlePayload",
     "GroupJob",
     "ParallelSampleScheduler",
     "WorkerPool",

@@ -1,34 +1,32 @@
 """Group sampling jobs: the unit of work shipped to parallel workers.
 
-A :class:`GroupJob` captures everything a worker needs to materialise one
-sample-bank bundle **exactly** as the serial engine's first touch would:
-the group, the acceptance predicate's ingredients (the group's own atoms,
-or the full DNF condition), the consistency bounds, the draw-shaping
-options, and the bundle's deterministic seed.  The worker re-runs the
-very code the bank runs on a miss — a :class:`GroupSampler` over the
-``derive_seed(bundle_seed, "draws", 0)`` / ``("prob", 0)`` streams — so
-the payload it returns is bit-identical to the bundle serial execution
-would have built.
+A :class:`GroupJob` carries an empty :class:`~repro.samplebank.SampleBundle`
+— key and strategy exactly as the serial first touch would make
+them — and the ingredients of its acceptance predicate (the group's own
+atoms, or the full DNF condition), the consistency bounds and the
+draw-shaping options.  The worker runs the very functions the bank runs
+on a miss (:func:`~repro.samplebank.bank.fill` /
+:func:`~repro.samplebank.bank.probe`) on that bundle and ships it back, so
+the bundle the bank stores is the one serial execution would have built.
 
 Two job shapes exist, mirroring the two ways the engine first touches a
 bundle (see :mod:`repro.sampling.expectation`):
 
 * **fill** (``fill_n > 0``) — the mean path's first ``sample(n)`` request:
-  one sampler run of ``max(fill_n, min_fill)`` conditional draws from the
-  ``("draws", 0)`` stream.
+  ``fill_n`` conditional draws under the bank's ``min_fill`` floor, from
+  the ``("draws", 0)`` stream.
 * **probability** (``fill_n == 0``, ``min_attempts > 0``) — a standalone
-  ``conf()``: drive the rejection-trial count to ``min_attempts`` on the
-  ``("prob", 0)`` stream, keeping only the counters.
+  ``conf()``: drive the ``("prob", 0)`` stream's rejection trials to
+  ``min_attempts``, keeping only the counters.
 
-Jobs never carry live sampler state, only immutable symbolic structures,
-so they pickle cheaply (fork start method makes this nearly free).
+Jobs never carry live sampler state, only immutable symbolic structures
+and an empty bundle, so they pickle cheaply (fork start method makes this
+nearly free).
 """
 
-import numpy as np
+from time import perf_counter
 
-from repro.distributions import rng_from_seed
-from repro.sampling.samplers import GroupSampler
-from repro.util.hashing import derive_seed
+from repro.samplebank.bank import fill, probe
 
 
 class GroupJob:
@@ -36,23 +34,21 @@ class GroupJob:
 
     Parameters
     ----------
-    key:
-        The bundle's 64-bit sample-bank cache key.
-    seed:
-        The bundle's deterministic base seed
-        (``derive_seed(bank_seed, "samplebank", key)``).
+    bundle:
+        The empty :class:`~repro.samplebank.SampleBundle` to fill; its
+        ``key``, which seeds its streams, is the sample bank's.
     group:
         The :class:`~repro.constraints.independence.VariableGroup` to
         sample.
     bounds:
         The consistency pass's tightened per-variable interval map.
     options:
-        The :class:`~repro.sampling.options.SamplingOptions` in effect —
-        for a fresh bundle the strategy fingerprint is by construction the
-        caller's own, so no option surgery is needed.
+        The :class:`~repro.sampling.options.SamplingOptions` in effect.
     fill_n:
-        Conditional samples to materialise (already including the bank's
-        ``min_fill`` floor); ``0`` for probability-only jobs.
+        Conditional samples the first request asks for; ``0`` for
+        probability-only jobs.
+    min_fill:
+        The bank's floor on a fill (:func:`~repro.samplebank.bank.fill`).
     min_attempts:
         Rejection-trial floor for probability-only jobs; ``0`` for fills.
     dnf_condition:
@@ -62,39 +58,39 @@ class GroupJob:
     """
 
     __slots__ = (
-        "key",
-        "seed",
+        "bundle",
         "group",
         "bounds",
         "options",
         "fill_n",
+        "min_fill",
         "min_attempts",
         "dnf_condition",
     )
 
     def __init__(
         self,
-        key,
-        seed,
+        bundle,
         group,
         bounds,
         options,
         fill_n=0,
+        min_fill=0,
         min_attempts=0,
         dnf_condition=None,
     ):
-        self.key = key
-        self.seed = seed
+        self.bundle = bundle
         self.group = group
         self.bounds = bounds
         self.options = options
         self.fill_n = fill_n
+        self.min_fill = min_fill
         self.min_attempts = min_attempts
         self.dnf_condition = dnf_condition
 
     @property
-    def vids(self):
-        return frozenset(variable.vid for variable in self.group.variables)
+    def key(self):
+        return self.bundle.key
 
     def __repr__(self):
         kind = "fill=%d" % self.fill_n if self.fill_n else (
@@ -103,100 +99,35 @@ class GroupJob:
         return "<GroupJob %016x %s %r>" % (self.key, kind, self.group)
 
 
-class BundlePayload:
-    """A worker's result: the raw makings of one sample bundle.
-
-    Plain arrays and counters only — the main process folds this into a
-    real :class:`~repro.samplebank.bundle.SampleBundle` under the bank's
-    write lock (single-writer merge).
-    """
-
-    __slots__ = (
-        "key",
-        "arrays",
-        "n",
-        "attempts",
-        "accepted",
-        "mass",
-        "used_metropolis",
-        "impossible",
-        "wall",
-    )
-
-    def __init__(self, key, arrays, n, attempts, accepted, mass,
-                 used_metropolis, impossible, wall=0.0):
-        self.key = key
-        self.arrays = arrays
-        self.n = n
-        self.attempts = attempts
-        self.accepted = accepted
-        self.mass = mass
-        self.used_metropolis = used_metropolis
-        self.impossible = impossible
-        # Worker-side wall time, stamped by :func:`run_group_jobs`; the
-        # scheduler grafts it into the trace as a ``parallel.job`` span
-        # (workers carry no tracer of their own).
-        self.wall = wall
-
-
-def _predicate_for(job):
-    """The acceptance predicate the bank would use (see
-    ``ExpectationEngine._make_sampler``)."""
-    if job.dnf_condition is not None:
-        return job.dnf_condition.evaluate_batch
-    return job.group.predicate
-
-
 def run_group_job(job):
-    """Materialise one bundle's worth of draws; returns a payload.
+    """Materialise one job's bundle; returns ``(bundle, drawn)``.
 
-    Replays the serial first-touch byte for byte: a fill job mirrors
-    ``SampleBank._extend`` on an empty bundle, a probability job mirrors
-    ``SampleBank.ensure_attempts`` on one.  Exceptions (e.g.
-    ``SamplingError`` on a hopeless-but-not-impossible group) propagate to
-    the caller through the future, exactly as the serial loop would raise.
+    ``drawn`` is what the bank counts as ``samples_drawn`` for it.  The
+    predicate is the one ``ExpectationEngine._make_sampler`` hands the
+    bank.  Exceptions (e.g. ``SamplingError`` on a hopeless-but-not-
+    impossible group) propagate to the caller through the future, exactly
+    as the serial loop would raise.
     """
-    predicate = _predicate_for(job)
+    bundle = job.bundle
+    if job.dnf_condition is not None:
+        predicate = job.dnf_condition.evaluate_batch
+    else:
+        predicate = job.group.predicate
     if job.fill_n > 0:
-        rng = rng_from_seed(derive_seed(job.seed, "draws", 0))
-        sampler = GroupSampler(job.group, job.bounds, predicate, rng, job.options)
-        if sampler.impossible:
-            return BundlePayload(job.key, {}, 0, 0, 0, 0.0, False, True)
-        result = sampler.sample(job.fill_n)
-        if result.impossible:
-            return BundlePayload(
-                job.key, {}, 0, result.attempts, result.accepted, 0.0, False, True
-            )
-        return BundlePayload(
-            job.key,
-            {key: np.asarray(array, dtype=float) for key, array in result.arrays.items()},
-            result.n,
-            result.attempts,
-            result.accepted,
-            result.mass,
-            result.used_metropolis,
-            False,
+        drawn = fill(
+            bundle, job.fill_n, job.min_fill, job.group, job.bounds, predicate, job.options
         )
-    # Probability-only: rejection trials, no retained samples.
-    rng = rng_from_seed(derive_seed(job.seed, "prob", 0))
-    sampler = GroupSampler(job.group, job.bounds, predicate, rng, job.options)
-    if sampler.impossible:
-        return BundlePayload(job.key, {}, 0, 0, 0, 0.0, False, True)
-    sampler.estimate_probability(job.min_attempts)
-    return BundlePayload(
-        job.key, {}, 0, sampler.attempts, sampler.accepted, sampler.mass,
-        False, False,
-    )
+    else:
+        drawn = probe(bundle, job.min_attempts, job.group, job.bounds, predicate, job.options)
+    return bundle, drawn
 
 
 def run_group_jobs(jobs):
-    """Run a chunk of jobs in one worker task (amortises dispatch cost)."""
-    from time import perf_counter
-
+    """Run a chunk of jobs in one worker task (amortises dispatch cost);
+    returns ``(bundle, drawn, wall seconds)`` per job."""
     out = []
     for job in jobs:
         start = perf_counter()
-        payload = run_group_job(job)
-        payload.wall = perf_counter() - start
-        out.append(payload)
+        bundle, drawn = run_group_job(job)
+        out.append((bundle, drawn, perf_counter() - start))
     return out

@@ -4,7 +4,7 @@
 sample bank.  The engine *plans* a statement's group-sampling jobs (one
 per missing bundle, mirroring exactly what its serial row loop would
 materialise first); the scheduler dedups them, cuts them into chunks
-for the worker pool, and folds the resulting payloads back into the
+for the worker pool, and folds the resulting bundles back into the
 bank **in submission order from the calling thread** — a single-writer
 merge, so the bank's LRU sequence and statistics match the serial
 execution byte for byte.
@@ -93,23 +93,22 @@ class ParallelSampleScheduler:
     def _run_chunks(self, pool, chunks, tracer):
         """Dispatch the chunks and fold results back, in submission order.
 
-        With a live tracer each worker payload becomes a finished
-        ``parallel.job`` child span (workers carry no tracer — they stamp
-        wall time into the payload), attached in submission order so the
+        With a live tracer each worker's bundle becomes a finished
+        ``parallel.job`` child span (workers carry no tracer — they return
+        their wall time beside the bundle), attached in submission order so the
         traced tree's shape is deterministic.
         """
         futures = [pool.submit(run_group_jobs, part) for part in chunks]
         merged = 0
-        for part, future in zip(chunks, futures):
-            payloads = future.result()
-            for job, payload in zip(part, payloads):
+        for future in futures:
+            for bundle, drawn, wall in future.result():
                 if tracer is not None:
-                    span = Span("parallel.job", tags={"key": "%016x" % job.key})
-                    span.wall = payload.wall
-                    span.count("samples", payload.n)
-                    span.count("attempts", payload.attempts)
+                    span = Span("parallel.job", tags={"key": "%016x" % bundle.key})
+                    span.wall = wall
+                    span.count("samples", bundle.n)
+                    span.count("attempts", bundle.attempts or bundle.probe[0])
                     tracer.attach(span)
-                if self.bank.merge_payload(job, payload):
+                if self.bank.merge(bundle, drawn):
                     merged += 1
         return merged
 

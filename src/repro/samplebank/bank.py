@@ -30,7 +30,12 @@ from repro.samplebank.bundle import SampleBundle
 from repro.samplebank.keys import STRATEGY_FIELDS, bundle_key, strategy_fingerprint
 from repro.samplebank.store import LRUStore
 from repro.sampling.samplers import GroupSampleResult, GroupSampler
+from repro.util.errors import SamplingError
 from repro.util.hashing import derive_seed
+
+#: The spill manifest's ``format``: 2 since keys are BLAKE2b digests and a
+#: bundle's draw and probability counters are kept apart.
+MANIFEST_FORMAT = 2
 
 
 class BankStats:
@@ -62,64 +67,56 @@ class BankStats:
 class BankedGroupSource:
     """Sampler-compatible view over one bundle for one engine call.
 
-    Mirrors the :class:`~repro.sampling.samplers.GroupSampler` surface the
-    expectation engine uses (``sample``, ``probability_estimate_or_none``,
-    ``estimate_probability``, ``can_estimate_probability``) but serves
-    consecutive slices of the cached matrix, extending it on demand.  Each
-    engine call gets a fresh source, so every call reads the bundle from
-    column 0 — two rows with the same group see the same draws, which is
-    exactly the row-dedup the bank exists for.
+    The one surface the expectation engine draws through (``sample``,
+    ``method``, ``probability_estimate_or_none``, ``estimate_probability``):
+    it serves consecutive slices of the bundle's matrix, extending it on
+    demand.  Each engine call gets a fresh source, so every call reads the
+    bundle from column 0 — two rows with the same group see the same
+    draws, which is exactly the row-dedup the bank exists for — and
+    reports ``P[K]`` from the fill that drew the last column it served.
     """
 
-    __slots__ = ("_bank", "_bundle", "_group", "_consistency", "_predicate", "_options", "_offset")
+    __slots__ = ("_bank", "_bundle", "_group", "_bounds", "_predicate", "_options", "_offset")
 
-    def __init__(self, bank, bundle, group, consistency, predicate, options):
+    def __init__(self, bank, bundle, group, bounds, predicate, options):
         self._bank = bank
         self._bundle = bundle
         self._group = group
-        self._consistency = consistency
+        self._bounds = bounds
         self._predicate = predicate
         self._options = options
         self._offset = 0
 
     @property
-    def can_estimate_probability(self):
-        """Bundle counters are rejection-only, so always usable for P[K]."""
-        return True
+    def method(self):
+        """How the bundle's candidates are drawn (a ``methods`` value)."""
+        return self._bundle.method
 
     def sample(self, n):
         bundle = self._bundle
         arrays = self._bank.take(
-            bundle,
-            self._offset,
-            n,
-            self._group,
-            self._consistency,
-            self._predicate,
-            self._options,
+            bundle, self._offset, n, self._group, self._bounds, self._predicate, self._options
         )
         if arrays is None:
-            return GroupSampleResult(
-                None, 0, bundle.attempts, bundle.accepted, 0.0, bundle.used_metropolis,
-                impossible=True,
-            )
+            return GroupSampleResult(None, 0, 0, 0, 0.0, False, impossible=True)
         self._offset += n
-        return GroupSampleResult(
-            arrays, n, bundle.attempts, bundle.accepted, bundle.mass,
-            bundle.used_metropolis,
-        )
+        _n, attempts, accepted, used_metropolis = bundle.fill_at(self._offset)
+        return GroupSampleResult(arrays, n, attempts, accepted, bundle.mass, used_metropolis)
 
     def probability_estimate_or_none(self):
-        return self._bundle.probability_estimate_or_none()
+        """``mass × acceptance`` of the fill that drew the last column this
+        source served; ``None`` before it served any."""
+        bundle = self._bundle
+        if bundle.impossible:
+            return 0.0
+        if not self._offset:
+            return None
+        _n, attempts, accepted, _used = bundle.fill_at(self._offset)
+        return bundle.mass * (accepted / attempts)
 
     def estimate_probability(self, n_min):
         return self._bank.ensure_attempts(
-            self._bundle,
-            n_min,
-            self._group,
-            self._consistency,
-            self._predicate,
-            self._options,
+            self._bundle, n_min, self._group, self._bounds, self._predicate, self._options
         )
 
 
@@ -141,7 +138,13 @@ def _weak_callback(method):
 
 
 class SampleBank:
-    """Per-database store of per-group conditional sample bundles."""
+    """Per-database store of per-group conditional sample bundles.
+
+    Every group's draws come from here.  A bank that is not ``enabled``
+    (or a call whose options say ``use_sample_bank=False``) keeps nothing:
+    its bundle lives for one call and is never stored, and so draws what a
+    cold bank would have drawn, from the same key's stream.
+    """
 
     def __init__(self, base_seed=0, capacity=512, spill_dir=None, enabled=True, min_fill=256):
         self.base_seed = base_seed
@@ -170,6 +173,12 @@ class SampleBank:
             on_drop=_weak_callback(self._forget_key),
             on_load=_weak_callback(self._register_bundle),
         )
+        manifest = self.manifest()
+        if manifest is not None and manifest.get("format") != MANIFEST_FORMAT:
+            # Written under another key derivation: no key asks for those
+            # bundles any more, so they would only be orphans.
+            self._store.clear()
+            os.remove(os.path.join(spill_dir, self.MANIFEST_NAME))
 
     @classmethod
     def from_options(cls, options, base_seed=0):
@@ -197,22 +206,31 @@ class SampleBank:
         lookups = hits + self.stats_counters.misses
         return (hits / lookups) if lookups else None
 
-    def source(self, group, condition, consistency, predicate, options):
-        """A fresh per-call sampler view over the (possibly new) bundle."""
+    def keeps(self, options):
+        """Whether a call under ``options`` looks up and stores bundles."""
+        return self.enabled and options.use_sample_bank
+
+    def source(self, group, condition, consistency, predicate, options, seed=None):
+        """A fresh per-call sampler view over the group's bundle.
+
+        ``seed`` replaces the bank's base seed in the key (a caller's
+        explicit stream).  The bundle is looked up and kept only when the
+        bank :meth:`keeps` under ``options`` and no ``seed`` is given (a
+        foreign stream would only evict the base seed's working set);
+        otherwise it is new and lives as long as the source.
+        """
+        base_seed = self.base_seed if seed is None else seed
         with self._lock:
-            key = bundle_key(group, condition, options, self.base_seed)
-            bundle = self._store.get(key)
+            key = bundle_key(group, condition, options, base_seed)
+            keep = seed is None and self.keeps(options)
+            bundle = self._store.get(key) if keep else None
             if bundle is None:
-                self.stats_counters.misses += 1
-                self._count("bank.miss")
-                bundle = SampleBundle(
-                    key,
-                    vids=(variable.vid for variable in group.variables),
-                    seed=derive_seed(self.base_seed, "samplebank", key),
-                    strategy=strategy_fingerprint(options),
-                )
-                self._store.put(key, bundle)
-                self._register_bundle(key, bundle)
+                bundle = _new_bundle(key, group, options)
+                if keep:
+                    self.stats_counters.misses += 1
+                    self._count("bank.miss")
+                    self._store.put(key, bundle)
+                    self._register_bundle(key, bundle)
             elif key in self._prefetched:
                 # A worker materialised this bundle moments ago; serial
                 # execution would have recorded its own first touch as the
@@ -223,7 +241,9 @@ class SampleBank:
             else:
                 self.stats_counters.hits += 1
                 self._count("bank.hit")
-            return BankedGroupSource(self, bundle, group, consistency, predicate, options)
+            return BankedGroupSource(
+                self, bundle, group, consistency.bounds, predicate, options
+            )
 
     # -- parallel prefetch -------------------------------------------------------
 
@@ -247,8 +267,8 @@ class SampleBank:
         Returns ``None`` when the bundle is already cached (in memory or
         spilled).  The existence probe neither promotes nor loads, so
         planning leaves LRU state exactly as the serial touches will find
-        it.  ``fill_n`` is floored to ``min_fill`` here so the worker
-        draws the same count :meth:`_extend` would.
+        it.  The job carries the bank's ``min_fill`` so the worker draws
+        what :meth:`_extend` would.
         """
         from repro.parallel.jobs import GroupJob
         from repro.symbolic.conditions import Disjunction
@@ -258,60 +278,32 @@ class SampleBank:
             if self._store.contains(key):
                 return None
             return GroupJob(
-                key,
-                derive_seed(self.base_seed, "samplebank", key),
+                _new_bundle(key, group, options),
                 group,
                 consistency.bounds,
                 options,
-                fill_n=max(fill_n, self.min_fill) if fill_n else 0,
+                fill_n=fill_n,
+                min_fill=self.min_fill,
                 min_attempts=min_attempts,
                 dnf_condition=condition if isinstance(condition, Disjunction) else None,
             )
 
-    def merge_payload(self, job, payload):
-        """Fold one worker payload into the bank (single-writer merge).
+    def merge(self, bundle, drawn):
+        """Store a bundle a worker materialised (single-writer merge).
 
-        Creates the bundle exactly as the serial first touch would have —
-        same key, seed, strategy snapshot, counters — and counts the drawn
-        samples once.  Returns False when the key landed in the store in
-        the meantime (the existing bundle wins; determinism makes both
-        byte-identical anyway).
+        The bundle is the one :meth:`plan_group_job` made, filled by the
+        very functions a serial miss runs, so it equals what the serial
+        first touch would have built; ``drawn`` is counted once.  Returns
+        False when the key landed in the store in the meantime (the
+        existing bundle wins; determinism makes both equal anyway).
         """
         with self._lock:
-            if self._store.contains(job.key):
+            if self._store.contains(bundle.key):
                 return False
-            bundle = SampleBundle(
-                job.key,
-                vids=job.vids,
-                seed=job.seed,
-                strategy=strategy_fingerprint(job.options),
-            )
-            if job.fill_n:
-                bundle.absorb(
-                    GroupSampleResult(
-                        payload.arrays,
-                        payload.n,
-                        payload.attempts,
-                        payload.accepted,
-                        payload.mass,
-                        payload.used_metropolis,
-                        impossible=payload.impossible,
-                    )
-                )
-                if not payload.impossible:
-                    self.stats_counters.samples_drawn += payload.n
-            elif payload.impossible:
-                bundle.mark_impossible()
-                bundle.attempts = max(bundle.attempts, payload.attempts)
-            else:
-                bundle.attempts = payload.attempts
-                bundle.accepted = payload.accepted
-                bundle.mass = payload.mass
-                bundle.dirty = True
-                self.stats_counters.samples_drawn += payload.attempts
-            self._store.put(job.key, bundle)
-            self._register_bundle(job.key, bundle)
-            self._prefetched.add(job.key)
+            self.stats_counters.samples_drawn += drawn
+            self._store.put(bundle.key, bundle)
+            self._register_bundle(bundle.key, bundle)
+            self._prefetched.add(bundle.key)
             return True
 
     def _register_bundle(self, key, bundle):
@@ -326,7 +318,7 @@ class SampleBank:
         for vid in bundle.vids:
             self._index.setdefault(vid, set()).add(key)
 
-    def take(self, bundle, offset, n, group, consistency, predicate, options):
+    def take(self, bundle, offset, n, group, bounds, predicate, options):
         """Columns ``[offset, offset+n)`` of the bundle, topping up if short.
 
         Returns the arrays dict, or ``None`` when the group carries no
@@ -337,95 +329,42 @@ class SampleBank:
                 return None
             end = offset + n
             if end > bundle.n:
-                self._extend(bundle, end, group, consistency, predicate, options)
+                self._extend(bundle, end, group, bounds, predicate, options)
                 if bundle.impossible:
                     return None
             self.stats_counters.samples_served += n
             self._count("samples.served", n)
             return bundle.slice(offset, end)
 
-    def ensure_attempts(self, bundle, n_min, group, consistency, predicate, options):
-        """Drive rejection trials to at least ``n_min``; return ``P[K]``.
+    def ensure_attempts(self, bundle, n_min, group, bounds, predicate, options):
+        """``P[K]`` from the bundle's ``("prob", …)`` stream, driven to at
+        least ``n_min`` rejection trials.
 
+        Those trials are the bundle's own, apart from its draws, so the
+        answer does not depend on how far anyone filled the draws.
         Metropolis never runs here (it yields no acceptance rate —
-        Algorithm 4.3 line 34), so the counters stay probability-grade.
+        Algorithm 4.3 line 34).
         """
         with self._lock:
-            if bundle.impossible:
-                return 0.0
-            if bundle.attempts < n_min:
-                # GroupSampler.estimate_probability is a pure rejection loop
-                # (it never escalates), so no option surgery is needed here.
-                sampler = self._sampler(
-                    bundle,
-                    group,
-                    consistency,
-                    predicate,
-                    options,
-                    rng_tag=("prob", bundle.attempts),
+            if bundle.probe[0] < n_min:
+                self.stats_counters.samples_drawn += probe(
+                    bundle, n_min, group, bounds, predicate, options
                 )
-                if sampler.impossible:
-                    bundle.mark_impossible()
-                    return 0.0
-                before = bundle.attempts
-                estimate = sampler.estimate_probability(n_min)
-                bundle.attempts = sampler.attempts
-                bundle.accepted = sampler.accepted
-                bundle.mass = sampler.mass
-                bundle.dirty = True
-                self.stats_counters.samples_drawn += bundle.attempts - before
-                return estimate
-            return bundle.probability_estimate_or_none()
+            attempts, accepted = bundle.probe
+            return bundle.mass * (accepted / attempts) if attempts else 0.0
 
     # -- bundle materialisation --------------------------------------------------
 
-    def _extend(self, bundle, target_n, group, consistency, predicate, options):
-        """Grow the bundle to at least ``target_n`` conditional samples.
-
-        Growth at least doubles (with a floor of ``min_fill``) so a
-        sequence of escalating requests costs O(log) sampler runs.
-        """
-        grown = max(target_n, 2 * bundle.n, self.min_fill)
-        n_more = grown - bundle.n
-        sampler = self._sampler(
-            bundle,
-            group,
-            consistency,
-            predicate,
-            options,
-            rng_tag=("draws", bundle.n),
-        )
-        if sampler.impossible:
-            bundle.mark_impossible()
-            return
-        result = sampler.sample(n_more)
+    def _extend(self, bundle, target_n, group, bounds, predicate, options):
+        """Grow the bundle to at least ``target_n`` conditional samples
+        (:func:`fill`)."""
         if bundle.n:
             self.stats_counters.topups += 1
             self._count("bank.topup")
-        if not result.impossible:
-            self.stats_counters.samples_drawn += result.n
-            self._count("samples.drawn", result.n)
-        bundle.absorb(result)
-
-    def _sampler(self, bundle, group, consistency, predicate, options, rng_tag):
-        """A GroupSampler resuming this bundle's deterministic stream.
-
-        The bundle's strategy snapshot overrides the caller's draw-shaping
-        flags so mass bookkeeping stays consistent across top-ups; the
-        rejection counters are seeded from the bundle so escalation logic
-        remembers how hostile the constraint has been.
-        """
-        overrides = dict(zip(STRATEGY_FIELDS, bundle.strategy))
-        rng = rng_from_seed(derive_seed(bundle.seed, *rng_tag))
-        return GroupSampler(
-            group,
-            consistency.bounds,
-            predicate,
-            rng,
-            options.replace(**overrides),
-            initial_attempts=bundle.attempts,
-            initial_accepted=bundle.accepted,
-        )
+        drawn = fill(bundle, target_n, self.min_fill, group, bounds, predicate, options)
+        if drawn:
+            self.stats_counters.samples_drawn += drawn
+            self._count("samples.drawn", drawn)
 
     # -- invalidation -------------------------------------------------------------
 
@@ -491,7 +430,7 @@ class SampleBank:
             flushed = self._store.flush_all()
             on_disk = len(glob.glob(os.path.join(spill_dir, "bank_*.npz")))
             manifest = {
-                "format": 1,
+                "format": MANIFEST_FORMAT,
                 "base_seed": self.base_seed,
                 "capacity": self._store.capacity,
                 "bundles_on_disk": on_disk,
@@ -595,3 +534,91 @@ class SampleBank:
             self.stats_counters.hits,
             self.stats_counters.misses,
         )
+
+
+def _new_bundle(key, group, options):
+    """The empty bundle a first touch of ``key`` starts from."""
+    return SampleBundle(
+        key,
+        vids=(variable.vid for variable in group.variables),
+        strategy=strategy_fingerprint(options),
+    )
+
+
+def _sampler(bundle, tag, group, bounds, predicate, options, attempts, accepted):
+    """A GroupSampler on the bundle's ``tag`` stream.
+
+    The bundle's strategy snapshot overrides the caller's draw-shaping
+    flags so mass bookkeeping stays consistent across top-ups.  Its
+    ``mass`` and ``method`` are a function of the layout, the same for
+    every sampler of the bundle.
+    """
+    overrides = dict(zip(STRATEGY_FIELDS, bundle.strategy))
+    sampler = GroupSampler(
+        group,
+        bounds,
+        predicate,
+        rng_from_seed(derive_seed(bundle.key, *tag)),
+        options.replace(**overrides),
+        initial_attempts=attempts,
+        initial_accepted=accepted,
+    )
+    bundle.mass = sampler.mass
+    bundle.method = sampler.method
+    if sampler.impossible:
+        bundle.mark_impossible()
+        return None
+    return sampler
+
+
+def fill(bundle, target_n, min_fill, group, bounds, predicate, options):
+    """Grow the bundle to at least ``target_n`` conditional samples;
+    returns how many were drawn.
+
+    Growth at least doubles, with a floor of ``min_fill``, so a sequence
+    of escalating requests costs O(log) sampler runs.  When the floor, not
+    the request, is what runs the sampler past ``max_attempts_per_group``,
+    the bundle takes exactly ``target_n`` from the same stream instead: a
+    call that asks 64 draws fails only where 64 draws would.  Either way
+    the fill is a function of the bundle and ``target_n`` alone.  The bank's
+    top-ups and a pool worker's first fill both run this.
+    """
+    grown = max(target_n, 2 * bundle.n, min_fill)
+    try:
+        return _draw(bundle, grown - bundle.n, group, bounds, predicate, options)
+    except SamplingError:
+        if grown == target_n:
+            raise
+        return _draw(bundle, target_n - bundle.n, group, bounds, predicate, options)
+
+
+def _draw(bundle, n_more, group, bounds, predicate, options):
+    """One sampler run of ``n_more`` draws onto the bundle.
+
+    The sampler resumes the ``("draws", bundle.n)`` stream from the draw
+    counters, so escalation remembers how hostile the constraint has been.
+    """
+    sampler = _sampler(
+        bundle, ("draws", bundle.n), group, bounds, predicate, options,
+        bundle.attempts, bundle.accepted,
+    )
+    if sampler is None:
+        return 0
+    result = sampler.sample(n_more)
+    bundle.absorb(result)
+    return 0 if result.impossible else result.n
+
+
+def probe(bundle, n_min, group, bounds, predicate, options):
+    """Drive the bundle's ``("prob", …)`` trials to ``n_min``; returns how
+    many candidates that tested."""
+    attempts, accepted = bundle.probe
+    sampler = _sampler(
+        bundle, ("prob", attempts), group, bounds, predicate, options, attempts, accepted
+    )
+    if sampler is None:
+        return 0
+    sampler.estimate_probability(n_min)
+    bundle.probe = (sampler.attempts, sampler.accepted)
+    bundle.dirty = True
+    return sampler.attempts - attempts

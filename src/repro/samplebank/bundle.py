@@ -6,19 +6,24 @@ CDF-inversion machinery again:
 
 * ``arrays`` — variable key -> float ndarray of conditional draws, all the
   same length ``n``;
-* ``attempts`` / ``accepted`` — rejection-trial bookkeeping (metropolis-free
-  by construction, see :mod:`repro.sampling.samplers`), so ``P[K] = mass ×
-  accepted/attempts`` keeps working from cache;
+* ``fills`` — after each fill, the cumulative ``(n, attempts, accepted,
+  used_metropolis)`` of the ``("draws", …)`` stream, so a reader of the
+  first ``m`` columns recovers ``P[K] = mass × accepted/attempts`` from the
+  run that drew them (Algorithm 4.3 line 29), whoever filled further;
+* ``probe`` — ``(attempts, accepted)`` of the ``("prob", …)`` stream, the
+  rejection trials a standalone ``P[K]`` drives to its floor;
 * ``mass`` — the CDF-window mass of the group's restricted candidate draws;
-* ``used_metropolis`` / ``impossible`` — escalation outcomes, cached so a
+* ``method`` — how the candidates are drawn (``cdf-inversion``,
+  ``rejection``, ``fixed``), a function of the group's bounds and strategy;
+* ``impossible`` — the group carries no probability mass, cached so a
   provably-dead group never re-runs its hopeless rejection loop;
 * ``strategy`` — the draw-shaping options snapshot the bundle was built
   with; top-ups must reuse it or the mass bookkeeping would be corrupted.
 
-Bundles are deterministic: the draw stream derives from ``seed`` (itself
-derived from the cache key and base seed) and each top-up continues from a
-seed derived from the current length, so two same-seed databases running
-the same workload materialise identical bundles.
+Bundles are deterministic: the cache key is a digest of everything the
+draws depend on, the base seed included, so each fill's stream derives
+from the key and the bundle's current length, and two same-seed databases
+running the same workload materialise identical bundles.
 """
 
 import numpy as np
@@ -30,29 +35,27 @@ class SampleBundle:
     __slots__ = (
         "key",
         "vids",
-        "seed",
         "arrays",
         "n",
-        "attempts",
-        "accepted",
+        "fills",
+        "probe",
         "mass",
-        "used_metropolis",
+        "method",
         "impossible",
         "strategy",
         "topups",
         "dirty",
     )
 
-    def __init__(self, key, vids, seed, strategy):
+    def __init__(self, key, vids, strategy):
         self.key = key
         self.vids = frozenset(vids)
-        self.seed = seed
         self.arrays = {}
         self.n = 0
-        self.attempts = 0
-        self.accepted = 0
+        self.fills = []
+        self.probe = (0, 0)
         self.mass = 1.0
-        self.used_metropolis = False
+        self.method = "rejection"
         self.impossible = False
         self.strategy = tuple(strategy)
         self.topups = 0
@@ -61,16 +64,38 @@ class SampleBundle:
         self.dirty = True
 
     @property
+    def attempts(self):
+        """Rejection candidates the draws so far tested."""
+        return self.fills[-1][1] if self.fills else 0
+
+    @property
+    def accepted(self):
+        """Rejection candidates the draws so far accepted."""
+        return self.fills[-1][2] if self.fills else 0
+
+    @property
+    def used_metropolis(self):
+        """Whether any fill escalated to a Metropolis walk."""
+        return bool(self.fills) and self.fills[-1][3]
+
+    @property
     def nbytes(self):
         """Approximate in-memory footprint of the sample matrix."""
         return sum(a.nbytes for a in self.arrays.values())
+
+    def fill_at(self, column):
+        """``(n, attempts, accepted, used_metropolis)`` after the fill that
+        drew column ``column - 1``."""
+        for fill in self.fills:
+            if fill[0] >= column:
+                return fill
+        return self.fills[-1]
 
     def mark_impossible(self):
         """Record that the group carries no probability mass; drop samples."""
         self.impossible = True
         self.arrays = {}
         self.n = 0
-        self.mass = 0.0
         self.dirty = True
 
     def slice(self, start, stop):
@@ -81,11 +106,10 @@ class SampleBundle:
         """Fold a :class:`GroupSampleResult` of fresh draws into the bundle.
 
         ``result.attempts``/``accepted`` are cumulative (the sampler was
-        seeded with this bundle's counters), so they overwrite rather than
-        add.
+        seeded with this bundle's draw counters), so they are recorded as
+        they are.
         """
         if result.impossible:
-            self.attempts = max(self.attempts, result.attempts)
             self.mark_impossible()
             return
         if self.n:
@@ -100,19 +124,11 @@ class SampleBundle:
                 for key, array in result.arrays.items()
             }
         self.n += result.n
-        self.attempts = result.attempts
-        self.accepted = result.accepted
-        self.mass = result.mass
-        self.used_metropolis = self.used_metropolis or result.used_metropolis
+        self.fills.append((
+            self.n, result.attempts, result.accepted,
+            self.used_metropolis or result.used_metropolis,
+        ))
         self.dirty = True
-
-    def probability_estimate_or_none(self):
-        """``mass × acceptance`` from cached bookkeeping, if any trials ran."""
-        if self.impossible:
-            return 0.0
-        if self.attempts == 0:
-            return None
-        return self.mass * (self.accepted / self.attempts)
 
     def __repr__(self):
         state = "impossible" if self.impossible else "n=%d" % self.n

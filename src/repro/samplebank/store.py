@@ -22,6 +22,8 @@ from repro.samplebank.keys import decode_strategy
 
 _SPILL_PREFIX = "bank_"
 _SPILL_SUFFIX = ".npz"
+#: A bundle's ``method``, stored by its index here.
+_METHODS = ("rejection", "cdf-inversion", "fixed")
 
 
 class LRUStore:
@@ -162,17 +164,16 @@ class LRUStore:
             "meta": np.asarray(
                 [
                     bundle.n,
-                    bundle.attempts,
-                    bundle.accepted,
                     bundle.mass,
-                    1.0 if bundle.used_metropolis else 0.0,
                     1.0 if bundle.impossible else 0.0,
                     bundle.topups,
+                    _METHODS.index(bundle.method),
                 ]
+                + list(bundle.probe)
                 + [float(value) for value in bundle.strategy],
                 dtype=np.float64,
             ),
-            "seed": np.asarray([bundle.seed], dtype=np.uint64),
+            "fills": np.asarray(bundle.fills, dtype=np.float64).reshape(-1, 4),
             "vids": np.asarray(sorted(bundle.vids), dtype=np.int64),
         }
         for (vid, subscript), array in bundle.arrays.items():
@@ -216,16 +217,18 @@ class LRUStore:
             bundle = SampleBundle(
                 key,
                 vids=[int(v) for v in data["vids"]],
-                seed=int(data["seed"][0]),
                 strategy=strategy,
             )
             bundle.n = int(meta[0])
-            bundle.attempts = int(meta[1])
-            bundle.accepted = int(meta[2])
-            bundle.mass = float(meta[3])
-            bundle.used_metropolis = bool(meta[4])
-            bundle.impossible = bool(meta[5])
-            bundle.topups = int(meta[6])
+            bundle.mass = float(meta[1])
+            bundle.impossible = bool(meta[2])
+            bundle.topups = int(meta[3])
+            bundle.method = _METHODS[int(meta[4])]
+            bundle.probe = (int(meta[5]), int(meta[6]))
+            bundle.fills = [
+                (int(n), int(attempts), int(accepted), bool(metropolis))
+                for n, attempts, accepted, metropolis in data["fills"]
+            ]
             arrays = {}
             for name in data.files:
                 if not name.startswith("a"):

@@ -33,14 +33,11 @@ from repro.constraints.independence import (
     VariableGroup,
     groups_for_condition,
 )
-from repro.distributions import rng_from_seed
 from repro.sampling.options import DEFAULT_OPTIONS
 from repro.sampling.plans import GroupPlan, PlanMemo, groups_read_by, plan_key
-from repro.sampling.samplers import GroupSampler
 from repro.symbolic.conditions import Disjunction
 from repro.symbolic.expression import as_expression
 from repro.util.errors import PIPError
-from repro.util.hashing import stable_hash64
 from repro.util.stats import RunningStats, z_for_confidence
 
 
@@ -128,28 +125,28 @@ class ExpectationEngine:
     answer, a bundle key or a draw.  The memo belongs to the engine (one
     per :class:`~repro.core.database.PIPDatabase`) and dies with it.
 
-    Without a bank attached, every public call derives a fresh
-    deterministic RNG from its arguments so repeated runs reproduce and
-    "there is no bias from samples shared between multiple query runs"
-    (Section III-A) — each invocation samples anew, with independent Monte
-    Carlo error.  The generator is only built when a group is actually
-    sampled by the call itself.
-
-    With a :class:`~repro.samplebank.SampleBank` attached (as
-    :class:`~repro.core.database.PIPDatabase` does by default), per-group
-    conditional samples are instead served from the bank's persistent
-    bundles: rows and queries that re-derive the same independent group
-    reuse one sample matrix.  Estimates stay unbiased and seed-determined
-    (the bundle's stream is a pure function of the base seed and group),
-    but repeated runs replay the same draws — their errors are correlated
+    Every group's draws come from a :class:`~repro.samplebank.SampleBank`
+    bundle, whose stream is a pure function of the base seed, the group,
+    its condition and the draw-shaping options.  With the database's bank
+    (:class:`~repro.core.database.PIPDatabase` attaches one), rows and
+    queries that re-derive the same independent group reuse one sample
+    matrix; an engine built without a bank, or a call with
+    ``use_sample_bank=False``, gets a bank that keeps nothing, whose
+    bundles live for one call — and draw what a cold bank would.  Either
+    way repeated runs replay the same draws: their errors are correlated
     rather than independent, so re-running a query does not average error
-    away.  Callers that need fresh streams pass an explicit ``seed`` or
-    ``use_sample_bank=False``, both of which bypass the bank.
+    away.  A caller that wants another stream passes an explicit ``seed``,
+    which takes the base seed's place in the bundle keys (and keeps
+    nothing).
     """
 
     def __init__(self, options=None, base_seed=0, bank=None, scheduler=None):
         self.options = options or DEFAULT_OPTIONS
         self.base_seed = base_seed
+        if bank is None:
+            from repro.samplebank.bank import SampleBank
+
+            bank = SampleBank(base_seed, enabled=False)
         self.bank = bank
         # Optional ParallelSampleScheduler; when present (and the options
         # ask for workers) prefetch() fans group sampling out over it.
@@ -167,9 +164,8 @@ class ExpectationEngine:
         ``expr`` may be any equation; ``condition`` a Conjunction (typical)
         or a DNF Disjunction (then treated as one joint group).
         """
-        options = self._per_call_options(options, seed)
+        options = options or self.options
         expr = as_expression(expr)
-        rng = self._lazy_rng(seed, "expectation", expr, condition)
         parts = self._decompose(expr, condition, options)
         if parts is None:
             return _nan_result(0.0 if want_probability else None)
@@ -187,7 +183,7 @@ class ExpectationEngine:
                 methods[group.tag] = tag
         else:
             outcome = self._sample_mean(
-                expr, condition, sampled_groups, consistency, rng, options, methods
+                expr, condition, sampled_groups, consistency, options, seed, methods
             )
             if outcome is None:
                 return _nan_result(0.0 if want_probability else None, methods)
@@ -207,8 +203,8 @@ class ExpectationEngine:
                     group,
                     condition,
                     consistency,
-                    rng,
                     options,
+                    seed,
                     existing_sampler=samplers.get(group),
                     methods=methods,
                 )
@@ -231,8 +227,7 @@ class ExpectationEngine:
 
     def probability(self, condition, seed=None, options=None):
         """P[condition] — the paper's ``conf()``.  Returns (value, exact)."""
-        options = self._per_call_options(options, seed)
-        rng = self._lazy_rng(seed, "conf", None, condition)
+        options = options or self.options
         parts = self._decompose(None, condition, options)
         if parts is None:
             return 0.0, True
@@ -241,7 +236,7 @@ class ExpectationEngine:
         exact = True
         for group in groups:
             p_group, exact_group = self._group_probability(
-                group, condition, consistency, rng, options
+                group, condition, consistency, options, seed
             )
             probability *= p_group
             exact = exact and exact_group
@@ -255,16 +250,15 @@ class ExpectationEngine:
         Returns a float ndarray, or None when the condition is
         unsatisfiable.
         """
-        options = self._per_call_options(options, seed).replace(n_samples=n)
+        options = (options or self.options).replace(n_samples=n)
         expr = as_expression(expr)
-        rng = self._lazy_rng(seed, "hist", expr, condition)
         parts = self._decompose(expr, condition, options)
         if parts is None:
             return None
         consistency, _groups, sampled_groups, _exact = parts
         if not sampled_groups:
             return np.full(n, _constant_value(expr))
-        samplers = self._samplers(sampled_groups, condition, consistency, rng, options)
+        samplers = self._samplers(sampled_groups, condition, consistency, options, seed)
         arrays = self._draw(samplers, n, {})
         if arrays is None:
             return None
@@ -317,15 +311,15 @@ class ExpectationEngine:
         """Whether :meth:`prefetch` would actually fan out.
 
         True only with a scheduler attached, a positive resolved worker
-        count, and an active sample bank (workers materialise *bank
-        bundles*; without the bank there is nothing to hand back).
+        count, and a bank that keeps what it draws (workers materialise
+        *bank bundles*; a bank that keeps nothing has nowhere to put them).
         Callers use this to skip building task lists on the serial path.
         """
         options = options or self.options
         return (
             self.scheduler is not None
             and self.scheduler.workers_for(options) > 0
-            and self._bank_active(options)
+            and self.bank.keeps(options)
         )
 
     def prefetch(self, tasks, options=None):
@@ -401,17 +395,6 @@ class ExpectationEngine:
 
     # -- internals ----------------------------------------------------------------
 
-    def _per_call_options(self, options, seed):
-        """Resolve options, bypassing the sample bank for explicit seeds.
-
-        A caller-supplied seed asks for *that* draw stream; serving cached
-        bank draws (keyed by the base seed) would silently ignore it.
-        """
-        options = options or self.options
-        if seed is not None and options.use_sample_bank:
-            options = options.replace(use_sample_bank=False)
-        return options
-
     def _plan(self, condition, expr_variables):
         """The :class:`GroupPlan` of one non-FALSE condition.
 
@@ -450,30 +433,6 @@ class ExpectationEngine:
         if telemetry is not None:
             telemetry.tracer.count(name)
 
-    def _lazy_rng(self, seed, tag, expr, condition):
-        """The call's generator as a thunk, built on first use.
-
-        One generator per engine call, shared by its groups in the order
-        they are sampled; a call the bank (or an exact shortcut) answers
-        never pays for hashing ``repr(condition)`` or for numpy's
-        ``Generator`` construction.
-        """
-        cell = []
-
-        def rng():
-            if not cell:
-                call_seed = seed
-                if call_seed is None:
-                    parts = [self.base_seed, tag]
-                    if expr is not None:
-                        parts.append(repr(expr))
-                    parts.append(repr(condition))
-                    call_seed = stable_hash64(*[str(p) for p in parts])
-                cell.append(rng_from_seed(call_seed))
-            return cell[0]
-
-        return rng
-
     @staticmethod
     def _merge_groups(groups):
         """Ablation: collapse all groups into one joint group."""
@@ -485,31 +444,18 @@ class ExpectationEngine:
             atoms.extend(group.atoms)
         return [VariableGroup(variables.values(), atoms)]
 
-    def _bank_active(self, options):
-        return (
-            self.bank is not None and self.bank.enabled and options.use_sample_bank
-        )
-
-    def _make_sampler(self, group, condition, consistency, rng, options):
+    def _make_sampler(self, group, condition, consistency, options, seed):
         # The acceptance test a group's candidates must pass.  Conjunctions:
         # just this group's atoms.  DNF: the full condition (one joint group).
         predicate = (
             condition.evaluate_batch if isinstance(condition, Disjunction)
             else group.predicate
         )
-        if self._bank_active(options):
-            return self.bank.source(group, condition, consistency, predicate, options)
-        return GroupSampler(
-            group,
-            consistency.bounds,
-            predicate,
-            rng(),
-            options,
-        )
+        return self.bank.source(group, condition, consistency, predicate, options, seed)
 
-    def _samplers(self, groups, condition, consistency, rng, options):
+    def _samplers(self, groups, condition, consistency, options, seed):
         return {
-            group: self._make_sampler(group, condition, consistency, rng, options)
+            group: self._make_sampler(group, condition, consistency, options, seed)
             for group in groups
         }
 
@@ -522,9 +468,7 @@ class ExpectationEngine:
             if result.impossible:
                 return None
             arrays.update(result.arrays)
-            methods[group.tag] = (
-                "metropolis" if result.used_metropolis else _sampling_tag(sampler)
-            )
+            methods[group.tag] = "metropolis" if result.used_metropolis else sampler.method
         return arrays
 
     def _try_exact_linear(self, expr, sampled_groups, options):
@@ -616,13 +560,13 @@ class ExpectationEngine:
             return None
         return dist.mean_in(params, consistency.bound_for(variable.key))
 
-    def _sample_mean(self, expr, condition, sampled_groups, consistency, rng, options, methods):
+    def _sample_mean(self, expr, condition, sampled_groups, consistency, options, seed, methods):
         """Adaptive (or fixed-n) conditional sampling of the expression.
 
         Returns ``(mean, stats, samplers_by_group)`` or None when some
         group is impossible.
         """
-        samplers = self._samplers(sampled_groups, condition, consistency, rng, options)
+        samplers = self._samplers(sampled_groups, condition, consistency, options, seed)
         stats = RunningStats()
         fixed_n = options.n_samples
         target = None if fixed_n else z_for_confidence(options.epsilon)
@@ -658,8 +602,8 @@ class ExpectationEngine:
         group,
         condition,
         consistency,
-        rng,
         options,
+        seed,
         existing_sampler=None,
         methods=None,
     ):
@@ -670,23 +614,16 @@ class ExpectationEngine:
             if methods is not None:
                 methods[group.tag + ":prob"] = "exact-cdf"
             return exact, True
+        # The free estimate (Algorithm 4.3 line 29) comes from the fill that
+        # drew this call's mean columns; otherwise the bundle's own
+        # rejection trials, kept apart from its draws, are driven to the
+        # floor (line 34: Metropolis never runs there).
         sampler = existing_sampler
-        if sampler is None or not sampler.can_estimate_probability:
-            # Metropolis provides no rate: re-integrate without it (line 34).
-            # Bank sources estimate rejection-only internally, so they keep
-            # the caller's options (and therefore share the mean-path key).
-            if not self._bank_active(options):
-                options = options.replace(use_metropolis=False)
-            sampler = self._make_sampler(group, condition, consistency, rng, options)
-        # The free estimate (Algorithm 4.3 line 29) is only taken when this
-        # call's mean sampling produced the bookkeeping; a standalone conf()
-        # always drives the trial count to the floor — including on a warm
-        # bank bundle, whose cached counters may come from a short mean run.
-        estimate = (
-            sampler.probability_estimate_or_none()
-            if sampler is existing_sampler
-            else None
-        )
+        estimate = None
+        if sampler is None:
+            sampler = self._make_sampler(group, condition, consistency, options, seed)
+        else:
+            estimate = sampler.probability_estimate_or_none()
         if estimate is None:
             estimate = sampler.estimate_probability(_attempt_floor(options))
         if methods is not None:
@@ -757,18 +694,3 @@ def _first_round(options):
 def _attempt_floor(options):
     """Trials a standalone probability estimate drives a group to."""
     return max(4 * options.batch_size, 4096)
-
-
-def _sampling_tag(sampler):
-    layout = getattr(sampler, "layout", None)
-    if layout is None:
-        # A sample-bank source: the draws came out of a cached bundle.
-        return "bank"
-    strategies = {slot.strategy for slot in layout.univariate_slots}
-    if layout.family_slots:
-        strategies.add("joint")
-    if "cdf" in strategies:
-        return "cdf-inversion"
-    if strategies == {"fixed"}:
-        return "fixed"
-    return "rejection"

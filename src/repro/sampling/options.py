@@ -49,10 +49,10 @@ class SamplingOptions:
         or discrete domain enumeration) instead of sampling.  Off by
         default so estimates carry the paper's Monte Carlo semantics.
     use_sample_bank:
-        Let a database-owned :class:`~repro.samplebank.SampleBank` cache
-        per-group conditional samples across rows and queries.  Engines
-        without a bank attached ignore this flag; with it off the engine
-        samples every call from scratch (the seed-era behaviour).
+        Let a database-owned :class:`~repro.samplebank.SampleBank` keep
+        per-group conditional samples across rows and queries.  With it
+        off the bank keeps nothing: each call's bundles live for that
+        call and draw the same streams, so the answers are the same.
     bank_capacity:
         Maximum number of group bundles held in memory (LRU beyond it).
     bank_spill_dir:
@@ -65,8 +65,8 @@ class SamplingOptions:
         single-core host).  Group sampling jobs are pre-materialised into
         the sample bank across the pool; results are bit-identical to
         serial execution because every bundle is a pure function of its
-        cache key and deterministic seed stream.  Requires an active
-        sample bank (``use_sample_bank=True``).  Worth turning on when
+        cache key and deterministic seed stream.  Requires a bank that
+        keeps what it draws (``use_sample_bank=True``).  Worth turning on when
         a group costs well above a hand-off — acceptance of a few per
         cent at large ``n_samples``, or Metropolis; cheap groups run
         slower through the pool (``docs/performance.md``, "Job plane").

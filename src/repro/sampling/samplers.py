@@ -183,9 +183,8 @@ class GroupSampler:
 
     ``initial_attempts``/``initial_accepted`` let a caller resume the
     rejection bookkeeping of an earlier sampler over the same group — the
-    sample bank uses this so cached acceptance rates keep informing both
-    ``P[K]`` estimates and the Metropolis escalation heuristic across
-    top-ups.
+    sample bank uses this so a bundle's acceptance rate keeps informing
+    its ``P[K]`` and the Metropolis escalation heuristic across top-ups.
     """
 
     def __init__(self, group, bounds, predicate, rng, options,
@@ -214,12 +213,18 @@ class GroupSampler:
         return self._accepted
 
     @property
-    def can_estimate_probability(self):
-        """Whether the acceptance counters still estimate P[K].
-
-        False once Metropolis takes over: the walk produces samples but no
-        acceptance rate (Algorithm 4.3 line 31)."""
-        return self._metropolis is None
+    def method(self):
+        """How candidates are drawn, as a result's ``methods`` names it:
+        ``cdf-inversion`` when some variable draws inside a CDF window,
+        ``fixed`` when every variable is pinned, else ``rejection``."""
+        strategies = {slot.strategy for slot in self.layout.univariate_slots}
+        if self.layout.family_slots:
+            strategies.add("joint")
+        if "cdf" in strategies:
+            return "cdf-inversion"
+        if strategies == {"fixed"}:
+            return "fixed"
+        return "rejection"
 
     # -- construction -------------------------------------------------------
 
@@ -426,18 +431,6 @@ class GroupSampler:
         return keys
 
     # -- probability-only support ------------------------------------------------
-
-    def probability_estimate_or_none(self):
-        """Free probability estimate from prior bookkeeping, if any.
-
-        None when nothing was sampled yet or Metropolis took over (its
-        draws carry no acceptance rate).
-        """
-        if self.impossible:
-            return 0.0
-        if self._metropolis is not None or self._attempts == 0:
-            return None
-        return self.mass * (self._accepted / self._attempts)
 
     def estimate_probability(self, n_min):
         """Estimate P[K] by sampling without Metropolis (Alg 4.3 line 34).

@@ -5,77 +5,59 @@ Generate with the same seed value produce the same sample, so only the seed
 value need be stored" (Section V-B).  We mirror that by deriving every
 pseudo-random stream from a stable 64-bit hash of ``(variable id, subscript,
 world index, base seed)``.  Python's builtin ``hash`` is salted per process,
-so we implement a small splitmix64-style mixer over a stable encoding
-instead.
+so the hash is a BLAKE2b digest of the parts' :func:`exact_key` bytes
+instead: typed, independent of process state, and computed in C.
 """
 
+import hashlib as _hashlib
 import marshal as _marshal
 import struct as _struct
 
-_MASK64 = (1 << 64) - 1
+import numpy as _np
+
+#: Leaves :func:`exact_key` writes by value and type as they are.
+_LEAVES = frozenset((str, int, float, bool, type(None), bytes))
+_WORD = _struct.Struct("<Q").unpack
 
 
-def _mix64(x):
-    """splitmix64 finalizer; good avalanche behaviour, trivially portable."""
-    x &= _MASK64
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
-    return (x ^ (x >> 31)) & _MASK64
+def _plain(part):
+    """``part`` with every leaf a built-in scalar.
 
-
-def _feed(acc, part):
-    if isinstance(part, str):
-        for ch in part.encode("utf-8"):
-            acc = _mix64(acc ^ ch)
-    elif isinstance(part, bool):
-        acc = _mix64(acc ^ int(part))
-    elif isinstance(part, int):
-        if 0 <= part <= _MASK64:
-            # One word, fed as it is: every stored stream, bank key and
-            # spill file depends on this encoding.
-            acc = _mix64(acc ^ part)
-        else:
-            # Negative or wider than 64 bits.  Folded into one word, n and
-            # ~n would collide, and so would 1 and 1 << 64: feed a tag
-            # carrying sign and limb count, then the magnitude's limbs.
-            magnitude = abs(part)
-            limbs = (magnitude.bit_length() + 63) // 64
-            acc = _mix64(acc ^ 0x696E74 ^ (limbs << 1 | (part < 0)))
-            for shift in range(0, 64 * limbs, 64):
-                acc = _mix64(acc ^ ((magnitude >> shift) & _MASK64))
-    elif isinstance(part, float):
-        # struct keeps the encoding independent of PYTHONHASHSEED, so keys
-        # derived from distribution parameters survive process restarts
-        # (the sample bank's on-disk spill relies on this).
-        acc = _mix64(acc ^ 0x666C ^ int.from_bytes(_struct.pack("<d", part), "little"))
-    elif part is None:
-        acc = _mix64(acc ^ 0xDEADBEEF)
-    elif isinstance(part, (tuple, list)):
-        # Length-prefixed, and every element is terminated by a separator
-        # mix: without it adjacent strings concatenate ambiguously, so
-        # ("x", "ab", "c") and ("x", "a", "bc") would collide — fatal for
-        # the sample bank's content-addressed keys.
-        acc = _mix64(acc ^ 0x7475706C ^ len(part))
-        for item in part:
-            acc = _feed(acc, item)
-            acc = _mix64(acc ^ 0x1F)
-    else:
-        raise TypeError("unhashable seed part: %r" % (part,))
-    return acc
+    marshal writes anything with a buffer — a NumPy scalar — as its raw
+    bytes, so ``np.float64(1.5)`` would hash apart from ``1.5`` and an
+    ``np.int64`` like the ``bytes`` of the same bits.  A container whose
+    items are all plain leaves is returned as it is (the common case,
+    checked at C speed); a leaf of a subclass (``np.float64`` is a
+    ``float``) becomes its base type.
+    """
+    kind = type(part)
+    if kind in _LEAVES:
+        return part
+    if kind is tuple or kind is list:
+        if _LEAVES.issuperset(map(type, part)):
+            return part
+        return kind([p if type(p) in _LEAVES else _plain(p) for p in part])
+    for base in (bool, int, float, str):
+        if isinstance(part, base):
+            return base(part)
+    if isinstance(part, _np.generic):
+        return _plain(part.item())
+    raise TypeError("unhashable seed part: %r" % (part,))
 
 
 def stable_hash64(*parts):
     """Combine ints/strings/floats/nested tuples into a stable 64-bit hash.
 
-    The result depends only on the values supplied, never on process state,
-    so sampling is reproducible across runs and machines.  Tuples and lists
-    hash structurally (the sample bank keys cache entries by the nested
-    ``key()`` tuples of atoms and conditions).
+    The result depends only on the values supplied and their types, never
+    on process state, so sampling is reproducible across runs and
+    machines.  ``1``, ``1.0`` and ``True`` hash apart, as do ``0.0`` and
+    ``-0.0``; a NumPy scalar hashes as the Python scalar it holds.  Tuples
+    and lists hash structurally (the sample bank keys cache entries by the
+    nested ``key()`` tuples of atoms and conditions).
     """
-    acc = 0x9E3779B97F4A7C15
-    for part in parts:
-        acc = _feed(acc, part)
-    return acc
+    if not _LEAVES.issuperset(map(type, parts)):
+        parts = _plain(parts)
+    return _WORD(_hashlib.blake2b(_marshal.dumps(parts, 2), digest_size=8).digest())[0]
 
 
 def derive_seed(base_seed, *parts):
@@ -92,10 +74,10 @@ def exact_key(structure):
 
     A dict keyed on the nested tuples themselves would conflate what
     Python equality conflates — ``1``, ``1.0`` and ``True``; ``0.0`` and
-    ``-0.0`` — although :func:`stable_hash64` feeds each differently, so a
-    memo of anything derived from such a hash has to be keyed more finely
-    than ``==``.  ``marshal`` format 2 writes every value with its type
-    and floats by their bytes, and has neither back-references nor
+    ``-0.0`` — although :func:`stable_hash64` hashes each differently, so
+    a memo of anything derived from such a hash has to be keyed more
+    finely than ``==``.  ``marshal`` format 2 writes every value with its
+    type and floats by their bytes, and has neither back-references nor
     interning flags, so the bytes depend on the values alone, never on
     object identity.
 

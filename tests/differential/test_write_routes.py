@@ -304,10 +304,8 @@ def state(db):
         (a, b) for a in db.tables for b in db.tables
         if a < b and db.table(a) is db.table(b)
     )
-    # Asked twice, second answer kept: a statement's first (bank-miss)
-    # estimate differs from its repeats — on every route, and at any
-    # commit — and a recovered bank starts warm from its spill tier.
-    db.sql(PROBE)
+    # Asked once: an answer does not depend on what the bank holds, so a
+    # recovered bank warm from its spill tier answers as a cold one.
     probe = [tuple(canon_value(cell) for cell in row) for row in db.sql(PROBE).rows()]
     return {
         "tables": tables,

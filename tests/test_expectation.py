@@ -395,7 +395,8 @@ class TestPlanMemo:
 
     def test_constants_equal_in_python_plan_apart(self):
         """``x > 1``, ``x > 1.0`` and ``x > True`` compare (and hash) equal
-        as keys; the bank hashes 1.0 apart and the checker skips the bool."""
+        as keys; the bank hashes all three apart and the checker skips the
+        bool."""
         x = POOL[0]
         engine = ExpectationEngine(base_seed=PLAN_SEED)
         conditions = [conjunction_of(var(x) > c) for c in (1, 1.0, True)]
@@ -407,8 +408,8 @@ class TestPlanMemo:
         options = SamplingOptions()
         keys = [bundle_key(p.groups[0], c, options, PLAN_SEED)
                 for p, c in zip(plans_seen, conditions)]
-        # Recorded at the commit before the memo existed.
-        assert keys == [0xA3534B608FE753F0, 0xBACC657299D4C240, 0xA3534B608FE753F0]
+        # Recorded when the key hash became BLAKE2b.
+        assert keys == [0x700287DFCE99F74C, 0x233C201708D84FA1, 0x33ACCDF599F42587]
         assert plans_seen[0].consistency.strong and not plans_seen[2].consistency.strong
 
     def test_signed_zeros_plan_apart(self):
@@ -421,9 +422,10 @@ class TestPlanMemo:
         options = SamplingOptions()
         assert [bundle_key(p.groups[0], c, options, PLAN_SEED)
                 for p, c in zip((first, second), conditions)] == [
-            0x9890F8A2179723DC, 0x53511FDFB0432EFE]  # recorded before the memo
+            0x66842C7CB18CB102, 0x771A43F61128F5FF]  # recorded with BLAKE2b keys
 
     def test_dnf_key_is_the_parent_commits(self):
+        """A DNF's bank key is the recorded one, on a plan hit too."""
         x, y = POOL[0], POOL[1]
         engine = ExpectationEngine(base_seed=PLAN_SEED)
 
@@ -434,7 +436,7 @@ class TestPlanMemo:
         engine._plan(build(), ())
         (group,) = engine._plan(build(), ()).groups
         options = SamplingOptions()
-        assert bundle_key(group, build(), options, PLAN_SEED) == 0xB38A82596C87BF36
+        assert bundle_key(group, build(), options, PLAN_SEED) == 0x2A7A304872E1B61E
         # One group object under two disjunctions: the kept key is per
         # disjunction, not per group.
         other = disjoin([conjunction_of(var(x) > var(y)),
@@ -442,7 +444,7 @@ class TestPlanMemo:
         (reference,) = groups_for_condition(other)
         assert bundle_key(group, other, options, PLAN_SEED) == bundle_key(
             reference, other, options, PLAN_SEED)
-        assert bundle_key(group, build(), options, PLAN_SEED) == 0xB38A82596C87BF36
+        assert bundle_key(group, build(), options, PLAN_SEED) == 0x2A7A304872E1B61E
 
     def test_same_vid_other_parameters(self):
         """``VariableFactory.rollback_to`` can mint a vid twice."""
@@ -525,8 +527,8 @@ class TestPlanMemo:
         as_int = SamplingOptions(metropolis_threshold=1)
         as_float = SamplingOptions(metropolis_threshold=1.0)
         for _ in range(2):
-            assert bundle_key(group, condition, as_int, PLAN_SEED) == 0x7DD1725FADB509D2
-            assert bundle_key(group, condition, as_float, PLAN_SEED) == 0xD63A603BE0A36CF1
+            assert bundle_key(group, condition, as_int, PLAN_SEED) == 0x3471EE38D9B53255
+            assert bundle_key(group, condition, as_float, PLAN_SEED) == 0x1863BCF3DE022CBA
         assert len(group.bundle_keys) == 2
 
     def test_size_never_exceeds_the_cap(self, monkeypatch):
@@ -621,79 +623,117 @@ class TestPlanMemo:
 
 
 # ---------------------------------------------------------------------------
-# The per-call RNG is derived only when the call itself samples
+# One road to a group's draws: a bank that keeps nothing draws what a cold
+# bank draws, and a generator is built only when a bundle is filled
 # ---------------------------------------------------------------------------
 
-#: ``float.hex()`` of what the commit before the lazy RNG returned for
-#: ``rng_cases`` — same derivation, one generator a call, groups in order.
+#: ``float.hex()`` of ``rng_cases``, each case run on a cold bank, under a
+#: base seed of 21 / 5 and under an explicit ``seed=99``.
 RNG_LITERALS = {
     "bankless_engine": [
-        ("expectation", "0x1.67e2b93fb3f71p+3", "0x1.c65aee631f8a0p-2", 400),
-        ("probability", "0x1.b97f700000000p-2", False),
-        ("probability_dnf", "0x1.e900000000000p-2", False),
-        ("sample_expression", ["0x1.e806d2ab259e5p+1", "-0x1.cbf9429e00960p+0",
-                               "-0x1.60410fd55e0a2p+1", "-0x1.11cc82f0bab88p-3"]),
+        ("expectation", "0x1.697c567385e8cp+3", "0x1.b7972474538efp-2", 400),
+        ("probability", "0x1.b46b900000000p-2", False),
+        ("probability_dnf", "0x1.f400000000000p-2", False),
+        ("sample_expression", ["0x1.06ca5a8e6c331p+0", "0x1.f9a5f7cf7b021p+0",
+                               "0x1.858c43cb286a5p+2", "0x1.6094e0095e91bp+0"]),
+    ],
+    "cold_bank": [
+        ("expectation", "0x1.8abfcfa89d98dp+3", "0x1.aab1c432ca57ap-2", 400),
+        ("probability", "0x1.a927b80000000p-2", False),
+        ("probability_dnf", "0x1.e2c0000000000p-2", False),
+        ("sample_expression", ["0x1.00bc26bfabe7cp+1", "0x1.f532bb1d55500p+0",
+                               "-0x1.4903c62011e73p-1", "-0x1.101d71c9d9fc1p+1"]),
     ],
     "explicit_seed": [
-        ("expectation", "0x1.85727241d09e9p+3", "0x1.bd9096bb98c7fp-2", 400),
-        ("probability", "0x1.beb9800000000p-2", False),
-        ("probability_dnf", "0x1.0180000000000p-1", False),
-        ("sample_expression", ["0x1.768349538a9f5p-1", "-0x1.3cc5658e8adc9p+1",
-                               "0x1.a20317f28e6fbp+0", "-0x1.2f8a676ec4019p+3"]),
-    ],
-    "bank_bypassed": [
-        ("expectation", "0x1.67a0851e1b40ap+3", "0x1.a31c432ca57a8p-2", 400),
-        ("probability", "0x1.b5aff80000000p-2", False),
-        ("probability_dnf", "0x1.fa80000000000p-2", False),
-        ("sample_expression", ["-0x1.0a36abb5e690bp-1", "-0x1.74eaf03ecd8ddp+1",
-                               "-0x1.155b12d3015d0p+2", "-0x1.830f6121dac1ep+0"]),
+        ("expectation", "0x1.8800eaf2aba2fp+3", "0x1.d765fd8adaba0p-2", 400),
+        ("probability", "0x1.b238fc0000000p-2", False),
+        ("probability_dnf", "0x1.fbc0000000000p-2", False),
+        ("sample_expression", ["-0x1.0d3afe61ba3c9p+1", "0x1.022d15306ec49p+1",
+                               "0x1.0a568dbbb0a14p+2", "-0x1.e6e430e59f6cep-1"]),
     ],
 }
 
+RNG_CASES = ("expectation", "probability", "probability_dnf", "sample_expression")
 
-def rng_cases(engine, factory, **call):
+
+def rng_cases(engine, factory, only=RNG_CASES, **call):
     x = factory.create("normal", (1.0, 2.0))
     y = factory.create("exponential", (0.5,))
     z = factory.create("normal", (0.0, 1.0))
     w = factory.create("poisson", (3.0,))
     two_groups = conjunction_of(var(x) + var(y) > 1.5, var(z) * var(z) > 0.25)
-    result = engine.expectation(
-        var(x) * var(z) + var(w) * var(w), two_groups, want_probability=True, **call)
-    yield ("expectation", result.mean.hex(), result.probability.hex(), result.n_samples)
-    probability, exact = engine.probability(two_groups, **call)
-    yield ("probability", probability.hex(), exact)
-    dnf = disjoin([conjunction_of(var(x) > var(y)), conjunction_of(var(z) * var(x) > 1.0)])
-    probability, exact = engine.probability(dnf, **call)
-    yield ("probability_dnf", probability.hex(), exact)
-    samples = engine.sample_expression(var(x) * var(z), two_groups, 4, **call)
-    yield ("sample_expression", [float(value).hex() for value in samples])
+    if "expectation" in only:
+        result = engine.expectation(
+            var(x) * var(z) + var(w) * var(w), two_groups, want_probability=True, **call)
+        yield ("expectation", result.mean.hex(), result.probability.hex(), result.n_samples)
+    if "probability" in only:
+        probability, exact = engine.probability(two_groups, **call)
+        yield ("probability", probability.hex(), exact)
+    if "probability_dnf" in only:
+        dnf = disjoin([conjunction_of(var(x) > var(y)), conjunction_of(var(z) * var(x) > 1.0)])
+        probability, exact = engine.probability(dnf, **call)
+        yield ("probability_dnf", probability.hex(), exact)
+    if "sample_expression" in only:
+        samples = engine.sample_expression(var(x) * var(z), two_groups, 4, **call)
+        yield ("sample_expression", [float(value).hex() for value in samples])
+
+
+def cold_cases(seed, options):
+    """``rng_cases`` with each case alone on a fresh database's bank."""
+    from repro import PIPDatabase
+
+    out = []
+    for case in RNG_CASES:
+        db = PIPDatabase(seed=seed, options=options)
+        try:
+            out.extend(rng_cases(db.engine, db.factory, only=(case,)))
+            assert db.sample_bank.stats()["misses"] > 0
+        finally:
+            db.close()
+    return out
 
 
 class TestLazyRng:
     OPTIONS = SamplingOptions(n_samples=400)
 
     def test_bankless_engine_draws_what_it_drew(self):
+        """An engine built without a bank keeps nothing: each call draws
+        what it would draw on a cold bank of the same base seed."""
         engine = ExpectationEngine(options=self.OPTIONS, base_seed=21)
-        assert list(rng_cases(engine, VariableFactory())) == RNG_LITERALS["bankless_engine"]
+        drawn = list(rng_cases(engine, VariableFactory()))
+        assert drawn == RNG_LITERALS["bankless_engine"] == cold_cases(21, self.OPTIONS)
+        assert len(engine.bank.entries()) == 0
 
     @pytest.mark.parametrize("label, call", [
         ("explicit_seed", {"seed": 99}),
-        ("bank_bypassed", {"options": OPTIONS.replace(use_sample_bank=False)}),
+        ("bank_off", {"options": OPTIONS.replace(use_sample_bank=False)}),
     ])
-    def test_bank_bypass_draws_what_it_drew(self, label, call):
+    def test_bank_off_draws_what_bank_on_draws(self, label, call):
+        """``use_sample_bank=False`` retains no entry and draws what a cold
+        bank draws; an explicit ``seed`` retains no entry either and draws
+        what a bank of that base seed draws."""
         from repro import PIPDatabase
 
         db = PIPDatabase(seed=5, options=self.OPTIONS)
         try:
-            assert list(rng_cases(db.engine, db.factory, **call)) == RNG_LITERALS[label]
-            assert db.sample_bank.stats()["misses"] == 0
+            drawn = list(rng_cases(db.engine, db.factory, **call))
+            entries = len(db.sample_bank.entries())
         finally:
             db.close()
+        assert entries == 0
+        if label == "bank_off":
+            assert drawn == RNG_LITERALS["cold_bank"] == cold_cases(5, self.OPTIONS)
+        else:
+            reference = PIPDatabase(seed=99, options=self.OPTIONS)
+            try:
+                assert drawn == RNG_LITERALS["explicit_seed"] == list(
+                    rng_cases(reference.engine, reference.factory))
+            finally:
+                reference.close()
 
     def test_no_generator_when_the_bank_answers(self, monkeypatch):
         from repro import PIPDatabase
         from repro.samplebank import bank as bank_module
-        from repro.sampling import expectation as expectation_module
 
         built = []
 
@@ -701,16 +741,15 @@ class TestLazyRng:
             built.append(seed)
             return real(seed)
 
-        real = expectation_module.rng_from_seed
+        real = bank_module.rng_from_seed
+        monkeypatch.setattr(bank_module, "rng_from_seed", counting)
         db = PIPDatabase(seed=5, options=self.OPTIONS)
         try:
             cold = list(rng_cases(db.engine, VariableFactory()))
-            monkeypatch.setattr(expectation_module, "rng_from_seed", counting)
-            assert built == []  # the bank seeds its own bundles, the call none
-            monkeypatch.setattr(bank_module, "rng_from_seed", counting)
+            assert built  # the bank seeds the bundles it fills
+            del built[:]
             warm = list(rng_cases(db.engine, VariableFactory()))
             assert built == []
-            # conf() keeps driving its trial floor; means and draws repeat.
-            assert warm[0][1] == cold[0][1] and warm[3] == cold[3]
+            assert warm == cold
         finally:
             db.close()

@@ -228,7 +228,8 @@ def test_expensive_groups_bit_identical(escalate):
             observed.append((
                 [(row.values[0], float(row.values[1]).hex()) for row in grouped.rows],
                 sorted(
-                    (key, bundle.used_metropolis, bundle.n, bundle.attempts, bundle.accepted)
+                    (key, bundle.used_metropolis, bundle.n, bundle.attempts, bundle.accepted,
+                     bundle.fills, bundle.probe)
                     for key, bundle in db.sample_bank._store.items()
                 ),
                 [stats[name] for name in ("hits", "misses", "samples_drawn")],
@@ -241,8 +242,42 @@ def test_expensive_groups_bit_identical(escalate):
     assert run(2) == serial
     (_, cold_bundles, cold_stats), (_, _, warm_stats) = serial
     assert [bundle[1] for bundle in cold_bundles] == [escalate] * 4
-    assert all(accepted < 0.05 * attempts for *_, attempts, accepted in cold_bundles)
+    assert all(accepted < 0.05 * attempts for *_, attempts, accepted, _f, _p in cold_bundles)
     assert cold_stats == [0, 4, 8000] and warm_stats == [4, 4, 8000]
+
+
+def test_merged_bundles_keep_split_counters():
+    """A pooled fill and a pooled probability floor store the bundle a
+    serial miss builds: the fills' draw counters and the probe's trials,
+    each apart, and the answers that read them."""
+
+    def run(workers):
+        db = PIPDatabase(seed=11, options=_options(workers))
+        answers = []
+        # The pool fills the first table's bundles and floors the second's.
+        for first in ("sum", "conf"):
+            table = _fig7_workload(db, n_suppliers=6)
+            for step in (first, {"sum": "conf", "conf": "sum"}[first]):
+                if step == "sum":
+                    total = ops.expected_sum(
+                        table, "shortfall", engine=db.engine, options=db.options)
+                    answers.append(float(total.value).hex())
+                else:
+                    confs = ops.confidence(table, engine=db.engine, options=db.options)
+                    answers.append([float(row.values[-1]).hex() for row in confs.rows])
+        bundles = sorted(
+            (key, bundle.n, bundle.fills, bundle.probe, bundle.method)
+            for key, bundle in db.sample_bank._store.items()
+        )
+        stats = [db.sample_bank.stats()[name] for name in STRICT_STATS]
+        db.close()
+        return answers, bundles, stats
+
+    serial = run(0)
+    assert run(2) == serial
+    _answers, bundles, _stats = serial
+    assert len(bundles) == 12
+    assert all(fills and probe[0] >= 4096 for _k, _n, fills, probe, _m in bundles)
 
 
 def test_mixed_deterministic_and_symbolic_rows_bit_identical():
@@ -485,15 +520,22 @@ def test_group_job_round_trips_through_pickle_and_runs():
         group, condition, consistency, options, fill_n=64
     )
     assert job is not None
-    assert job.fill_n == 256  # floored to the bank's min_fill
+    assert job.fill_n == 64 and job.min_fill == 256  # the worker floors as the bank does
 
     clone = pickle.loads(pickle.dumps(job))
-    payload_a = run_group_job(job)
-    payload_b = run_group_job(clone)
-    assert payload_a.n == payload_b.n == 256
-    assert payload_a.attempts == payload_b.attempts
-    for key in payload_a.arrays:
-        assert (payload_a.arrays[key] == payload_b.arrays[key]).all()
+    bundle_a, drawn_a = run_group_job(job)
+    bundle_b, drawn_b = run_group_job(clone)
+    assert bundle_a.n == bundle_b.n == drawn_a == drawn_b == 256
+    assert bundle_a.fills == bundle_b.fills
+    for key in bundle_a.arrays:
+        assert (bundle_a.arrays[key] == bundle_b.arrays[key]).all()
+    # The serial first touch draws the same bundle from the same stream.
+    source = db.sample_bank.source(group, condition, consistency, group.predicate, options)
+    source.sample(64)
+    (serial,) = [bundle for _key, bundle in db.sample_bank._store.items()]
+    assert serial.key == bundle_a.key and serial.fills == bundle_a.fills
+    for key in bundle_a.arrays:
+        assert (serial.arrays[key] == bundle_a.arrays[key]).all()
     db.close()
 
 

@@ -13,7 +13,7 @@ from repro.sampling.expectation import ExpectationEngine
 from repro.sampling.options import SamplingOptions
 from repro.symbolic import conjunction_of, var
 from repro.symbolic.variables import VariableFactory
-from repro.util.errors import SchemaError
+from repro.util.errors import SamplingError, SchemaError
 
 
 def _group_and_condition(factory=None, threshold=0.5):
@@ -108,12 +108,42 @@ class TestEngineReuse:
         assert math.isnan(again.mean)
         assert bank.stats()["hits"] >= 1
 
-    def test_disabled_bank_is_bypassed(self):
+    def test_the_fill_floor_costs_no_answer(self):
+        """A call that asks fewer draws than ``min_fill`` fails only where
+        its own request would: under a budget that 64 draws fit and 256
+        do not, the fill takes exactly 64, bank on and bank off alike."""
+        factory = VariableFactory()
+        x = factory.create("normal", (0.0, 1.0))
+        y = factory.create("normal", (0.0, 1.0))
+        condition = conjunction_of(var(x) + var(y) > 3.29)  # acceptance ~1 %
+        answers = []
+        for keep in (True, False):
+            options = SamplingOptions(
+                n_samples=64, max_attempts_per_group=15000, use_sample_bank=keep)
+            bank = SampleBank.from_options(options, base_seed=5)
+            engine = ExpectationEngine(options=options, base_seed=5, bank=bank)
+            result = engine.expectation(var(x) * var(y), condition)
+            answers.append((result.mean, result.n_samples))
+            assert [n for _key, _vids, n in bank.entries()] == ([64] if keep else [])
+        assert answers[0] == answers[1] and answers[0][1] == 64
+        with pytest.raises(SamplingError):
+            engine.expectation(var(x) * var(y), condition,
+                               options=options.replace(n_samples=256))
+
+    def test_disabled_bank_retains_nothing(self):
+        """Bank off keeps no entry and draws what a cold bank on draws."""
         engine, bank = _banked_engine(use_sample_bank=False)
         x, group, condition = _group_and_condition()
-        engine.expectation(var(x) * var(x), condition)
+        off = [engine.expectation(var(x) * var(x), condition, want_probability=True)
+               for _ in range(2)]
         assert bank.stats()["entries"] == 0
-        assert bank.stats()["misses"] == 0
+        assert bank.stats()["misses"] == bank.stats()["hits"] == 0
+        on_engine, on_bank = _banked_engine()
+        on = on_engine.expectation(var(x) * var(x), condition, want_probability=True)
+        assert on_bank.stats()["misses"] == 1
+        for result in off:
+            assert (result.mean, result.probability, result.n_samples) == (
+                on.mean, on.probability, on.n_samples)
 
 
 class TestStoreBehaviour:
@@ -163,6 +193,51 @@ class TestStoreBehaviour:
         again = engine.expectation(var(x) * var(x), cond_x)  # re-materialises
         assert first.mean == again.mean  # deterministic stream => same draws
         assert not spilled.exists()
+
+    def test_spill_keeps_draw_and_probe_counters(self, tmp_path):
+        options = SamplingOptions(
+            n_samples=300, bank_capacity=1, bank_spill_dir=str(tmp_path)
+        )
+        bank = SampleBank.from_options(options, base_seed=5)
+        engine = ExpectationEngine(options=options, base_seed=5, bank=bank)
+        factory = VariableFactory()
+        x = factory.create("normal", (0.0, 1.0))
+        y = factory.create("normal", (0.0, 1.0))
+        condition = conjunction_of(var(x) > var(y) + 0.5)
+        engine.expectation(var(x), condition, want_probability=True)
+        engine.expectation(var(x), condition, options=options.replace(n_samples=700))
+        engine.probability(condition)
+        ((key, before),) = bank._store.items()
+        fields = ("n", "fills", "probe", "mass", "method", "impossible", "topups", "strategy")
+        kept = {name: getattr(before, name) for name in fields}
+        assert len(kept["fills"]) == 2 and kept["probe"][0] >= 4096
+        bank.flush()
+        reloaded = SampleBank.from_options(options, base_seed=5)._store.get(key)
+        assert {name: getattr(reloaded, name) for name in fields} == kept
+        for var_key, array in before.arrays.items():
+            np.testing.assert_array_equal(reloaded.arrays[var_key], array)
+
+    def test_spill_dir_of_another_format_is_emptied_on_open(self, tmp_path):
+        """A spill dir written under the splitmix keys (manifest format 1)
+        holds bundles no key asks for any more: opening empties it."""
+        options = SamplingOptions(n_samples=256, bank_spill_dir=str(tmp_path))
+        bank = SampleBank.from_options(options, base_seed=5)
+        engine = ExpectationEngine(options=options, base_seed=5, bank=bank)
+        x = VariableFactory().create("normal", (0.0, 1.0))
+        engine.expectation(var(x) * var(x), conjunction_of(var(x) > 0.5))
+        bank.flush()
+        assert bank.manifest()["format"] == 2
+        (current,) = tmp_path.glob("bank_*.npz")
+        SampleBank.from_options(options, base_seed=5)  # format 2: kept
+        assert current.exists()
+        stale = tmp_path / "bank_00000000deadbeef.npz"
+        stale.write_bytes(b"a bundle under an old key")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('{"format": 1, "base_seed": 5, "capacity": 512,'
+                            ' "bundles_on_disk": 2}')
+        reopened = SampleBank.from_options(options, base_seed=5)
+        assert list(tmp_path.glob("bank_*.npz")) == []
+        assert not manifest.exists() and reopened.manifest() is None
 
     def test_clear_removes_spilled_entries(self, tmp_path):
         options = SamplingOptions(
@@ -325,9 +400,9 @@ class TestStatisticalIdentity:
 
 # ---------------------------------------------------------------------------
 # Statement goldens for the monitoring loop: rows (``float.hex()``) and bank
-# counters of the first and of the second, warm, execution — recorded at the
-# commit before group plans were memoised, the RNG made lazy and bundle keys
-# kept with the planned group.
+# counters of the first and of the second, warm, execution — recorded when
+# bank keys became BLAKE2b digests and a bundle's probability trials were
+# kept apart from its draws.
 # ---------------------------------------------------------------------------
 
 WARM_SEED = 20100301
@@ -357,37 +432,38 @@ BANK_COUNTERS = ("hits", "misses", "samples_served", "samples_drawn")
 WARM_GOLDENS = {
     "grouped_sum": (
         "grouped_sum", {"lo": 0, "hi": 2},
-        [(0, "0x1.0ae64fed2df9fp+1"), (1, "0x1.9cf113ae90543p+3"),
-         (3, "0x1.f23c3ce7bdaf5p+2"), (4, "0x1.63091e60c5b5ap+2")],
+        [(0, "0x1.fd696698462dcp+0"), (1, "0x1.bce7421095c30p+3"),
+         (3, "0x1.02b025a93a9c1p+3"), (4, "0x1.677dae00e7129p+2")],
         (0, 4, 800, 1024),
-        [(0, "0x1.0ae64fed2df9fp+1"), (1, "0x1.9cf113ae90543p+3"),
-         (3, "0x1.f23c3ce7bdaf5p+2"), (4, "0x1.63091e60c5b5ap+2")],
+        [(0, "0x1.fd696698462dcp+0"), (1, "0x1.bce7421095c30p+3"),
+         (3, "0x1.02b025a93a9c1p+3"), (4, "0x1.677dae00e7129p+2")],
         (4, 0, 800, 0)),
     "row_conf": (
         "row_conf", {"band": 1},
-        [(3, "0x1.ab00000000000p-2"), (4, "0x1.31e0000000000p-1"),
-         (5, "0x1.4c80000000000p-2")],
+        [(3, "0x1.b540000000000p-2"), (4, "0x1.31a0000000000p-1"),
+         (5, "0x1.51c0000000000p-2")],
         (0, 3, 0, 12288),
-        [(3, "0x1.ab00000000000p-2"), (4, "0x1.31e0000000000p-1"),
-         (5, "0x1.4c80000000000p-2")],
+        [(3, "0x1.b540000000000p-2"), (4, "0x1.31a0000000000p-1"),
+         (5, "0x1.51c0000000000p-2")],
         (3, 0, 0, 0)),
-    # Cold, the average's denominators come free with the mean's rejection
-    # bookkeeping; warm, conf() drives each bundle to its trial floor.
+    # The average's denominators come from each bundle's own rejection
+    # trials (4 096 a bundle, apart from the mean's 256 draws), cold and
+    # warm alike, so the two executions answer the same.
     "avg_ratio": (
         "avg_ratio", {"lo": 1, "hi": 3},
-        [("0x1.8e9dc1c463fe2p+2",)],
-        (4, 4, 800, 14336),
-        [("0x1.9004bb0624adcp+2",)],
+        [("0x1.903903e991639p+2",)],
+        (4, 4, 800, 17408),
+        [("0x1.903903e991639p+2",)],
         (8, 0, 800, 0)),
     "full_sweep": (
         "grouped_sum", {"lo": 0, "hi": 3},
-        [(0, "0x1.0ae64fed2df9fp+1"), (1, "0x1.9cf113ae90543p+3"),
-         (2, "0x1.8e48514f2a592p+3"), (3, "0x1.f23c3ce7bdaf5p+2"),
-         (4, "0x1.63091e60c5b5ap+2"), (5, "0x1.07c401676b6a8p+2")],
+        [(0, "0x1.fd696698462dcp+0"), (1, "0x1.bce7421095c30p+3"),
+         (2, "0x1.7c6bb4b0b734cp+3"), (3, "0x1.02b025a93a9c1p+3"),
+         (4, "0x1.677dae00e7129p+2"), (5, "0x1.110fcd965d233p+2")],
         (0, 6, 1200, 1536),
-        [(0, "0x1.0ae64fed2df9fp+1"), (1, "0x1.9cf113ae90543p+3"),
-         (2, "0x1.8e48514f2a592p+3"), (3, "0x1.f23c3ce7bdaf5p+2"),
-         (4, "0x1.63091e60c5b5ap+2"), (5, "0x1.07c401676b6a8p+2")],
+        [(0, "0x1.fd696698462dcp+0"), (1, "0x1.bce7421095c30p+3"),
+         (2, "0x1.7c6bb4b0b734cp+3"), (3, "0x1.02b025a93a9c1p+3"),
+         (4, "0x1.677dae00e7129p+2"), (5, "0x1.110fcd965d233p+2")],
         (6, 0, 1200, 0)),
 }
 

@@ -5,7 +5,8 @@ The paper stores only seeds so samples regenerate deterministically
 sample bank must not weaken it: its bundles derive every draw stream from
 the base seed and cache key, so two databases built with the same seed and
 driven through the same SQL produce bit-identical estimates — with the
-bank on (shared, topped-up bundles) and with it off (per-call streams).
+bank on (shared, topped-up bundles) and with it off (bundles that live
+for one call), and the two agree with each other.
 """
 
 import pytest
@@ -61,10 +62,41 @@ def test_different_seeds_differ():
 
 
 def test_bank_and_uncached_agree_statistically():
+    """Bank off is a bank that keeps nothing: the same draws, bit for bit."""
     options = SamplingOptions(n_samples=2048)
     banked = run_workload(PIPDatabase(seed=23, options=options))
     plain = run_workload(
         PIPDatabase(seed=23, options=options.replace(use_sample_bank=False))
     )
-    for with_bank, without in zip(banked, plain):
-        assert with_bank == pytest.approx(without, rel=0.1, abs=0.05)
+    assert banked == plain
+
+
+THREE_ANSWERS = "SELECT k, expected_sum(e) FROM s0 WHERE e > f + 1 GROUP BY k"
+
+
+def _three_answer_db(options):
+    db = PIPDatabase(seed=17, options=options)
+    db.sql("CREATE TABLE base (k int, m float)")
+    db.insert_many("base", [(1, 0.0), (1, 0.5), (2, 1.0), (2, 2.0)])
+    db.register("s0", db.sql(
+        "SELECT k, create_variable('normal', m, 1.0) AS e,"
+        " create_variable('normal', m, 2.0) AS f FROM base"))
+    return db
+
+
+def test_one_statement_one_answer():
+    """Cold, after an ``expected_count(*)`` over the same condition, and
+    with the bank off, the statement gives one answer: ``P[K]`` comes from
+    the fill that drew the columns, never from counters another call
+    advanced, and every road draws from the bundle key's stream."""
+    options = SamplingOptions(n_samples=120)
+    answers = []
+    db = _three_answer_db(options)
+    answers.append(db.sql(THREE_ANSWERS).rows())
+    db = _three_answer_db(options)
+    db.sql("SELECT expected_count(*) FROM s0 WHERE e > f + 1")
+    answers.append(db.sql(THREE_ANSWERS).rows())
+    db = _three_answer_db(options.replace(use_sample_bank=False))
+    answers.append(db.sql(THREE_ANSWERS).rows())
+    assert db.sample_bank.stats()["entries"] == 0
+    assert answers[0] == answers[1] == answers[2]

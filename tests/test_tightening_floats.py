@@ -13,9 +13,10 @@ groups (variables and atom order) and every atom's forms equal those of
 
 The engine's answers over the corpus's finite part (no infinite constant)
 are pinned too: ``probability`` and ``expectation(..., want_probability=True)``
-digests, recorded at the commit before the float loop, in
-``tests/tightening_goldens.json`` (``python tests/test_tightening_floats.py``
-prints them afresh).
+digests in ``tests/tightening_goldens.json`` (``python
+tests/test_tightening_floats.py`` prints them afresh).  Their exact fields
+date from the commit before the float loop; the sampled ones were
+re-recorded once, when bank keys became BLAKE2b digests.
 """
 
 import hashlib
