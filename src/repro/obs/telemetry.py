@@ -224,11 +224,11 @@ class Telemetry:
 
         def bank_entries():
             live = ref()
-            return len(live.sample_bank._store) if live else 0
+            return live.sample_bank.stats()["entries"] if live else 0
 
         def bank_bytes():
             live = ref()
-            return live.sample_bank._store.bytes_in_memory() if live else 0
+            return live.sample_bank.stats()["bytes_in_memory"] if live else 0
 
         def pool_workers():
             live = ref()

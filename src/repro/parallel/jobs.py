@@ -1,10 +1,9 @@
 """Group sampling jobs: the unit of work shipped to parallel workers.
 
 A :class:`GroupJob` carries an empty :class:`~repro.samplebank.SampleBundle`
-— key and strategy exactly as the serial first touch would make
-them — and the ingredients of its acceptance predicate (the group's own
-atoms, or the full DNF condition), the consistency bounds and the
-draw-shaping options.  The worker runs the very functions the bank runs
+— exactly as the serial first touch would make it — and the ingredients
+of its acceptance predicate (the group's own atoms, or the full DNF
+condition), the consistency bounds and the draw-shaping options.  The worker runs the very functions the bank runs
 on a miss (:func:`~repro.samplebank.bank.fill` /
 :func:`~repro.samplebank.bank.probe`) on that bundle and ships it back, so
 the bundle the bank stores is the one serial execution would have built.
@@ -13,7 +12,7 @@ Two job shapes exist, mirroring the two ways the engine first touches a
 bundle (see :mod:`repro.sampling.expectation`):
 
 * **fill** (``fill_n > 0``) — the mean path's first ``sample(n)`` request:
-  ``fill_n`` conditional draws under the bank's ``min_fill`` floor, from
+  ``fill_n`` conditional draws under the bank's ``MIN_FILL`` floor, from
   the ``("draws", 0)`` stream.
 * **probability** (``fill_n == 0``, ``min_attempts > 0``) — a standalone
   ``conf()``: drive the ``("prob", 0)`` stream's rejection trials to
@@ -47,8 +46,6 @@ class GroupJob:
     fill_n:
         Conditional samples the first request asks for; ``0`` for
         probability-only jobs.
-    min_fill:
-        The bank's floor on a fill (:func:`~repro.samplebank.bank.fill`).
     min_attempts:
         Rejection-trial floor for probability-only jobs; ``0`` for fills.
     dnf_condition:
@@ -63,7 +60,6 @@ class GroupJob:
         "bounds",
         "options",
         "fill_n",
-        "min_fill",
         "min_attempts",
         "dnf_condition",
     )
@@ -75,7 +71,6 @@ class GroupJob:
         bounds,
         options,
         fill_n=0,
-        min_fill=0,
         min_attempts=0,
         dnf_condition=None,
     ):
@@ -84,7 +79,6 @@ class GroupJob:
         self.bounds = bounds
         self.options = options
         self.fill_n = fill_n
-        self.min_fill = min_fill
         self.min_attempts = min_attempts
         self.dnf_condition = dnf_condition
 
@@ -114,9 +108,7 @@ def run_group_job(job):
     else:
         predicate = job.group.predicate
     if job.fill_n > 0:
-        drawn = fill(
-            bundle, job.fill_n, job.min_fill, job.group, job.bounds, predicate, job.options
-        )
+        drawn = fill(bundle, job.fill_n, job.group, job.bounds, predicate, job.options)
     else:
         drawn = probe(bundle, job.min_attempts, job.group, job.bounds, predicate, job.options)
     return bundle, drawn

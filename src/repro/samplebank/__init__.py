@@ -5,7 +5,7 @@ cross-query cache: per-group conditional sample matrices are materialised
 once, keyed by a stable hash of (group variables, group condition,
 draw-shaping options, base seed), and reused by every expectation /
 confidence call that re-derives the same group.  Includes an LRU-bounded
-in-memory store with optional on-disk (npz) spill, incremental top-up when
+memory tier with optional on-disk (npz) spill, incremental top-up when
 callers need more draws, per-variable dependency tracking for precise
 invalidation on table mutations, and hit/miss/eviction statistics surfaced
 as ``PIPDatabase.sample_bank.stats()``.
@@ -14,14 +14,12 @@ as ``PIPDatabase.sample_bank.stats()``.
 from repro.samplebank.bank import BankedGroupSource, BankStats, SampleBank
 from repro.samplebank.bundle import SampleBundle
 from repro.samplebank.keys import bundle_key, strategy_fingerprint
-from repro.samplebank.store import LRUStore
 
 __all__ = [
     "SampleBank",
     "BankStats",
     "BankedGroupSource",
     "SampleBundle",
-    "LRUStore",
     "bundle_key",
     "strategy_fingerprint",
 ]

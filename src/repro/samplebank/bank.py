@@ -17,18 +17,26 @@ explicit invalidation API exists to bound *staleness of relevance* and
 memory: when a table is mutated, entries depending on any of the affected
 random variables are dropped (and only those — see
 :meth:`SampleBank.invalidate_variables`).
+
+The bank holds at most ``capacity`` bundles in memory, evicting the least
+recently used; with a spill dir, an evicted bundle is written as a
+compressed ``.npz`` named by its key (:func:`write_bundle`) and reloaded
+on its next request (:func:`read_bundle`) — the "materialize once, analyze
+many" tier for working sets that outgrow RAM.  A bank of capacity 0 keeps
+nothing.
 """
 
 import glob
 import json
 import os
 import threading
-import weakref
+from collections import OrderedDict
+
+import numpy as np
 
 from repro.distributions import rng_from_seed
 from repro.samplebank.bundle import SampleBundle
-from repro.samplebank.keys import STRATEGY_FIELDS, bundle_key, strategy_fingerprint
-from repro.samplebank.store import LRUStore
+from repro.samplebank.keys import bundle_key
 from repro.sampling.samplers import GroupSampleResult, GroupSampler
 from repro.util.errors import SamplingError
 from repro.util.hashing import derive_seed
@@ -36,10 +44,14 @@ from repro.util.hashing import derive_seed
 #: The spill manifest's ``format``: 2 since keys are BLAKE2b digests and a
 #: bundle's draw and probability counters are kept apart.
 MANIFEST_FORMAT = 2
+#: The fewest draws one fill takes (:func:`fill`).
+MIN_FILL = 256
+#: A bundle's ``method``, stored by its index in the spill file.
+_METHODS = ("rejection", "cdf-inversion", "fixed")
 
 
 class BankStats:
-    """Mutable hit/miss/eviction counters, shared with the store."""
+    """Mutable hit/miss/eviction counters."""
 
     __slots__ = (
         "hits",
@@ -68,12 +80,12 @@ class BankedGroupSource:
     """Sampler-compatible view over one bundle for one engine call.
 
     The one surface the expectation engine draws through (``sample``,
-    ``method``, ``probability_estimate_or_none``, ``estimate_probability``):
-    it serves consecutive slices of the bundle's matrix, extending it on
-    demand.  Each engine call gets a fresh source, so every call reads the
-    bundle from column 0 — two rows with the same group see the same
-    draws, which is exactly the row-dedup the bank exists for — and
-    reports ``P[K]`` from the fill that drew the last column it served.
+    ``method``, ``probability``): it serves consecutive slices of the
+    bundle's matrix, extending it on demand.  Each engine call gets a
+    fresh source, so every call reads the bundle from column 0 — two rows
+    with the same group see the same draws, which is exactly the row-dedup
+    the bank exists for — and reports ``P[K]`` from the fill that drew the
+    last column it served.
     """
 
     __slots__ = ("_bank", "_bundle", "_group", "_bounds", "_predicate", "_options", "_offset")
@@ -103,61 +115,52 @@ class BankedGroupSource:
         _n, attempts, accepted, used_metropolis = bundle.fill_at(self._offset)
         return GroupSampleResult(arrays, n, attempts, accepted, bundle.mass, used_metropolis)
 
-    def probability_estimate_or_none(self):
-        """``mass × acceptance`` of the fill that drew the last column this
-        source served; ``None`` before it served any."""
+    def probability(self):
+        """``P[K]`` (Algorithm 4.3 lines 29-35): ``mass × acceptance`` of
+        the fill that drew the last column this source served; before it
+        served any, of the bundle's own rejection trials driven to
+        :func:`probe_floor`."""
         bundle = self._bundle
-        if bundle.impossible:
-            return 0.0
         if not self._offset:
-            return None
-        _n, attempts, accepted, _used = bundle.fill_at(self._offset)
-        return bundle.mass * (accepted / attempts)
-
-    def estimate_probability(self, n_min):
-        return self._bank.ensure_attempts(
-            self._bundle, n_min, self._group, self._bounds, self._predicate, self._options
-        )
-
-
-def _weak_callback(method):
-    """``method`` without a strong reference to the object it is bound to.
-
-    The store calls back into the bank that owns it; held strongly, the
-    two would keep each other (and every bundle) alive after the database
-    is closed and dropped, until the cyclic collector happens to run.
-    """
-    ref = weakref.WeakMethod(method)
-
-    def call(*args):
-        bound = ref()
-        if bound is not None:
-            bound(*args)
-
-    return call
+            options = self._options
+            attempts, accepted = self._bank.ensure_attempts(
+                bundle, probe_floor(options), self._group, self._bounds, self._predicate, options
+            )
+        elif bundle.impossible:
+            return 0.0
+        else:
+            _n, attempts, accepted, _used = bundle.fill_at(self._offset)
+        return bundle.mass * (accepted / attempts) if attempts else 0.0
 
 
 class SampleBank:
     """Per-database store of per-group conditional sample bundles.
 
-    Every group's draws come from here.  A bank that is not ``enabled``
-    (or a call whose options say ``use_sample_bank=False``) keeps nothing:
-    its bundle lives for one call and is never stored, and so draws what a
+    Every group's draws come from here.  The bank keeps up to ``capacity``
+    bundles in memory (least recently used evicted first) and, with a
+    ``spill_dir``, every evicted one on disk.  A bank of capacity 0 (or a
+    call whose options say ``use_sample_bank=False``) keeps nothing: its
+    bundle lives for one call and is never stored, and so draws what a
     cold bank would have drawn, from the same key's stream.
     """
 
-    def __init__(self, base_seed=0, capacity=512, spill_dir=None, enabled=True, min_fill=256):
+    def __init__(self, base_seed=0, capacity=512, spill_dir=None):
+        if capacity < 0:
+            raise ValueError("sample-bank capacity must be >= 0")
         self.base_seed = base_seed
-        self.enabled = enabled
-        self.min_fill = min_fill
+        self.capacity = capacity
+        self.spill_dir = spill_dir
         self.stats_counters = BankStats()
         # Attached by the owning database; None keeps the bank usable
         # standalone.  Only ever *read* — counting spans never steers
         # sampling, so traced and untraced runs draw identical streams.
         self.telemetry = None
+        self._entries = OrderedDict()  # cache key -> bundle, least recent first
+        # Every key retrievable from memory or disk; a spilled key stays
+        # indexed until invalidation removes its file.
         self._index = {}  # vid -> set of cache keys
         self._key_vids = {}  # cache key -> vids (for O(affected) removal)
-        # Guards the store and indices: the parallel scheduler merges
+        # Guards the entries and indices: the parallel scheduler merges
         # worker payloads from the querying thread, but a future async
         # serving layer may not be so polite.  Queries sample inside the
         # lock — the bank is single-writer by design, the lock just makes
@@ -166,28 +169,25 @@ class SampleBank:
         # Keys materialised by the parallel prefetch whose first lookup
         # should count as the miss serial execution would have recorded.
         self._prefetched = set()
-        self._store = LRUStore(
-            capacity,
-            spill_dir=spill_dir,
-            stats=self.stats_counters,
-            on_drop=_weak_callback(self._forget_key),
-            on_load=_weak_callback(self._register_bundle),
-        )
-        manifest = self.manifest()
-        if manifest is not None and manifest.get("format") != MANIFEST_FORMAT:
-            # Written under another key derivation: no key asks for those
-            # bundles any more, so they would only be orphans.
-            self._store.clear()
-            os.remove(os.path.join(spill_dir, self.MANIFEST_NAME))
+        path = self._file(self.MANIFEST_NAME)
+        if path is not None and os.path.exists(path):
+            manifest = self.manifest()
+            if manifest is None or manifest.get("format") != MANIFEST_FORMAT:
+                # Written under another key derivation, or unreadable: no
+                # key can be trusted to ask for those bundles, so they
+                # would only be orphans (a cache never blocks an open).
+                for spilled in self._spilled_paths():
+                    os.remove(spilled)
+                os.remove(path)
 
     @classmethod
     def from_options(cls, options, base_seed=0):
-        """Build a bank as configured by a :class:`SamplingOptions`."""
+        """Build a bank as configured by a :class:`SamplingOptions`; with
+        ``use_sample_bank=False`` it keeps nothing (capacity 0)."""
         return cls(
             base_seed=base_seed,
-            capacity=options.bank_capacity,
+            capacity=options.bank_capacity if options.use_sample_bank else 0,
             spill_dir=options.bank_spill_dir,
-            enabled=options.use_sample_bank,
         )
 
     # -- engine-facing API -------------------------------------------------------
@@ -208,7 +208,7 @@ class SampleBank:
 
     def keeps(self, options):
         """Whether a call under ``options`` looks up and stores bundles."""
-        return self.enabled and options.use_sample_bank
+        return self.capacity > 0 and options.use_sample_bank
 
     def source(self, group, condition, consistency, predicate, options, seed=None):
         """A fresh per-call sampler view over the group's bundle.
@@ -223,14 +223,13 @@ class SampleBank:
         with self._lock:
             key = bundle_key(group, condition, options, base_seed)
             keep = seed is None and self.keeps(options)
-            bundle = self._store.get(key) if keep else None
+            bundle = self._lookup(key) if keep else None
             if bundle is None:
-                bundle = _new_bundle(key, group, options)
+                bundle = _new_bundle(key, group)
                 if keep:
                     self.stats_counters.misses += 1
                     self._count("bank.miss")
-                    self._store.put(key, bundle)
-                    self._register_bundle(key, bundle)
+                    self._put(bundle)
             elif key in self._prefetched:
                 # A worker materialised this bundle moments ago; serial
                 # execution would have recorded its own first touch as the
@@ -258,33 +257,32 @@ class SampleBank:
         groups than this sample the overflow serially — exactly what the
         serial path would have done for them anyway.
         """
-        return max(1, self._store.capacity - 1)
+        return max(1, self.capacity - 1)
 
-    def plan_group_job(self, group, condition, consistency, options,
-                       fill_n=0, min_attempts=0):
-        """A :class:`~repro.parallel.jobs.GroupJob` for a missing bundle.
+    def plan_group_job(self, group, condition, consistency, options, fill_n=0):
+        """A :class:`~repro.parallel.jobs.GroupJob` for a missing bundle:
+        a fill of ``fill_n`` draws, or with ``fill_n=0`` the probe a
+        standalone ``P[K]`` drives to :func:`probe_floor`.
 
         Returns ``None`` when the bundle is already cached (in memory or
         spilled).  The existence probe neither promotes nor loads, so
         planning leaves LRU state exactly as the serial touches will find
-        it.  The job carries the bank's ``min_fill`` so the worker draws
-        what :meth:`_extend` would.
+        it.
         """
         from repro.parallel.jobs import GroupJob
         from repro.symbolic.conditions import Disjunction
 
         with self._lock:
             key = bundle_key(group, condition, options, self.base_seed)
-            if self._store.contains(key):
+            if self._contains(key):
                 return None
             return GroupJob(
-                _new_bundle(key, group, options),
+                _new_bundle(key, group),
                 group,
                 consistency.bounds,
                 options,
                 fill_n=fill_n,
-                min_fill=self.min_fill,
-                min_attempts=min_attempts,
+                min_attempts=0 if fill_n else probe_floor(options),
                 dnf_condition=condition if isinstance(condition, Disjunction) else None,
             )
 
@@ -298,28 +296,16 @@ class SampleBank:
         existing bundle wins; determinism makes both equal anyway).
         """
         with self._lock:
-            if self._store.contains(bundle.key):
+            if self._contains(bundle.key):
                 return False
             self.stats_counters.samples_drawn += drawn
-            self._store.put(bundle.key, bundle)
-            self._register_bundle(bundle.key, bundle)
+            self._put(bundle)
             self._prefetched.add(bundle.key)
             return True
 
-    def _register_bundle(self, key, bundle):
-        """Record the bundle's variable dependencies for invalidation.
-
-        Runs on creation and on disk reload (a spill dir can outlive the
-        process that wrote it); index entries outlive in-memory eviction
-        and are only removed when the bundle leaves both tiers, at which
-        point the next request is a miss again.
-        """
-        self._key_vids[key] = bundle.vids
-        for vid in bundle.vids:
-            self._index.setdefault(vid, set()).add(key)
-
     def take(self, bundle, offset, n, group, bounds, predicate, options):
-        """Columns ``[offset, offset+n)`` of the bundle, topping up if short.
+        """Columns ``[offset, offset+n)`` of the bundle, topping up if short
+        (:func:`fill`).
 
         Returns the arrays dict, or ``None`` when the group carries no
         probability mass.
@@ -329,7 +315,13 @@ class SampleBank:
                 return None
             end = offset + n
             if end > bundle.n:
-                self._extend(bundle, end, group, bounds, predicate, options)
+                if bundle.n:
+                    self.stats_counters.topups += 1
+                    self._count("bank.topup")
+                drawn = fill(bundle, end, group, bounds, predicate, options)
+                if drawn:
+                    self.stats_counters.samples_drawn += drawn
+                    self._count("samples.drawn", drawn)
                 if bundle.impossible:
                     return None
             self.stats_counters.samples_served += n
@@ -337,8 +329,8 @@ class SampleBank:
             return bundle.slice(offset, end)
 
     def ensure_attempts(self, bundle, n_min, group, bounds, predicate, options):
-        """``P[K]`` from the bundle's ``("prob", …)`` stream, driven to at
-        least ``n_min`` rejection trials.
+        """The bundle's ``("prob", …)`` trials ``(attempts, accepted)``,
+        driven to at least ``n_min``.
 
         Those trials are the bundle's own, apart from its draws, so the
         answer does not depend on how far anyone filled the draws.
@@ -350,21 +342,7 @@ class SampleBank:
                 self.stats_counters.samples_drawn += probe(
                     bundle, n_min, group, bounds, predicate, options
                 )
-            attempts, accepted = bundle.probe
-            return bundle.mass * (accepted / attempts) if attempts else 0.0
-
-    # -- bundle materialisation --------------------------------------------------
-
-    def _extend(self, bundle, target_n, group, bounds, predicate, options):
-        """Grow the bundle to at least ``target_n`` conditional samples
-        (:func:`fill`)."""
-        if bundle.n:
-            self.stats_counters.topups += 1
-            self._count("bank.topup")
-        drawn = fill(bundle, target_n, self.min_fill, group, bounds, predicate, options)
-        if drawn:
-            self.stats_counters.samples_drawn += drawn
-            self._count("samples.drawn", drawn)
+            return bundle.probe
 
     # -- invalidation -------------------------------------------------------------
 
@@ -397,16 +375,11 @@ class SampleBank:
                 # variables have no cached entries.
                 return 0
             for key in doomed:
-                self._store.discard(key)
-                self._prefetched.discard(key)
-                # Each doomed entry knows its own vids, so cleanup touches only
-                # the affected index sets, not the whole index.
-                for vid in self._key_vids.pop(key, ()):
-                    keys = self._index.get(vid)
-                    if keys is not None:
-                        keys.discard(key)
-                        if not keys:
-                            del self._index[vid]
+                self._entries.pop(key, None)
+                path = self._path(key)
+                if path is not None and os.path.exists(path):
+                    os.remove(path)
+                self._unindex(key)
             self.stats_counters.invalidated += len(doomed)
             return len(doomed)
 
@@ -424,19 +397,19 @@ class SampleBank:
         flushes nowhere and returns 0.
         """
         with self._lock:
-            spill_dir = self._store.spill_dir
-            if spill_dir is None:
+            if self.spill_dir is None:
                 return 0
-            flushed = self._store.flush_all()
-            on_disk = len(glob.glob(os.path.join(spill_dir, "bank_*.npz")))
+            # Bundles already clean on disk are skipped (``_spill`` is
+            # incremental); nothing leaves memory.
+            flushed = sum(1 for bundle in self._entries.values() if self._spill(bundle))
             manifest = {
                 "format": MANIFEST_FORMAT,
                 "base_seed": self.base_seed,
-                "capacity": self._store.capacity,
-                "bundles_on_disk": on_disk,
+                "capacity": self.capacity,
+                "bundles_on_disk": len(self._spilled_paths()),
             }
-            os.makedirs(spill_dir, exist_ok=True)
-            path = os.path.join(spill_dir, self.MANIFEST_NAME)
+            os.makedirs(self.spill_dir, exist_ok=True)
+            path = self._file(self.MANIFEST_NAME)
             tmp_path = path + ".tmp"
             with open(tmp_path, "w", encoding="utf-8") as handle:
                 json.dump(manifest, handle)
@@ -446,54 +419,145 @@ class SampleBank:
             return flushed
 
     def manifest(self):
-        """The persisted manifest dict, or ``None`` when absent."""
-        spill_dir = self._store.spill_dir
-        if spill_dir is None:
+        """The persisted manifest dict; ``None`` when absent, unreadable or
+        not a JSON object."""
+        path = self._file(self.MANIFEST_NAME)
+        if path is None:
             return None
-        path = os.path.join(spill_dir, self.MANIFEST_NAME)
-        if not os.path.exists(path):
+        try:
+            with open(path, encoding="utf-8") as handle:
+                manifest = json.load(handle)
+        except (OSError, ValueError):
             return None
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+        return manifest if isinstance(manifest, dict) else None
 
     def clear(self):
-        """Drop every entry (both tiers, including spilled-only bundles)."""
+        """Drop every entry (memory and disk, including spilled-only
+        bundles); returns how many were removed.
+
+        The spill dir is private to this bank (one per database), so every
+        ``bank_*.npz`` in it goes, however long ago it was evicted.
+        """
         with self._lock:
-            count = self._store.clear()
+            spilled = self._spilled_paths()
+            resident = {self._path(key) for key in self._entries}
+            count = len(self._entries) + sum(path not in resident for path in spilled)
+            for path in spilled:
+                os.remove(path)
+            self._entries.clear()
             self._index.clear()
             self._key_vids.clear()
             self._prefetched.clear()
             self.stats_counters.invalidated += count
             return count
 
-    def _forget_key(self, key, bundle):
-        """Store callback: an entry left both tiers via LRU eviction.
+    # -- memory and spill tiers ------------------------------------------------------
 
-        The victim carries its own vids, so only those index sets are
-        touched (not a sweep of the whole index per eviction)."""
-        self._key_vids.pop(key, None)
-        # An evicted-unspilled bundle may have been prefetched but never
-        # looked up; a later recreation's lookups must count normally.
-        self._prefetched.discard(key)
+    def bundle(self, key):
+        """The bundle kept under ``key``, or ``None`` (:meth:`_lookup`)."""
+        with self._lock:
+            return self._lookup(key)
+
+    def _lookup(self, key):
+        """The bundle kept under ``key``, or ``None``; the caller holds the
+        lock (a warm lookup takes it once).
+
+        Promotes it to most recently used; a bundle found only on disk is
+        reloaded into memory (possibly evicting another) and re-indexed,
+        since a spill dir can outlive the process that wrote it.
+        """
+        bundle = self._entries.get(key)
+        if bundle is not None:
+            self._entries.move_to_end(key)
+            return bundle
+        path = self._path(key)
+        if path is None or not os.path.exists(path):
+            return None
+        try:
+            bundle = read_bundle(key, path)
+        except Exception:
+            # A corrupt or truncated spill file (tampering, a crash under
+            # a non-atomic writer) degrades to a miss, not a permanent
+            # query failure: drop it to re-materialise.
+            os.remove(path)
+            return None
+        self.stats_counters.disk_loads += 1
+        self._put(bundle)
+        return bundle
+
+    def _contains(self, key):
+        """Whether ``key`` is retrievable from memory or disk — a pure probe
+        (no promotion, no load), so prefetch planning leaves the cache as
+        the serial touches will find it."""
+        if key in self._entries:
+            return True
+        path = self._path(key)
+        return path is not None and os.path.exists(path)
+
+    def _put(self, bundle):
+        """Keep and index a bundle, evicting beyond ``capacity``; an evicted
+        bundle that cannot be spilled leaves the index too."""
+        key = bundle.key
+        self._entries[key] = bundle
+        self._key_vids[key] = bundle.vids
         for vid in bundle.vids:
+            self._index.setdefault(vid, set()).add(key)
+        while len(self._entries) > self.capacity:
+            victim_key, victim = self._entries.popitem(last=False)
+            self.stats_counters.evictions += 1
+            if not self._spill(victim):
+                self._unindex(victim_key)
+
+    def _unindex(self, key):
+        """Forget a key that left memory and disk alike.
+
+        Touches only the key's own vids' index sets; a prefetched key that
+        was never looked up is forgotten too, so a later recreation's
+        lookups count normally."""
+        self._prefetched.discard(key)
+        for vid in self._key_vids.pop(key, ()):
             keys = self._index.get(vid)
             if keys is not None:
                 keys.discard(key)
                 if not keys:
                     del self._index[vid]
 
+    def _spill(self, bundle):
+        """Write a bundle to the spill dir; returns whether it is
+        retrievable from there."""
+        path = self._path(bundle.key)
+        if path is None:
+            return False
+        if not bundle.dirty and os.path.exists(path):
+            return True  # the on-disk copy is already current
+        os.makedirs(self.spill_dir, exist_ok=True)
+        try:
+            write_bundle(path, bundle)
+        except OSError:
+            return False  # disk full or unwritable: not retrievable
+        bundle.dirty = False
+        self.stats_counters.spills += 1
+        return True
+
+    def _file(self, name):
+        """``name`` in the spill dir; ``None`` without one."""
+        return None if self.spill_dir is None else os.path.join(self.spill_dir, name)
+
+    def _path(self, key):
+        return self._file("bank_%016x.npz" % key)
+
+    def _spilled_paths(self):
+        return [] if self.spill_dir is None else glob.glob(self._file("bank_*.npz"))
+
     # -- introspection ------------------------------------------------------------
 
     def entries(self):
-        """(key, vids, n_samples) for every in-memory entry (tests/debug).
-
-        Reads the store snapshot directly — no LRU promotion, no disk
-        loads — so introspection never perturbs cache state.
-        """
+        """(key, vids, n_samples) for every in-memory entry (tests/debug),
+        least recently used first, without promotion or disk loads."""
         with self._lock:
             return [
                 (key, set(bundle.vids), bundle.n)
-                for key, bundle in self._store.items()
+                for key, bundle in self._entries.items()
             ]
 
     def stats(self):
@@ -523,43 +587,43 @@ class SampleBank:
         """
         with self._lock:
             out = self.stats_counters.as_dict()
-            out["entries"] = len(self._store)
-            out["bytes_in_memory"] = self._store.bytes_in_memory()
+            out["entries"] = len(self._entries)
+            out["bytes_in_memory"] = sum(bundle.nbytes for bundle in self._entries.values())
             out["hit_rate"] = self.hit_rate
             return out
 
     def __repr__(self):
         return "<SampleBank %d entries, hits=%d misses=%d>" % (
-            len(self._store),
+            len(self._entries),
             self.stats_counters.hits,
             self.stats_counters.misses,
         )
 
 
-def _new_bundle(key, group, options):
+def probe_floor(options):
+    """Rejection trials a standalone ``P[K]`` drives a bundle's probe to."""
+    return max(4 * options.batch_size, 4096)
+
+
+def _new_bundle(key, group):
     """The empty bundle a first touch of ``key`` starts from."""
-    return SampleBundle(
-        key,
-        vids=(variable.vid for variable in group.variables),
-        strategy=strategy_fingerprint(options),
-    )
+    return SampleBundle(key, vids=(variable.vid for variable in group.variables))
 
 
 def _sampler(bundle, tag, group, bounds, predicate, options, attempts, accepted):
     """A GroupSampler on the bundle's ``tag`` stream.
 
-    The bundle's strategy snapshot overrides the caller's draw-shaping
-    flags so mass bookkeeping stays consistent across top-ups.  Its
-    ``mass`` and ``method`` are a function of the layout, the same for
-    every sampler of the bundle.
+    The key hashes the draw-shaping options, so every caller that reaches
+    a bundle samples it under the ones it was built with.  Its ``mass`` and
+    ``method`` are a function of the layout, the same for every sampler of
+    the bundle.
     """
-    overrides = dict(zip(STRATEGY_FIELDS, bundle.strategy))
     sampler = GroupSampler(
         group,
         bounds,
         predicate,
         rng_from_seed(derive_seed(bundle.key, *tag)),
-        options.replace(**overrides),
+        options,
         initial_attempts=attempts,
         initial_accepted=accepted,
     )
@@ -571,11 +635,11 @@ def _sampler(bundle, tag, group, bounds, predicate, options, attempts, accepted)
     return sampler
 
 
-def fill(bundle, target_n, min_fill, group, bounds, predicate, options):
+def fill(bundle, target_n, group, bounds, predicate, options):
     """Grow the bundle to at least ``target_n`` conditional samples;
     returns how many were drawn.
 
-    Growth at least doubles, with a floor of ``min_fill``, so a sequence
+    Growth at least doubles, with a floor of :data:`MIN_FILL`, so a sequence
     of escalating requests costs O(log) sampler runs.  When the floor, not
     the request, is what runs the sampler past ``max_attempts_per_group``,
     the bundle takes exactly ``target_n`` from the same stream instead: a
@@ -583,7 +647,7 @@ def fill(bundle, target_n, min_fill, group, bounds, predicate, options):
     the fill is a function of the bundle and ``target_n`` alone.  The bank's
     top-ups and a pool worker's first fill both run this.
     """
-    grown = max(target_n, 2 * bundle.n, min_fill)
+    grown = max(target_n, 2 * bundle.n, MIN_FILL)
     try:
         return _draw(bundle, grown - bundle.n, group, bounds, predicate, options)
     except SamplingError:
@@ -622,3 +686,67 @@ def probe(bundle, n_min, group, bounds, predicate, options):
     bundle.probe = (sampler.attempts, sampler.accepted)
     bundle.dirty = True
     return sampler.attempts - attempts
+
+
+# -- spill file layout ---------------------------------------------------------------
+
+
+def write_bundle(path, bundle):
+    """Write ``bundle`` as a compressed npz at ``path``.
+
+    ``meta`` is ``[n, mass, impossible, topups, method, probe attempts,
+    probe accepted]``; an older writer appended the strategy options after
+    those, which :func:`read_bundle` ignores.  Write-then-rename, so a crash
+    mid-spill cannot leave a truncated file at ``path``.
+    """
+    payload = {
+        "meta": np.asarray(
+            [
+                bundle.n,
+                bundle.mass,
+                1.0 if bundle.impossible else 0.0,
+                bundle.topups,
+                _METHODS.index(bundle.method),
+            ]
+            + list(bundle.probe),
+            dtype=np.float64,
+        ),
+        "fills": np.asarray(bundle.fills, dtype=np.float64).reshape(-1, 4),
+        "vids": np.asarray(sorted(bundle.vids), dtype=np.int64),
+    }
+    for (vid, subscript), array in bundle.arrays.items():
+        payload["a%d_%d" % (vid, subscript)] = array
+    tmp_path = path + ".tmp"
+    try:
+        with open(tmp_path, "wb") as handle:
+            np.savez_compressed(handle, **payload)
+        os.replace(tmp_path, path)
+    except OSError:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
+        raise
+
+
+def read_bundle(key, path):
+    """The bundle :func:`write_bundle` wrote at ``path``, clean."""
+    with np.load(path) as data:
+        meta = data["meta"]
+        bundle = SampleBundle(key, vids=[int(v) for v in data["vids"]])
+        bundle.n = int(meta[0])
+        bundle.mass = float(meta[1])
+        bundle.impossible = bool(meta[2])
+        bundle.topups = int(meta[3])
+        bundle.method = _METHODS[int(meta[4])]
+        bundle.probe = (int(meta[5]), int(meta[6]))
+        bundle.fills = [
+            (int(n), int(attempts), int(accepted), bool(metropolis))
+            for n, attempts, accepted, metropolis in data["fills"]
+        ]
+        arrays = {}
+        for name in data.files:
+            if name.startswith("a"):
+                vid, _sep, subscript = name[1:].partition("_")
+                arrays[(int(vid), int(subscript))] = np.asarray(data[name], dtype=float)
+        bundle.arrays = arrays
+    bundle.dirty = False
+    return bundle

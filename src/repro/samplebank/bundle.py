@@ -16,14 +16,14 @@ CDF-inversion machinery again:
 * ``method`` — how the candidates are drawn (``cdf-inversion``,
   ``rejection``, ``fixed``), a function of the group's bounds and strategy;
 * ``impossible`` — the group carries no probability mass, cached so a
-  provably-dead group never re-runs its hopeless rejection loop;
-* ``strategy`` — the draw-shaping options snapshot the bundle was built
-  with; top-ups must reuse it or the mass bookkeeping would be corrupted.
+  provably-dead group never re-runs its hopeless rejection loop.
 
 Bundles are deterministic: the cache key is a digest of everything the
 draws depend on, the base seed included, so each fill's stream derives
 from the key and the bundle's current length, and two same-seed databases
-running the same workload materialise identical bundles.
+running the same workload materialise identical bundles.  The key
+hashes the draw-shaping options too, so every top-up runs under the ones
+the bundle was built with.
 """
 
 import numpy as np
@@ -42,12 +42,11 @@ class SampleBundle:
         "mass",
         "method",
         "impossible",
-        "strategy",
         "topups",
         "dirty",
     )
 
-    def __init__(self, key, vids, strategy):
+    def __init__(self, key, vids):
         self.key = key
         self.vids = frozenset(vids)
         self.arrays = {}
@@ -57,7 +56,6 @@ class SampleBundle:
         self.mass = 1.0
         self.method = "rejection"
         self.impossible = False
-        self.strategy = tuple(strategy)
         self.topups = 0
         # Spill bookkeeping: False while the on-disk copy is current, so
         # re-evicting an unchanged bundle skips the npz rewrite.

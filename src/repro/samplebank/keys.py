@@ -49,16 +49,6 @@ def strategy_fingerprint(options):
         return fingerprint
 
 
-#: Field types, for round-tripping a fingerprint through float storage
-#: (the npz spill meta).  Must stay in STRATEGY_FIELDS order.
-_STRATEGY_DECODERS = (bool, bool, bool, float, int, int, int, int)
-
-
-def decode_strategy(values):
-    """Rebuild a fingerprint from its float-encoded spill form."""
-    return tuple(decode(v) for decode, v in zip(_STRATEGY_DECODERS, values))
-
-
 def variable_signature(variable):
     """Identity + distribution of one group variable, as a hashable tuple."""
     return ("var", variable.vid, variable.subscript, variable.dist_name) + tuple(

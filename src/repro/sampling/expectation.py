@@ -146,7 +146,7 @@ class ExpectationEngine:
         if bank is None:
             from repro.samplebank.bank import SampleBank
 
-            bank = SampleBank(base_seed, enabled=False)
+            bank = SampleBank(base_seed, capacity=0)
         self.bank = bank
         # Optional ParallelSampleScheduler; when present (and the options
         # ask for workers) prefetch() fans group sampling out over it.
@@ -386,10 +386,7 @@ class ExpectationEngine:
             if not group.atoms or group in sampled_groups:
                 continue
             if self._exact_group_probability(group, condition, consistency, options) is None:
-                job = self.bank.plan_group_job(
-                    group, condition, consistency, options,
-                    min_attempts=_attempt_floor(options),
-                )
+                job = self.bank.plan_group_job(group, condition, consistency, options)
                 if job is not None:
                     yield job
 
@@ -618,14 +615,10 @@ class ExpectationEngine:
         # drew this call's mean columns; otherwise the bundle's own
         # rejection trials, kept apart from its draws, are driven to the
         # floor (line 34: Metropolis never runs there).
-        sampler = existing_sampler
-        estimate = None
-        if sampler is None:
-            sampler = self._make_sampler(group, condition, consistency, options, seed)
-        else:
-            estimate = sampler.probability_estimate_or_none()
-        if estimate is None:
-            estimate = sampler.estimate_probability(_attempt_floor(options))
+        sampler = existing_sampler or self._make_sampler(
+            group, condition, consistency, options, seed
+        )
+        estimate = sampler.probability()
         if methods is not None:
             methods[group.tag + ":prob"] = "sampled"
         return estimate, False
@@ -689,8 +682,3 @@ def _constant_value(expr):
 def _first_round(options):
     """Draws the first sampling round of a mean asks each group for."""
     return options.n_samples or max(options.min_samples, 128)
-
-
-def _attempt_floor(options):
-    """Trials a standalone probability estimate drives a group to."""
-    return max(4 * options.batch_size, 4096)

@@ -54,7 +54,7 @@ class SamplingOptions:
         off the bank keeps nothing: each call's bundles live for that
         call and draw the same streams, so the answers are the same.
     bank_capacity:
-        Maximum number of group bundles held in memory (LRU beyond it).
+        Most group bundles held in memory (LRU beyond it); 0 keeps none.
     bank_spill_dir:
         When set, evicted bundles spill to compressed ``.npz`` files in
         this directory and reload transparently on the next request.

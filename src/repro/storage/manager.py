@@ -9,7 +9,7 @@ Storage layout (all under the ``PIPDatabase.open`` path)::
         snapshot-<lsn>.pkl      # catalog checkpoint (storage/snapshot.py)
         snapshot-<lsn>.npz      # numeric column payloads
       bank/
-        bank_<key>.npz          # sample-bank spill tier (samplebank/store.py)
+        bank_<key>.npz          # sample-bank spill tier (samplebank/bank.py)
         manifest.json           # bank identity + footprint
 
 The manager owns the WAL and the checkpoint cycle; the database calls

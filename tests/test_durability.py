@@ -138,6 +138,35 @@ def test_warm_restart_serves_bank_hits(tmp_path):
         assert stats["disk_loads"] >= 1
 
 
+def _table_rows(db):
+    return {
+        name: [(repr(row.values), row.condition.key()) for row in table.rows]
+        for name, table in db.tables.items()
+    }
+
+
+@pytest.mark.parametrize("payload", ['{"format": 2, "base', "[1, 2]", "null"])
+def test_unreadable_bank_manifest_does_not_block_open(tmp_path, payload):
+    """The bank manifest is a cache file: an unreadable or non-object one
+    is treated like a foreign format (the spill dir is emptied), and the
+    database opens with its rows and answers."""
+    root = str(tmp_path / "db")
+    with PIPDatabase.open(root, seed=11, options=_options()) as db:
+        _build_workload(db)
+        expected = _query_all(db)
+        rows = _table_rows(db)
+    bank = tmp_path / "db" / "bank"
+    assert list(bank.glob("bank_*.npz"))
+    (bank / "manifest.json").write_text(payload)
+
+    with PIPDatabase.open(root, options=_options()) as db2:
+        assert list(bank.glob("bank_*.npz")) == []
+        assert db2.sample_bank.manifest() is None
+        assert _table_rows(db2) == rows
+        assert _query_all(db2) == expected
+        assert db2.sample_bank.stats()["misses"] >= 1
+
+
 class TestCrashRecovery:
     def _wal_path(self, root):
         return os.path.join(root, "wal.log")

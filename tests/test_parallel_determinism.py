@@ -48,6 +48,12 @@ def _options(workers, **kw):
     return SamplingOptions(parallel_workers=workers, **kw)
 
 
+def _bundles(db):
+    """``(key, bundle)`` for every bundle the bank holds in memory."""
+    bank = db.sample_bank
+    return [(key, bank.bundle(key)) for key, _vids, _n in bank.entries()]
+
+
 # ---------------------------------------------------------------------------
 # Workload builders
 # ---------------------------------------------------------------------------
@@ -230,7 +236,7 @@ def test_expensive_groups_bit_identical(escalate):
                 sorted(
                     (key, bundle.used_metropolis, bundle.n, bundle.attempts, bundle.accepted,
                      bundle.fills, bundle.probe)
-                    for key, bundle in db.sample_bank._store.items()
+                    for key, bundle in _bundles(db)
                 ),
                 [stats[name] for name in ("hits", "misses", "samples_drawn")],
             ))
@@ -267,7 +273,7 @@ def test_merged_bundles_keep_split_counters():
                     answers.append([float(row.values[-1]).hex() for row in confs.rows])
         bundles = sorted(
             (key, bundle.n, bundle.fills, bundle.probe, bundle.method)
-            for key, bundle in db.sample_bank._store.items()
+            for key, bundle in _bundles(db)
         )
         stats = [db.sample_bank.stats()[name] for name in STRICT_STATS]
         db.close()
@@ -520,7 +526,7 @@ def test_group_job_round_trips_through_pickle_and_runs():
         group, condition, consistency, options, fill_n=64
     )
     assert job is not None
-    assert job.fill_n == 64 and job.min_fill == 256  # the worker floors as the bank does
+    assert job.fill_n == 64
 
     clone = pickle.loads(pickle.dumps(job))
     bundle_a, drawn_a = run_group_job(job)
@@ -532,7 +538,7 @@ def test_group_job_round_trips_through_pickle_and_runs():
     # The serial first touch draws the same bundle from the same stream.
     source = db.sample_bank.source(group, condition, consistency, group.predicate, options)
     source.sample(64)
-    (serial,) = [bundle for _key, bundle in db.sample_bank._store.items()]
+    (serial,) = [bundle for _key, bundle in _bundles(db)]
     assert serial.key == bundle_a.key and serial.fills == bundle_a.fills
     for key in bundle_a.arrays:
         assert (serial.arrays[key] == bundle_a.arrays[key]).all()

@@ -8,7 +8,7 @@ import pytest
 from repro.constraints.consistency import check_consistency
 from repro.constraints.independence import groups_for_condition
 from repro.core.database import PIPDatabase
-from repro.samplebank import SampleBank, bundle_key
+from repro.samplebank import SampleBank, bundle_key, strategy_fingerprint
 from repro.sampling.expectation import ExpectationEngine
 from repro.sampling.options import SamplingOptions
 from repro.symbolic import conjunction_of, var
@@ -207,13 +207,59 @@ class TestStoreBehaviour:
         engine.expectation(var(x), condition, want_probability=True)
         engine.expectation(var(x), condition, options=options.replace(n_samples=700))
         engine.probability(condition)
-        ((key, before),) = bank._store.items()
-        fields = ("n", "fills", "probe", "mass", "method", "impossible", "topups", "strategy")
+        ((key, _vids, _n),) = bank.entries()
+        before = bank.bundle(key)
+        fields = ("n", "fills", "probe", "mass", "method", "impossible", "topups")
         kept = {name: getattr(before, name) for name in fields}
         assert len(kept["fills"]) == 2 and kept["probe"][0] >= 4096
         bank.flush()
-        reloaded = SampleBank.from_options(options, base_seed=5)._store.get(key)
+        reloaded = SampleBank.from_options(options, base_seed=5).bundle(key)
         assert {name: getattr(reloaded, name) for name in fields} == kept
+        for var_key, array in before.arrays.items():
+            np.testing.assert_array_equal(reloaded.arrays[var_key], array)
+
+    def test_spill_file_with_strategy_meta_still_loads(self, tmp_path):
+        """A format-2 spill file whose ``meta`` carries the strategy options
+        after the probe counters (the earlier layout) loads as the bundle it
+        was, and the first query over it hits with nothing drawn."""
+        options = SamplingOptions(n_samples=300)
+        factory = VariableFactory()
+        x = factory.create("normal", (0.0, 1.0))
+        y = factory.create("normal", (0.0, 1.0))
+        condition = conjunction_of(var(x) > var(y) + 0.5)
+        bank = SampleBank.from_options(options, base_seed=5)
+        engine = ExpectationEngine(options=options, base_seed=5, bank=bank)
+        engine.expectation(var(x), condition, want_probability=True)
+        engine.probability(condition)
+        ((key, _vids, _n),) = bank.entries()
+        before = bank.bundle(key)
+        payload = {
+            "meta": np.asarray(
+                [before.n, before.mass, 0.0, before.topups,
+                 ("rejection", "cdf-inversion", "fixed").index(before.method)]
+                + list(before.probe)
+                + [float(value) for value in strategy_fingerprint(options)]),
+            "fills": np.asarray(before.fills, dtype=np.float64).reshape(-1, 4),
+            "vids": np.asarray(sorted(before.vids), dtype=np.int64),
+        }
+        for (vid, subscript), array in before.arrays.items():
+            payload["a%d_%d" % (vid, subscript)] = array
+        np.savez_compressed(str(tmp_path / ("bank_%016x.npz" % key)), **payload)
+        (tmp_path / "manifest.json").write_text(
+            '{"format": 2, "base_seed": 5, "capacity": 512, "bundles_on_disk": 1}')
+
+        spilled = options.replace(bank_spill_dir=str(tmp_path))
+        bank2 = SampleBank.from_options(spilled, base_seed=5)
+        engine2 = ExpectationEngine(options=spilled, base_seed=5, bank=bank2)
+        engine2.expectation(var(x), condition, want_probability=True)
+        engine2.probability(condition)
+        stats = bank2.stats()
+        assert (stats["hits"], stats["misses"], stats["disk_loads"]) == (2, 0, 1)
+        assert stats["samples_drawn"] == 0
+        reloaded = bank2.bundle(key)
+        for name in ("n", "fills", "probe", "method"):
+            assert getattr(reloaded, name) == getattr(before, name), name
+        assert reloaded.arrays.keys() == before.arrays.keys()
         for var_key, array in before.arrays.items():
             np.testing.assert_array_equal(reloaded.arrays[var_key], array)
 
@@ -281,6 +327,37 @@ class TestStoreBehaviour:
         assert list(tmp_path.glob("bank_*.npz")) == []
         engine2.expectation(var(x) * var(x), cond_x)
         assert bank2.stats()["misses"] >= 1  # re-materialised, not resurrected
+
+    def test_capacity_zero_is_a_bank_that_keeps_nothing(self):
+        """``bank_capacity=0`` keeps no entry and counts no lookup, and
+        answers bit for bit as a default database; below 0 is an error."""
+        statements = ("SELECT k, expected_sum(a * b) AS v FROM model"
+                      " WHERE a + b > 0.5 GROUP BY k",
+                      "SELECT k, conf() AS p FROM model WHERE a * b > 0.25")
+        answers = []
+        for options in (SamplingOptions(bank_capacity=0), SamplingOptions()):
+            db = PIPDatabase(seed=4, options=options)
+            db.sql("CREATE TABLE t (k int, m float)")
+            db.insert_many("t", [(0, 0.5), (1, 1.0), (2, -0.25)])
+            db.register("model", db.sql(
+                "SELECT k, create_variable('normal', m, 1.0) AS a,"
+                " create_variable('normal', 0.0, 2.0) AS b FROM t"))
+            runs = [[tuple(v.hex() if isinstance(v, float) else v for v in row)
+                     for statement in statements for row in db.sql(statement).rows()]
+                    for _ in range(2)]
+            assert runs[0] == runs[1]
+            answers.append(runs[0])
+            stats = db.sample_bank.stats()
+            if options.bank_capacity == 0:
+                assert db.sample_bank.entries() == []
+                assert (stats["entries"], stats["hits"], stats["misses"]) == (0, 0, 0)
+                assert stats["samples_drawn"] > 0
+            else:
+                assert stats["entries"] > 0 and stats["hits"] > 0
+            db.close()
+        assert answers[0] == answers[1]
+        with pytest.raises(ValueError):
+            PIPDatabase(options=SamplingOptions(bank_capacity=-1))
 
     def test_clear(self):
         engine, bank = _banked_engine()
