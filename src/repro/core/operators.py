@@ -98,9 +98,10 @@ def _constant(kind, target, term):
 # exactly the shape the parallel executor fans out.  Before looping, each
 # operator — or, for a whole statement, :func:`row_results` /
 # :func:`aggregate_results` — hands its batch of (expression, condition)
-# pairs to ExpectationEngine.prefetch, which materialises the missing
-# sample-bank bundles across the worker pool.  The loop then runs serially
-# against a warm bank; results are bit-identical to fully serial execution.
+# pairs to ExpectationEngine.prefetch, which precomputes the missing
+# sample-bank bundles in the worker pool and stages them in the bank.  The
+# loop then runs serially and takes each at its first touch; results and
+# bank counters are bit-identical to fully serial execution.
 
 
 def _prefetch(engine, options, passes):

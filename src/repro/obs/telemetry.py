@@ -178,7 +178,7 @@ class Telemetry:
             "pip_parallel_jobs_total", "Group sampling jobs dispatched to workers."
         )
         self.parallel_merged_total = registry.counter(
-            "pip_parallel_merged_total", "Worker bundles merged into the sample bank."
+            "pip_parallel_merged_total", "Worker bundles staged in the sample bank."
         )
         self.columnar_chunks_scanned_total = registry.counter(
             "pip_columnar_chunks_scanned_total",
@@ -232,9 +232,7 @@ class Telemetry:
 
         def pool_workers():
             live = ref()
-            if live is None or live.scheduler.pool is None:
-                return 0
-            return live.scheduler.pool.workers
+            return live.scheduler.workers if live else 0
 
         def sessions_open():
             live = ref()

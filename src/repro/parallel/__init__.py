@@ -1,28 +1,27 @@
-"""Parallel sampling executor: scheduler + worker pool + result merge.
+"""The job plane: group sampling precomputed in a worker pool.
 
 PIP's group decomposition makes its dominant cost — conditionally
-sampling each minimal independent subset — embarrassingly parallel: every
-group bundle is an independent, deterministically seeded unit, keyed by
-the sample bank.  This package spreads those units over a
-``concurrent.futures`` pool while preserving bit-identical results; see
-:mod:`repro.parallel.scheduler` for the determinism argument and
-``docs/architecture.md`` for how the pieces line up.
+sampling each minimal independent subset — embarrassingly parallel:
+every group bundle is a pure function of its sample-bank key.  This
+package fills a statement's missing bundles in a ``concurrent.futures``
+pool and stages them in the bank, so results and bank counters are the
+serial run's; see :mod:`repro.parallel.scheduler` for the argument.
 
 Enable it per database with ``SamplingOptions(parallel_workers=4)`` (or
 ``"auto"``); the plan executor and the aggregate operators then batch
 every group a statement needs up front and fan the sampling out.
 """
 
-from repro.parallel.jobs import GroupJob, run_group_job, run_group_jobs
-from repro.parallel.pool import WorkerPool, resolve_chunk_size, resolve_workers
-from repro.parallel.scheduler import ParallelSampleScheduler
+from repro.parallel.scheduler import (
+    ParallelSampleScheduler,
+    resolve_chunk_size,
+    resolve_workers,
+    run_group_job,
+)
 
 __all__ = [
-    "GroupJob",
     "ParallelSampleScheduler",
-    "WorkerPool",
     "resolve_chunk_size",
     "resolve_workers",
     "run_group_job",
-    "run_group_jobs",
 ]

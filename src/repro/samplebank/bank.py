@@ -160,15 +160,15 @@ class SampleBank:
         # indexed until invalidation removes its file.
         self._index = {}  # vid -> set of cache keys
         self._key_vids = {}  # cache key -> vids (for O(affected) removal)
+        # Bundles the job plane precomputed, waiting outside the LRU for
+        # their first touch: cache key -> (bundle, samples drawn).
+        self._staged = {}
         # Guards the entries and indices: the parallel scheduler merges
-        # worker payloads from the querying thread, but a future async
+        # worker bundles from the querying thread, but a future async
         # serving layer may not be so polite.  Queries sample inside the
         # lock — the bank is single-writer by design, the lock just makes
         # that design a guarantee instead of a convention.
         self._lock = threading.RLock()
-        # Keys materialised by the parallel prefetch whose first lookup
-        # should count as the miss serial execution would have recorded.
-        self._prefetched = set()
         path = self._file(self.MANIFEST_NAME)
         if path is not None and os.path.exists(path):
             manifest = self.manifest()
@@ -225,18 +225,19 @@ class SampleBank:
             keep = seed is None and self.keeps(options)
             bundle = self._lookup(key) if keep else None
             if bundle is None:
-                bundle = _new_bundle(key, group)
+                staged = self._staged.pop(key, None) if keep else None
+                if staged is None:
+                    bundle = _new_bundle(key, group)
+                else:
+                    # A worker drew it: count its draws at this first touch,
+                    # where a serial fill would have.
+                    bundle, drawn = staged
+                    self.stats_counters.samples_drawn += drawn
+                    self._count("samples.drawn", drawn)
                 if keep:
                     self.stats_counters.misses += 1
                     self._count("bank.miss")
                     self._put(bundle)
-            elif key in self._prefetched:
-                # A worker materialised this bundle moments ago; serial
-                # execution would have recorded its own first touch as the
-                # miss, so the stats stay comparable across modes.
-                self._prefetched.discard(key)
-                self.stats_counters.misses += 1
-                self._count("bank.miss")
             else:
                 self.stats_counters.hits += 1
                 self._count("bank.hit")
@@ -246,61 +247,38 @@ class SampleBank:
 
     # -- parallel prefetch -------------------------------------------------------
 
-    @property
-    def prefetch_limit(self):
-        """How many bundles one prefetch batch may materialise.
+    def plan_group_job(self, group, condition, consistency, predicate, options, fill_n=0):
+        """The job record for a missing bundle, or ``None`` when it is
+        already kept, spilled or staged.
 
-        Prefetched bundles must survive in the LRU until the serial loop
-        consumes them; beyond ``capacity - 1`` the puts of later groups
-        start evicting prefetched-but-unread bundles, turning parallel
-        pre-materialisation into duplicated work.  Statements with more
-        groups than this sample the overflow serially — exactly what the
-        serial path would have done for them anyway.
+        The record is ``(bundle, fill_n, group, bounds, predicate,
+        options)``: the empty bundle a first touch would make and what
+        :func:`fill` (``fill_n`` draws) or, with ``fill_n=0``, :func:`probe`
+        (to :func:`probe_floor`) reads of it.  The existence probe neither
+        promotes nor loads, so planning leaves the LRU as the serial
+        touches will find it.
         """
-        return max(1, self.capacity - 1)
-
-    def plan_group_job(self, group, condition, consistency, options, fill_n=0):
-        """A :class:`~repro.parallel.jobs.GroupJob` for a missing bundle:
-        a fill of ``fill_n`` draws, or with ``fill_n=0`` the probe a
-        standalone ``P[K]`` drives to :func:`probe_floor`.
-
-        Returns ``None`` when the bundle is already cached (in memory or
-        spilled).  The existence probe neither promotes nor loads, so
-        planning leaves LRU state exactly as the serial touches will find
-        it.
-        """
-        from repro.parallel.jobs import GroupJob
-        from repro.symbolic.conditions import Disjunction
-
         with self._lock:
             key = bundle_key(group, condition, options, self.base_seed)
             if self._contains(key):
                 return None
-            return GroupJob(
-                _new_bundle(key, group),
-                group,
-                consistency.bounds,
-                options,
-                fill_n=fill_n,
-                min_attempts=0 if fill_n else probe_floor(options),
-                dnf_condition=condition if isinstance(condition, Disjunction) else None,
-            )
+            return (_new_bundle(key, group), fill_n, group, consistency.bounds, predicate, options)
 
     def merge(self, bundle, drawn):
-        """Store a bundle a worker materialised (single-writer merge).
+        """Stage a bundle a worker precomputed; returns whether it was staged.
 
-        The bundle is the one :meth:`plan_group_job` made, filled by the
-        very functions a serial miss runs, so it equals what the serial
-        first touch would have built; ``drawn`` is counted once.  Returns
-        False when the key landed in the store in the meantime (the
-        existing bundle wins; determinism makes both equal anyway).
+        It waits outside the LRU and counts nothing until :meth:`source`
+        first touches it, which counts the miss and ``drawn`` as a serial
+        fill would, so entries, order and counters are the serial run's.
+        Staging holds at most ``capacity`` bundles (oldest dropped first):
+        a dropped or never-touched bundle is only sampled again serially.
         """
         with self._lock:
             if self._contains(bundle.key):
                 return False
-            self.stats_counters.samples_drawn += drawn
-            self._put(bundle)
-            self._prefetched.add(bundle.key)
+            if len(self._staged) >= self.capacity:
+                del self._staged[next(iter(self._staged))]
+            self._staged[bundle.key] = (bundle, drawn)
             return True
 
     def take(self, bundle, offset, n, group, bounds, predicate, options):
@@ -366,6 +344,9 @@ class SampleBank:
         Returns the number of entries removed (memory and spill alike).
         """
         with self._lock:
+            # Staged bundles were never built by a serial run: drop them all
+            # uncounted (a later touch samples them serially).
+            self._staged.clear()
             vids = {getattr(v, "vid", v) for v in variables}
             doomed = set()
             for vid in vids:
@@ -447,7 +428,7 @@ class SampleBank:
             self._entries.clear()
             self._index.clear()
             self._key_vids.clear()
-            self._prefetched.clear()
+            self._staged.clear()
             self.stats_counters.invalidated += count
             return count
 
@@ -486,10 +467,10 @@ class SampleBank:
         return bundle
 
     def _contains(self, key):
-        """Whether ``key`` is retrievable from memory or disk — a pure probe
-        (no promotion, no load), so prefetch planning leaves the cache as
-        the serial touches will find it."""
-        if key in self._entries:
+        """Whether ``key`` is staged or retrievable from memory or disk — a
+        pure probe (no promotion, no load), so prefetch planning leaves the
+        cache as the serial touches will find it."""
+        if key in self._entries or key in self._staged:
             return True
         path = self._path(key)
         return path is not None and os.path.exists(path)
@@ -509,12 +490,8 @@ class SampleBank:
                 self._unindex(victim_key)
 
     def _unindex(self, key):
-        """Forget a key that left memory and disk alike.
-
-        Touches only the key's own vids' index sets; a prefetched key that
-        was never looked up is forgotten too, so a later recreation's
-        lookups count normally."""
-        self._prefetched.discard(key)
+        """Forget a key that left memory and disk alike; touches only the
+        key's own vids' index sets."""
         for vid in self._key_vids.pop(key, ()):
             keys = self._index.get(vid)
             if keys is not None:

@@ -333,27 +333,28 @@ class ExpectationEngine:
         *fill* jobs sized like the serial first request, and inexact
         probability groups get *attempt-floor* jobs.  Jobs are planned in
         task order (the serial touch order), the first job for a bundle
-        wins, and the batch is handed to the scheduler; returns the number
-        of bundles materialised.
+        wins (the one dedup), and the batch is handed to the scheduler;
+        returns the number of bundles the bank staged.
 
-        The subsequent serial calls then find every bundle warm — results
-        are bit-identical to a serial run because each bundle is a pure
-        function of its key and seed stream.
+        The subsequent serial calls take each staged bundle at their first
+        touch instead of sampling it — results and bank counters are the
+        serial run's, because each bundle is a pure function of its key.
+        A job that fails stages nothing: its call samples serially and
+        raises there.
         """
         if not self.prefetch_enabled(options):
             return 0
         options = options or self.options
-        # Cap at what the LRU can hold alongside consumption: overflow
-        # groups would be evicted before the serial loop reads them,
-        # doubling their sampling cost instead of parallelising it.
-        limit = self.bank.prefetch_limit
+        # A batch holds at most what the bank holds (a memory bound); the
+        # groups past it sample serially, as they would without a pool.
+        limit = self.bank.capacity
         jobs = {}
         for expr, condition, want_probability in tasks:
             if len(jobs) >= limit:
                 break
             try:
                 for job in self._first_jobs(expr, condition, want_probability, options):
-                    jobs.setdefault(job.key, job)
+                    jobs.setdefault(job[0].key, job)
             except PIPError:
                 # The serial call will surface the real error with full
                 # context; prefetch must never mask or pre-empt it.
@@ -374,7 +375,8 @@ class ExpectationEngine:
             sampled_groups = ()
         for group in sampled_groups:
             job = self.bank.plan_group_job(
-                group, condition, consistency, options, fill_n=_first_round(options)
+                group, condition, consistency, _predicate(group, condition), options,
+                fill_n=_first_round(options),
             )
             if job is not None:
                 yield job
@@ -386,7 +388,9 @@ class ExpectationEngine:
             if not group.atoms or group in sampled_groups:
                 continue
             if self._exact_group_probability(group, condition, consistency, options) is None:
-                job = self.bank.plan_group_job(group, condition, consistency, options)
+                job = self.bank.plan_group_job(
+                    group, condition, consistency, _predicate(group, condition), options
+                )
                 if job is not None:
                     yield job
 
@@ -442,13 +446,9 @@ class ExpectationEngine:
         return [VariableGroup(variables.values(), atoms)]
 
     def _make_sampler(self, group, condition, consistency, options, seed):
-        # The acceptance test a group's candidates must pass.  Conjunctions:
-        # just this group's atoms.  DNF: the full condition (one joint group).
-        predicate = (
-            condition.evaluate_batch if isinstance(condition, Disjunction)
-            else group.predicate
+        return self.bank.source(
+            group, condition, consistency, _predicate(group, condition), options, seed
         )
-        return self.bank.source(group, condition, consistency, predicate, options, seed)
 
     def _samplers(self, groups, condition, consistency, options, seed):
         return {
@@ -659,6 +659,13 @@ class ExpectationEngine:
             return None
         interval = consistency.bound_for(variable.key)
         return dist.probability_in(params, interval)
+
+
+def _predicate(group, condition):
+    """The acceptance test a group's candidates must pass: a conjunction's
+    group tests its own atoms, a DNF condition (one joint group) the whole
+    disjunction."""
+    return condition.evaluate_batch if isinstance(condition, Disjunction) else group.predicate
 
 
 def _accepted_mass(group, dist, params):

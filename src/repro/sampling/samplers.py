@@ -165,18 +165,6 @@ class GroupSampleResult:
         self.used_metropolis = used_metropolis
         self.impossible = impossible
 
-    @property
-    def probability_estimate(self):
-        """``window_mass × acceptance_rate``; None when Metropolis was used
-        (the walk yields no rate — Algorithm 4.3 line 31)."""
-        if self.impossible:
-            return 0.0
-        if self.used_metropolis:
-            return None
-        if self.attempts == 0:
-            return self.mass
-        return self.mass * (self.accepted / self.attempts)
-
 
 class GroupSampler:
     """Conditional sampler for one minimal independent subset.

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats as sps
 
 from repro.core.database import PIPDatabase
+from repro.obs import Telemetry
 from repro.sampling.options import SamplingOptions
 from repro.symbolic import col, conjunction_of, var
 from repro.util.errors import PlanError, SchemaError
@@ -245,6 +246,18 @@ class TestClosedDatabaseIsFreed:
             lambda: PIPDatabase(seed=3, options=SamplingOptions(n_samples=100)),
             ("", "sample_bank", "telemetry", "engine"),
         ) == [True] * 4
+
+    def test_pooled(self):
+        """A database that ran a statement through the worker pool: the
+        pool, its scheduler and the bank it staged bundles in go too."""
+        telemetry = Telemetry()
+        assert self._freed(
+            lambda: PIPDatabase(
+                seed=3, options=SamplingOptions(n_samples=100, parallel_workers=2),
+                telemetry=telemetry),
+            ("", "sample_bank", "engine", "scheduler"),
+        ) == [True] * 4
+        assert telemetry.parallel_merged_total.value == 4  # the pool ran
 
     def test_durable(self, tmp_path):
         assert self._freed(

@@ -533,6 +533,39 @@ def test_parallel_prefetch_metrics():
     db.close()
 
 
+def test_pool_counters_mean_what_they_say():
+    """After one cold pooled statement: jobs = the distinct jobs the
+    scheduler was handed, merged = the bundles workers handed back and the
+    bank staged (each taken by the serial loop: one entry apiece), and the
+    worker gauge reads the live pool, 0 once it is shut down."""
+    db = _build_db(Telemetry(), workers=2)
+    dispatched, staged = [], []
+    prefetch, merge = db.scheduler.prefetch, db.sample_bank.merge
+
+    def recording_prefetch(jobs, options):
+        dispatched.extend(job[0].key for job in jobs)
+        return prefetch(jobs, options)
+
+    def recording_merge(bundle, drawn):
+        kept = merge(bundle, drawn)
+        staged.extend([bundle.key] if kept else [])
+        return kept
+
+    db.scheduler.prefetch, db.sample_bank.merge = recording_prefetch, recording_merge
+    assert db.metrics()["pip_pool_workers"] == 0  # no pool before first use
+    db.sql(QUERY)
+    metrics = db.metrics()
+    assert len(set(dispatched)) == len(dispatched) == 12
+    assert metrics["pip_parallel_batches_total"] == 1
+    assert metrics["pip_parallel_jobs_total"] == len(dispatched)
+    assert metrics["pip_parallel_merged_total"] == len(staged) == 12
+    assert sorted(staged) == sorted(dispatched)
+    assert db.sample_bank.stats()["entries"] == 12
+    assert metrics["pip_pool_workers"] == 2
+    db.close()
+    assert db.metrics()["pip_pool_workers"] == 0
+
+
 # ---------------------------------------------------------------------------
 # Slow-query log
 # ---------------------------------------------------------------------------

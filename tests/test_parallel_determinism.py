@@ -31,10 +31,11 @@ import pytest
 from repro.core import operators as ops
 from repro.core.database import PIPDatabase
 from repro.ctables.table import CTable
-from repro.parallel import GroupJob, resolve_chunk_size, resolve_workers, run_group_job
+from repro.parallel import resolve_chunk_size, resolve_workers, run_group_job
 from repro.sampling.options import SamplingOptions
 from repro.symbolic.conditions import Conjunction, conjunction_of
 from repro.symbolic.expression import var
+from repro.util.errors import SamplingError
 
 WORKER_COUNTS = (2, 4)
 
@@ -252,6 +253,44 @@ def test_expensive_groups_bit_identical(escalate):
     assert cold_stats == [0, 4, 8000] and warm_stats == [4, 4, 8000]
 
 
+def test_a_failing_group_fails_as_it_does_serially():
+    """Six groups, the fourth at ≈ 2 % acceptance under a budget it cannot
+    meet.  The pool never raises for it: the worker hands back no bundle,
+    the other five are staged, and the serial loop samples the fourth at its
+    own row and raises there.  So the error text, and the bank after the
+    failed statement and after a retry, are the serial run's."""
+
+    def run(workers):
+        db = PIPDatabase(seed=3, options=_options(
+            workers, n_samples=2000, max_attempts_per_group=20000))
+        table = CTable([("partkey", "int"), ("margin", "any")], name="parts")
+        for partkey in range(6):
+            a = db.create_variable("normal", (0.0, 1.0))
+            b = db.create_variable("normal", (0.0, 1.0))
+            gap = 2.9 if partkey == 3 else 0.0
+            table.add_row(
+                (partkey, var(a) - var(b)), conjunction_of(var(a) > var(b) + gap)
+            )
+        observed = []
+        for _ in ("failed", "retry"):
+            with pytest.raises(SamplingError) as caught:
+                ops.grouped_aggregate(
+                    table, ["partkey"], "expected_sum", "margin",
+                    engine=db.engine, options=db.options,
+                )
+            stats = db.sample_bank.stats()
+            observed.append((str(caught.value), [
+                stats[name] for name in ("hits", "misses", "samples_drawn", "entries")
+            ]))
+        db.close()
+        return observed
+
+    serial = run(0)
+    assert run(2) == serial
+    (_, failed), (_, retry) = serial
+    assert failed == [0, 4, 6000, 4] and retry == [4, 4, 6000, 4]
+
+
 def test_merged_bundles_keep_split_counters():
     """A pooled fill and a pooled probability floor store the bundle a
     serial miss builds: the fills' draw counters and the probe's trials,
@@ -305,7 +344,7 @@ def test_mixed_deterministic_and_symbolic_rows_bit_identical():
         prefetch = db.scheduler.prefetch
 
         def recording_prefetch(jobs, options):
-            dispatched.append([job.key for job in jobs])
+            dispatched.append([job[0].key for job in jobs])
             return prefetch(jobs, options)
 
         db.scheduler.prefetch = recording_prefetch
@@ -523,10 +562,10 @@ def test_group_job_round_trips_through_pickle_and_runs():
     consistency = check_consistency(condition)
     (group,) = groups_for_condition(condition)
     job = db.sample_bank.plan_group_job(
-        group, condition, consistency, options, fill_n=64
+        group, condition, consistency, group.predicate, options, fill_n=64
     )
     assert job is not None
-    assert job.fill_n == 64
+    assert job[1] == 64  # fill_n
 
     clone = pickle.loads(pickle.dumps(job))
     bundle_a, drawn_a = run_group_job(job)
